@@ -25,7 +25,7 @@ import numpy as np
 from . import online, potential
 from .game import GameSpec, ThetaNotPDError, cost_schedule, game_spec
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .online import NotStabilizableError
+from .online import NotStabilizableError, ZeroNashCostError
 from .potential import AssumptionViolatedError
 
 __all__ = [
@@ -263,6 +263,8 @@ def _run_cell(config: ExperimentConfig, T: int, W: int, run_index: int,
         return SweepRow(T, W, seed, None, None, None, error="theta_not_pd")
     except NotStabilizableError:
         return SweepRow(T, W, seed, None, None, None, error="not_stabilizable")
+    except ZeroNashCostError:
+        return SweepRow(T, W, seed, None, None, None, error="zero_nash_cost")
     except AssumptionViolatedError as exc:
         return SweepRow(T, W, seed, None, None, None, error=f"assumption_{exc.assumption_id}")
     lrp = run.log_rel_pou if math.isfinite(run.log_rel_pou) else None

@@ -263,19 +263,153 @@ def evaluate_cost(spec: GameSpec, player: int, states, controls) -> float:
     return total
 
 
-def _stage_theta(r1, r2, B1, B2, p1_next, p2_next) -> np.ndarray:
-    """Stage curvature matrix: R blocks plus the players' input-channel value terms."""
+def _stage_theta(r1, r2, b1p1, b2p2, B1, B2) -> np.ndarray:
+    """Stage curvature matrix: R blocks plus the players' input-channel value terms.
+
+    b1p1 = B1' P1_{t+1} and b2p2 = B2' P2_{t+1}.  Arguments may carry one
+    leading stack axis, the same on r1, r2, b1p1 and b2p2.
+    """
     m = B1.shape[1]
-    g11 = B1.T @ p1_next @ B1
-    g12 = B1.T @ p1_next @ B2
-    g21 = B2.T @ p2_next @ B1
-    g22 = B2.T @ p2_next @ B2
-    theta = np.empty((2 * m, 2 * m))
-    theta[:m, :m] = r1[:m, :m] + g11
-    theta[:m, m:] = r1[:m, m:] + g12
-    theta[m:, :m] = r2[m:, :m] + g21
-    theta[m:, m:] = r2[m:, m:] + g22
+    theta = np.empty(r1.shape)
+    theta[..., :m, :m] = r1[..., :m, :m] + b1p1 @ B1
+    theta[..., :m, m:] = r1[..., :m, m:] + b1p1 @ B2
+    theta[..., m:, :m] = r2[..., m:, :m] + b2p2 @ B1
+    theta[..., m:, m:] = r2[..., m:, m:] + b2p2 @ B2
     return theta
+
+
+class _Uncertified(Exception):
+    """A stage curvature of the stacked pass failed its certificate.
+
+    theta holds that stage's (G, 2m, 2m) curvature stack, or is None when
+    the rollout left the finite range.
+    """
+
+    def __init__(self, stage: int, theta: np.ndarray | None):
+        self.stage = stage
+        self.theta = theta
+
+
+class _Batch(NamedTuple):
+    """Solutions of G padded games from one stacked pass.
+
+    K is (G, T-1, 2m, n), x (G, T, n), u (G, T-1, 2m) and theta_min
+    (G, T-1).  P1, P2 are per-stage (n, n) value matrices for stages 2..T,
+    kept only when G == 1.
+    """
+
+    K: np.ndarray
+    x: np.ndarray
+    u: np.ndarray
+    theta_min: np.ndarray
+    P1: tuple | None
+    P2: tuple | None
+
+
+def _stacked_pass(spec: GameSpec, known: np.ndarray, tol: Tolerances) -> _Batch:
+    """Coupled Riccati pass and forward rollout for G games at once.
+
+    Game g sees the true schedule through stage known[g] and its last
+    revealed weights repeated after that: stage tau uses R_min(tau, known[g])
+    and the state weight of stage s is Q_min(s, known[g]+1).  Every product
+    is a stacked `@`, so each game's arithmetic is the same as if it were
+    solved alone.
+    """
+    T, n, m = spec.T, spec.n, spec.m
+    G = known.shape[0]
+    a, b1, b2 = spec.A, spec.B1, spec.B2
+    b = spec.joint_b()
+    qs = np.stack(spec.costs.Q)
+    r1s = np.stack(spec.costs.R1)
+    r2s = np.stack(spec.costs.R2)
+
+    p1 = p2 = qs[np.minimum(T, known + 1) - 2]
+    keep_values = G == 1
+    p1_hist, p2_hist = [p1[0]], [p2[0]]
+    gains = np.empty((G, T - 1, 2 * m, n))
+    theta_min = np.empty((G, T - 1))
+
+    for t in range(T - 1, 0, -1):
+        r_idx = np.minimum(t, known) - 1
+        r1t, r2t = r1s[r_idx], r2s[r_idx]
+        b1p1 = b1.T @ p1
+        b2p2 = b2.T @ p2
+        theta = _stage_theta(r1t, r2t, b1p1, b2p2, b1, b2)
+        sym = (theta + theta.transpose(0, 2, 1)) / 2.0
+        try:
+            pivots = np.diagonal(np.linalg.cholesky(sym), axis1=1, axis2=2) ** 2
+        except np.linalg.LinAlgError:
+            raise _Uncertified(t, theta) from None
+        if not np.all(pivots > tol.pd_pivot):
+            raise _Uncertified(t, theta)
+        theta_min[:, t - 1] = np.linalg.eigvalsh(sym)[:, 0]
+        rhs = np.concatenate((b1p1, b2p2), axis=1) @ a
+        kt = -np.linalg.solve(theta, rhs)
+        gains[:, t - 1] = kt
+        if t >= 2:
+            closed = a + b @ kt
+            closed_t = closed.transpose(0, 2, 1)
+            kt_t = kt.transpose(0, 2, 1)
+            qt = qs[np.minimum(t, known + 1) - 2]
+            p1 = qt + kt_t @ r1t @ kt + closed_t @ p1 @ closed
+            p2 = qt + kt_t @ r2t @ kt + closed_t @ p2 @ closed
+            p1 = (p1 + p1.transpose(0, 2, 1)) / 2.0
+            p2 = (p2 + p2.transpose(0, 2, 1)) / 2.0
+            if keep_values:
+                p1_hist.append(p1[0])
+                p2_hist.append(p2[0])
+
+    x = np.empty((G, T, n))
+    u = np.empty((G, T - 1, 2 * m))
+    # `@` on (G, n, 1) columns gives every game the rollout it would get
+    # alone, bit for bit; an einsum over the stack does not
+    xk = np.repeat(spec.x1[None, :, None], G, axis=0)
+    x[:, 0] = spec.x1
+    for k in range(T - 1):
+        uk = gains[:, k] @ xk
+        xk = a @ xk + b @ uk
+        u[:, k] = uk[:, :, 0]
+        x[:, k + 1] = xk[:, :, 0]
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+        raise _Uncertified(0, None)  # pragma: no cover - defensive
+
+    values = (tuple(p1_hist[::-1]), tuple(p2_hist[::-1])) if keep_values else (None, None)
+    return _Batch(gains, _freeze(x), _freeze(u), theta_min, *values)
+
+
+def _backward(spec: GameSpec, known, tol: Tolerances | None = None) -> _Batch:
+    """Solve the padded games whose last revealed stages are `known`, in one pass.
+
+    On a failed certificate the error is exactly the one solving the games
+    one at a time, in the given order, would raise: the first game to fail,
+    at its highest failing stage, with the pivot `linalg.cholesky_pd`
+    reports for that stage's curvature matrix.
+    """
+    tol = tol or DEFAULT_TOLERANCES
+    known = np.asarray(known, dtype=np.intp).reshape(-1)
+    try:
+        return _stacked_pass(spec, known, tol)
+    except _Uncertified as exc:
+        if known.shape[0] > 1:
+            # alone and in order, the first game to fail raises its own error
+            for g in range(known.shape[0]):
+                _backward(spec, known[g:g + 1], tol)
+        if exc.theta is None:  # pragma: no cover - defensive
+            raise ThetaNotPDError(exc.stage, float("nan")) from None
+        pivot = linalg.cholesky_pd(exc.theta[0], tol.pd_pivot).min_pivot
+        raise ThetaNotPDError(exc.stage, pivot) from None
+
+
+def _nash_solution(batch: _Batch) -> NashSolution:
+    """The single game of a G == 1 batch as a NashSolution."""
+    return NashSolution(
+        K=tuple(batch.K[0]),
+        P1=batch.P1,
+        P2=batch.P2,
+        x_star=batch.x[0],
+        u_star=batch.u[0],
+        theta_min_eig=tuple(batch.theta_min[0].tolist()),
+    )
 
 
 def solve_feedback_nash(spec: GameSpec, tol: Tolerances | None = None) -> NashSolution:
@@ -287,56 +421,7 @@ def solve_feedback_nash(spec: GameSpec, tol: Tolerances | None = None) -> NashSo
     The terminal condition is P_T^1 = P_T^2 = Q_T.  Raises ThetaNotPDError
     if any stage's curvature matrix fails certification.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    T, n, m = spec.T, spec.n, spec.m
-    a = spec.A
-    b1, b2 = spec.B1, spec.B2
-    b = spec.joint_b()
-    costs = spec.costs
-
-    p1 = [None] * (T + 1)
-    p2 = [None] * (T + 1)
-    p1[T] = costs.q(T)
-    p2[T] = costs.q(T)
-    gains = [None] * T
-    theta_min = [0.0] * T
-
-    for t in range(T - 1, 0, -1):
-        r1t = costs.r(1, t)
-        r2t = costs.r(2, t)
-        theta = _stage_theta(r1t, r2t, b1, b2, p1[t + 1], p2[t + 1])
-        check = linalg.cholesky_pd(theta, tol.pd_pivot)
-        if not check.is_pd:
-            raise ThetaNotPDError(t, check.min_pivot)
-        theta_min[t] = float(linalg.sym_eig(theta)[0])
-        rhs = np.vstack((b1.T @ p1[t + 1], b2.T @ p2[t + 1])) @ a
-        kt = -linalg.solve_linear(theta, rhs)
-        gains[t] = kt
-        if t >= 2:
-            closed = a + b @ kt
-            qt = costs.q(t)
-            p1[t] = linalg.symmetrize(qt + kt.T @ r1t @ kt + closed.T @ p1[t + 1] @ closed)
-            p2[t] = linalg.symmetrize(qt + kt.T @ r2t @ kt + closed.T @ p2[t + 1] @ closed)
-
-    x = np.empty((T, n))
-    u = np.empty((T - 1, 2 * m))
-    x[0] = spec.x1
-    for k in range(T - 1):
-        u[k] = gains[k + 1] @ x[k]
-        x[k + 1] = a @ x[k] + b @ u[k]
-
-    for arr in (x, u):
-        if not np.all(np.isfinite(arr)):
-            raise ThetaNotPDError(0, float("nan"))  # pragma: no cover - defensive
-
-    return NashSolution(
-        K=tuple(gains[1:]),
-        P1=tuple(p1[2:]),
-        P2=tuple(p2[2:]),
-        x_star=_freeze(x),
-        u_star=_freeze(u),
-        theta_min_eig=tuple(theta_min[1:]),
-    )
+    return _nash_solution(_backward(spec, [spec.T - 1], tol))
 
 
 class DeviationCheck(NamedTuple):
@@ -492,11 +577,34 @@ def nash_to_dict(sol: NashSolution) -> dict:
 
 
 def nash_from_dict(data: dict) -> NashSolution:
-    return NashSolution(
-        K=tuple(np.asarray(k, dtype=float) for k in data["K"]),
-        P1=tuple(np.asarray(p, dtype=float) for p in data["P1"]),
-        P2=tuple(np.asarray(p, dtype=float) for p in data["P2"]),
-        x_star=np.asarray(data["x_star"], dtype=float),
-        u_star=np.asarray(data["u_star"], dtype=float),
-        theta_min_eig=tuple(float(v) for v in data["theta_min_eig"]),
-    )
+    """Inverse of nash_to_dict; rejects mutually inconsistent shapes.
+
+    x_star fixes T and n, u_star fixes 2m; there must be T-1 gains (2m x n),
+    value matrices (n x n) and curvature eigenvalues.
+    """
+    try:
+        x = np.asarray(data["x_star"], dtype=float)
+        u = np.asarray(data["u_star"], dtype=float)
+        gains = tuple(np.asarray(k, dtype=float) for k in data["K"])
+        p1 = tuple(np.asarray(p, dtype=float) for p in data["P1"])
+        p2 = tuple(np.asarray(p, dtype=float) for p in data["P2"])
+        theta_min = tuple(float(v) for v in data["theta_min_eig"])
+    except KeyError as exc:
+        raise DimensionMismatchError(f"solution is missing field {exc}") from exc
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise DimensionMismatchError(f"x_star must be (T, n) with T >= 2, got shape {x.shape}")
+    T, n = x.shape
+    if u.ndim != 2 or u.shape[0] != T - 1 or u.shape[1] == 0 or u.shape[1] % 2:
+        raise DimensionMismatchError(f"u_star must be ({T - 1}, 2m), got shape {u.shape}")
+    two_m = u.shape[1]
+    for name, mats, shape in (("K", gains, (two_m, n)), ("P1", p1, (n, n)), ("P2", p2, (n, n))):
+        if len(mats) != T - 1:
+            raise DimensionMismatchError(f"{name} must hold {T - 1} entries, got {len(mats)}")
+        for k, mat in enumerate(mats):
+            if mat.shape != shape:
+                raise DimensionMismatchError(f"{name}[{k}] must be {shape}, got {mat.shape}")
+    if len(theta_min) != T - 1:
+        raise DimensionMismatchError(
+            f"theta_min_eig must hold {T - 1} entries, got {len(theta_min)}"
+        )
+    return NashSolution(K=gains, P1=p1, P2=p2, x_star=x, u_star=u, theta_min_eig=theta_min)

@@ -1,11 +1,12 @@
 """Online play under a limited cost preview.
 
 At step t the players know the cost matrices only W stages ahead.  The
-missing tail is padded by holding the last revealed matrices constant, the
-padded game is re-solved from the original start state, and the realized
-control tracks the resulting prediction through a fixed stabilizing gain.
-The gap between the realized costs and the full-information equilibrium
-costs is the price of uncertainty.
+missing tail is padded by holding the last revealed matrices constant, and
+the padded game is solved from the original start state; the T-1 padded
+games of a run are solved together in one stacked backward pass.  The
+realized control tracks each step's prediction through a fixed stabilizing
+gain.  The gap between the realized costs and the full-information
+equilibrium costs is the price of uncertainty.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .game import (
     GameSpec,
     IndexOutOfRangeError,
     NashSolution,
-    with_costs,
+    with_costs,  # noqa: F401 - kept importable here; benches/test_bench.py rebinds it
 )
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 
@@ -131,11 +132,17 @@ def compute_tracking_gain(spec: GameSpec, tol: Tolerances | None = None) -> np.n
 def predict_nash(spec: GameSpec, t: int, W: int, tol: Tolerances | None = None) -> NashSolution:
     """Feedback Nash solution of the step-t padded game, from the original x1.
 
-    The prediction always re-solves the full horizon; the information
-    limitation enters only through the padded cost schedule.
+    The prediction always solves the full horizon; the information
+    limitation enters only through the padding, which repeats the weights
+    of stage t+W (see `pad_schedule`).  It is the same stacked backward
+    pass that `run_online` runs for all T-1 steps at once, here for one
+    game.
     """
-    padded = pad_schedule(spec.costs, t, W)
-    return game_mod.solve_feedback_nash(with_costs(spec, padded.costs), tol=tol)
+    if not 1 <= t <= spec.T - 1:
+        raise IndexOutOfRangeError(f"t must be in 1..{spec.T - 1}, got {t}")
+    if W < 0:
+        raise IndexOutOfRangeError(f"preview length must be >= 0, got {W}")
+    return game_mod._nash_solution(game_mod._backward(spec, [t + W], tol))
 
 
 class PouResult(NamedTuple):
@@ -211,10 +218,14 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
                tol: Tolerances | None = None) -> OnlineRun:
     """Play the horizon with preview W: predict, track the prediction, step.
 
-    At each step t the padded game is re-solved, and the applied control is
+    The predictions of all T-1 steps, one padded game per step, are solved
+    in one stacked backward pass.  At step t the applied control is
     u_t = K_tracking (x_t - x_pred_t) + u_pred_t.  With full preview the
     prediction matches the equilibrium at every step, the tracking term
     stays exactly zero, and the price of uncertainty vanishes.
+
+    If a padded game fails certification, the ThetaNotPDError raised is the
+    one `predict_nash` raises at the lowest failing step t.
     """
     tol = tol or DEFAULT_TOLERANCES
     if W < 0:
@@ -225,29 +236,25 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
         k_bar = linalg.as_matrix(K_tracking, 2 * spec.m, spec.n, name="K_tracking")
 
     T, n, m = spec.T, spec.n, spec.m
+    pred = game_mod._backward(spec, np.arange(1, T) + W, tol)
     a = spec.A
     b = spec.joint_b()
     x = np.empty((T, n))
     u = np.empty((T - 1, 2 * m))
-    x_pred = []
-    u_pred = []
     err = np.empty(T - 1)
     x[0] = spec.x1
     for t in range(1, T):
-        pred = predict_nash(spec, t, W, tol=tol)
-        x_pred.append(pred.x_star)
-        u_pred.append(pred.u_star)
-        offset = x[t - 1] - pred.x_star[t - 1]
+        offset = x[t - 1] - pred.x[t - 1, t - 1]
         err[t - 1] = linalg.two_norm(offset)
-        u[t - 1] = k_bar @ offset + pred.u_star[t - 1]
+        u[t - 1] = k_bar @ offset + pred.u[t - 1, t - 1]
         x[t] = a @ x[t - 1] + b @ u[t - 1]
 
     pou, social = compute_pou(spec, x, u, tol=tol)
     return OnlineRun(
         x=x,
         u=u,
-        x_pred=tuple(x_pred),
-        u_pred=tuple(u_pred),
+        x_pred=tuple(pred.x),
+        u_pred=tuple(pred.u),
         K_tracking=k_bar,
         pou=pou,
         log_rel_pou=log_rel_pou(pou, social),
@@ -262,12 +269,11 @@ def gain_decay_diagnostic(spec: GameSpec, W: int,
 
     Row t holds ||K_t(step-t prediction) - K_t(full information)||_2.  The
     gap closes as the preview grows and is identically zero once t + W
-    reaches the last controlled stage.
+    reaches the last controlled stage.  The full-information game and the
+    T-1 padded games are solved in one stacked backward pass; a failed
+    certificate raises the error of the full game first, then of the
+    lowest failing step t.
     """
-    full = game_mod.solve_feedback_nash(spec, tol=tol)
-    table = []
-    for t in range(1, spec.T):
-        pred = predict_nash(spec, t, W, tol=tol)
-        gap = linalg.two_norm(pred.gain(t) - full.gain(t))
-        table.append((t, gap))
-    return table
+    T = spec.T
+    gains = game_mod._backward(spec, np.r_[T - 1, np.arange(1, T) + W], tol).K
+    return [(t, linalg.two_norm(gains[t, t - 1] - gains[0, t - 1])) for t in range(1, T)]

@@ -340,8 +340,9 @@ def reduce_to_ocp(spec: GameSpec, tol: Tolerances | None = None) -> OcpReduction
             )
         k_bar[t] = -linalg.solve_linear(theta_bar, b.T @ p_bar[t + 1] @ a)
 
-        game_theta = game_mod._stage_theta(costs.r(1, t), costs.r(2, t), b1, b2,
-                                           nash.value(1, t + 1), nash.value(2, t + 1))
+        game_theta = game_mod._stage_theta(costs.r(1, t), costs.r(2, t),
+                                           b1.T @ nash.value(1, t + 1),
+                                           b2.T @ nash.value(2, t + 1), b1, b2)
         resid = linalg.two_norm(r_pot[t] - (game_theta - b.T @ p_bar[t + 1] @ b))
         if resid > tol.mat_eq:
             raise ReductionMismatchError(

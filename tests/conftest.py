@@ -74,12 +74,17 @@ def make_aligned_game(rng, n=None, m=None, T=None, n_max=3, m_max=2, T_max=10,
     raise RuntimeError("no passing instance after %d attempts" % attempts)
 
 
-def make_loose_game(rng, n_max=3, m_max=2, T_max=8, attempts=40):
-    """Random unstructured game with PSD stage costs and a solvable recursion."""
+def make_loose_game(rng, n=None, m=None, T=None, n_max=3, m_max=2, T_max=8,
+                    attempts=40):
+    """Random unstructured game with PSD stage costs and a solvable recursion.
+
+    Explicit n/m/T pin the dimensions; otherwise they are drawn up to the
+    given caps.
+    """
     for _ in range(attempts):
-        nn = int(rng.integers(1, n_max + 1))
-        mm = int(rng.integers(1, m_max + 1))
-        tt = int(rng.integers(2, T_max + 1))
+        nn = int(n if n is not None else rng.integers(1, n_max + 1))
+        mm = int(m if m is not None else rng.integers(1, m_max + 1))
+        tt = int(T if T is not None else rng.integers(2, T_max + 1))
         a = rng.uniform(-1.2, 1.2, size=(nn, nn))
         bb1 = rng.uniform(-1.2, 1.2, size=(nn, mm))
         bb2 = rng.uniform(-1.2, 1.2, size=(nn, mm))

@@ -1,6 +1,7 @@
 """Random-family generation, sweeps, CSV emission, and the SVG plotter."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from previewnash import (
     generate_game,
     sweep,
 )
+from previewnash import cli
 
 ROWS_HEADER = ["T", "W", "seed", "pou", "nash_social_cost", "log_rel_pou"]
 AGG_HEADER = ["T", "W", "mean_pou", "mean_nash_cost", "log_rel_pou"]
@@ -194,6 +196,22 @@ def test_strict_mode_flags_rows_instead_of_aborting():
         assert agg.mean_pou is None and agg.log_rel_pou_of_means is None
     with pytest.raises(EmptyAggregateError):
         emit_plot(res.aggregates, "W", "/tmp/unused.svg")
+
+
+def test_zero_start_flags_rows_instead_of_aborting(tmp_path):
+    # from x1 = 0 every trajectory stays at zero, so the equilibrium cost is
+    # zero and the relative price is undefined in every cell
+    cfg = _tiny_config(x1=(0.0, 0.0))
+    res = sweep(cfg)
+    assert [r.error for r in res.rows] == ["zero_nash_cost"] * 4
+    rows_path, _ = emit_csv(res, tmp_path / "lib")
+    with open(rows_path, newline="") as fh:
+        lines = list(csv.reader(fh))[1:]
+    assert len(lines) == 4 and all(line[3:] == ["", "", ""] for line in lines)
+    config_path = tmp_path / "zero.json"
+    config_path.write_text(json.dumps(cfg.to_dict()))
+    assert cli.main(["sweep", "--config", str(config_path), "--out-dir", str(tmp_path / "cli")]) == 0
+    assert (tmp_path / "cli" / "rows.csv").read_bytes() == rows_path.read_bytes()
 
 
 # ---------------------------------------------------------------- CSV files

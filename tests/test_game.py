@@ -261,3 +261,18 @@ def test_round_trip_solution_still_verifies(scalar_spec):
     nash = nash_from_dict(nash_to_dict(solve_feedback_nash(scalar_spec)))
     check = verify_nash_by_deviation(scalar_spec, nash, 1, 1, [0.3])
     assert check.cost_deviated >= check.cost_at_nash - 1e-12
+
+
+def test_nash_from_dict_rejects_truncated_gains(scalar_spec_t3):
+    data = nash_to_dict(solve_feedback_nash(scalar_spec_t3))
+    data["K"] = data["K"][:-1]
+    with pytest.raises(DimensionMismatchError, match="K must hold 2"):
+        nash_from_dict(data)
+
+
+def test_nash_from_dict_rejects_mismatched_state_width(scalar_spec_t3):
+    data = nash_to_dict(solve_feedback_nash(scalar_spec_t3))
+    data["x_star"] = [row + [0.0] for row in data["x_star"]]
+    # the gains and value matrices are still 1-state wide
+    with pytest.raises(DimensionMismatchError, match=r"K\[0\] must be \(2, 2\)"):
+        nash_from_dict(data)

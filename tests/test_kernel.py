@@ -1,0 +1,178 @@
+"""The stacked backward pass against the one-game-at-a-time reference.
+
+`_reference_solve` is the scalar coupled-Riccati recursion and forward
+rollout the solver used before every padded game of a run was solved in
+one stacked pass.  It is the reference path: the solver, the predictions
+and the order of certification errors are all pinned to it.
+"""
+
+import numpy as np
+import pytest
+
+from previewnash import (
+    ThetaNotPDError,
+    cost_schedule,
+    game_spec,
+    pad_schedule,
+    predict_nash,
+    run_online,
+    solve_feedback_nash,
+    with_costs,
+)
+from previewnash import linalg
+
+from conftest import make_aligned_game, make_loose_game
+
+
+def _reference_theta(r1, r2, B1, B2, p1_next, p2_next):
+    m = B1.shape[1]
+    theta = np.empty((2 * m, 2 * m))
+    theta[:m, :m] = r1[:m, :m] + B1.T @ p1_next @ B1
+    theta[:m, m:] = r1[:m, m:] + B1.T @ p1_next @ B2
+    theta[m:, :m] = r2[m:, :m] + B2.T @ p2_next @ B1
+    theta[m:, m:] = r2[m:, m:] + B2.T @ p2_next @ B2
+    return theta
+
+
+def _reference_solve(spec, tol=linalg.DEFAULT_TOLERANCES):
+    """Scalar backward pass and forward rollout, one stage at a time.
+
+    Returns (K, P1, P2, theta_min_eig, x_star, u_star) with the stage
+    conventions of NashSolution; raises ThetaNotPDError like the solver.
+    """
+    T, n, m = spec.T, spec.n, spec.m
+    a, b1, b2 = spec.A, spec.B1, spec.B2
+    b = spec.joint_b()
+    costs = spec.costs
+
+    p1 = [None] * (T + 1)
+    p2 = [None] * (T + 1)
+    p1[T] = costs.q(T)
+    p2[T] = costs.q(T)
+    gains = [None] * T
+    theta_min = [0.0] * T
+    for t in range(T - 1, 0, -1):
+        r1t = costs.r(1, t)
+        r2t = costs.r(2, t)
+        theta = _reference_theta(r1t, r2t, b1, b2, p1[t + 1], p2[t + 1])
+        check = linalg.cholesky_pd(theta, tol.pd_pivot)
+        if not check.is_pd:
+            raise ThetaNotPDError(t, check.min_pivot)
+        theta_min[t] = float(linalg.sym_eig(theta)[0])
+        rhs = np.vstack((b1.T @ p1[t + 1], b2.T @ p2[t + 1])) @ a
+        kt = -linalg.solve_linear(theta, rhs)
+        gains[t] = kt
+        if t >= 2:
+            closed = a + b @ kt
+            qt = costs.q(t)
+            p1[t] = linalg.symmetrize(qt + kt.T @ r1t @ kt + closed.T @ p1[t + 1] @ closed)
+            p2[t] = linalg.symmetrize(qt + kt.T @ r2t @ kt + closed.T @ p2[t + 1] @ closed)
+
+    x = np.empty((T, n))
+    u = np.empty((T - 1, 2 * m))
+    x[0] = spec.x1
+    for k in range(T - 1):
+        u[k] = gains[k + 1] @ x[k]
+        x[k + 1] = a @ x[k] + b @ u[k]
+    return gains[1:], p1[2:], p2[2:], theta_min[1:], x, u
+
+
+def _reference_predict(spec, t, W):
+    return _reference_solve(with_costs(spec, pad_schedule(spec.costs, t, W).costs))
+
+
+def _assert_close(got, want):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-12 * scale
+
+
+def _families():
+    rng = np.random.default_rng(23)
+    for _ in range(8):
+        yield make_aligned_game(rng, n_max=4, m_max=2, T_max=9)
+        yield make_loose_game(rng, n_max=4, m_max=3, T_max=9)
+
+
+@pytest.mark.parametrize("spec", list(_families()))
+def test_solver_matches_reference(spec):
+    nash = solve_feedback_nash(spec)
+    gains, p1, p2, theta_min, x, u = _reference_solve(spec)
+    _assert_close(nash.K, gains)
+    _assert_close(nash.P1, p1)
+    _assert_close(nash.P2, p2)
+    _assert_close(nash.theta_min_eig, theta_min)
+    _assert_close(nash.x_star, x)
+    _assert_close(nash.u_star, u)
+
+
+@pytest.mark.parametrize("spec", list(_families()))
+def test_predictions_match_reference_on_copied_schedules(spec):
+    # the index map min(tau, t+W) must solve what pad_schedule's copy states
+    for W in (0, 1):
+        run = run_online(spec, W, K_tracking=np.zeros((2 * spec.m, spec.n)))
+        for t in range(1, spec.T):
+            gains, _, _, _, x, u = _reference_predict(spec, t, W)
+            _assert_close(run.x_pred[t - 1], x)
+            _assert_close(run.u_pred[t - 1], u)
+            _assert_close(predict_nash(spec, t, W).K, gains)
+
+
+def _padding_breaks_curvature():
+    """Scalar game whose padded games fail at steps 2, 3 and 4 with W = 0.
+
+    Step 3 fails at stage 4, above step 2's failing stage 2, so a pass over
+    all steps at once meets step 3's failure first.
+    """
+    q = [1.9, -0.1, -0.3, 0.0, 2.0]
+    r = [0.7, 1.9, 1.0, 2.0, 1.8]
+    costs = cost_schedule([[[v]] for v in q], [np.diag([v, 0.0]) for v in r],
+                          [np.diag([0.0, v]) for v in r])
+    return game_spec([[1.0]], [[1.0]], [[1.0]], [1.0], costs)
+
+
+def test_failed_padded_game_raises_the_lowest_step_error():
+    spec = _padding_breaks_curvature()
+    solve_feedback_nash(spec)  # the true game is certified
+    failures = {}
+    for t in range(1, spec.T):
+        try:
+            predict_nash(spec, t, 0)
+        except ThetaNotPDError as exc:
+            with pytest.raises(ThetaNotPDError) as ref:
+                _reference_predict(spec, t, 0)
+            assert (exc.stage, exc.min_pivot) == (ref.value.stage, ref.value.min_pivot)
+            failures[t] = (exc.stage, exc.min_pivot)
+    assert sorted(failures) == [2, 3, 4]
+    assert failures[3][0] > failures[2][0]
+
+    with pytest.raises(ThetaNotPDError) as exc:
+        run_online(spec, 0, K_tracking=np.zeros((2, 1)))
+    assert (exc.value.stage, exc.value.min_pivot) == failures[2]
+
+
+def test_run_predictions_equal_single_predictions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(n=st.integers(1, 5), m=st.integers(1, 3), T=st.integers(2, 8),
+                      W=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def check(n, m, T, W, seed):
+        spec = make_loose_game(np.random.default_rng(seed), n=n, m=m, T=T)
+        try:
+            run = run_online(spec, W, K_tracking=np.zeros((2 * m, n)))
+        except ThetaNotPDError as exc:
+            for t in range(1, T):
+                try:
+                    predict_nash(spec, t, W)
+                except ThetaNotPDError as first:
+                    assert (exc.stage, exc.min_pivot) == (first.stage, first.min_pivot)
+                    return
+            raise
+        for t in range(1, T):
+            assert np.array_equal(run.x_pred[t - 1], predict_nash(spec, t, W).x_star)
+
+    check()
