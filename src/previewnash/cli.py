@@ -19,7 +19,7 @@ from pathlib import Path
 from . import experiments, game, linalg, online, potential
 from .game import ThetaNotPDError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .online import NotStabilizableError
+from .online import NotStabilizableError, ZeroNashCostError
 from .potential import AssumptionViolatedError
 
 __all__ = ["main", "entry", "UsageError"]
@@ -200,6 +200,9 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         _error_out("input", f"invalid JSON: {exc}")
         return EXIT_USAGE
+    except ZeroNashCostError as exc:  # a ValueError, but numerical, not bad input
+        _error_out("zero_nash_cost", str(exc))
+        return EXIT_NUMERICAL
     except (ValueError, KeyError, IndexError) as exc:
         _error_out("input", str(exc))
         return EXIT_USAGE

@@ -295,7 +295,10 @@ class _Batch(NamedTuple):
 
     K is (G, T-1, 2m, n), x (G, T, n), u (G, T-1, 2m) and theta_min
     (G, T-1).  P1, P2 are per-stage (n, n) value matrices for stages 2..T,
-    kept only when G == 1.
+    kept only when G == 1.  residuals is None unless the pass was asked to
+    score them; then it is (G, 2), each game's largest cross-weight residual
+    ||Theta_t[:m, m:] - Theta_t[m:, :m]'||_2 over stages 1..T-1 and largest
+    value-coupling residual ||B'(P1_t - P2_t) A||_2 over stages 2..T.
     """
 
     K: np.ndarray
@@ -304,16 +307,19 @@ class _Batch(NamedTuple):
     theta_min: np.ndarray
     P1: tuple | None
     P2: tuple | None
+    residuals: np.ndarray | None
 
 
-def _stacked_pass(spec: GameSpec, known: np.ndarray, tol: Tolerances) -> _Batch:
+def _stacked_pass(spec: GameSpec, known: np.ndarray, tol: Tolerances,
+                  residuals: bool) -> _Batch:
     """Coupled Riccati pass and forward rollout for G games at once.
 
     Game g sees the true schedule through stage known[g] and its last
     revealed weights repeated after that: stage tau uses R_min(tau, known[g])
     and the state weight of stage s is Q_min(s, known[g]+1).  Every product
     is a stacked `@`, so each game's arithmetic is the same as if it were
-    solved alone.
+    solved alone.  With `residuals` the pass also keeps each game's running
+    maxima of the two alignment residuals (see _Batch).
     """
     T, n, m = spec.T, spec.n, spec.m
     G = known.shape[0]
@@ -328,6 +334,7 @@ def _stacked_pass(spec: GameSpec, known: np.ndarray, tol: Tolerances) -> _Batch:
     p1_hist, p2_hist = [p1[0]], [p2[0]]
     gains = np.empty((G, T - 1, 2 * m, n))
     theta_min = np.empty((G, T - 1))
+    res = np.zeros((G, 2)) if residuals else None
 
     for t in range(T - 1, 0, -1):
         r_idx = np.minimum(t, known) - 1
@@ -343,6 +350,12 @@ def _stacked_pass(spec: GameSpec, known: np.ndarray, tol: Tolerances) -> _Batch:
         if not np.all(pivots > tol.pd_pivot):
             raise _Uncertified(t, theta)
         theta_min[:, t - 1] = np.linalg.eigvalsh(sym)[:, 0]
+        if residuals:
+            # fmax, like max(), passes over a NaN norm
+            cross = theta[:, :m, m:] - theta[:, m:, :m].transpose(0, 2, 1)
+            gap = b.T @ (p1 - p2) @ a  # stage t+1 values
+            res[:, 0] = np.fmax(res[:, 0], np.linalg.norm(cross, 2, axis=(-2, -1)))
+            res[:, 1] = np.fmax(res[:, 1], np.linalg.norm(gap, 2, axis=(-2, -1)))
         rhs = np.concatenate((b1p1, b2p2), axis=1) @ a
         kt = -np.linalg.solve(theta, rhs)
         gains[:, t - 1] = kt
@@ -374,21 +387,23 @@ def _stacked_pass(spec: GameSpec, known: np.ndarray, tol: Tolerances) -> _Batch:
         raise _Uncertified(0, None)  # pragma: no cover - defensive
 
     values = (tuple(p1_hist[::-1]), tuple(p2_hist[::-1])) if keep_values else (None, None)
-    return _Batch(gains, _freeze(x), _freeze(u), theta_min, *values)
+    return _Batch(gains, _freeze(x), _freeze(u), theta_min, *values, res)
 
 
-def _backward(spec: GameSpec, known, tol: Tolerances | None = None) -> _Batch:
+def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
+              residuals: bool = False) -> _Batch:
     """Solve the padded games whose last revealed stages are `known`, in one pass.
 
-    On a failed certificate the error is exactly the one solving the games
-    one at a time, in the given order, would raise: the first game to fail,
-    at its highest failing stage, with the pivot `linalg.cholesky_pd`
-    reports for that stage's curvature matrix.
+    `residuals` asks the pass to score the alignment residuals as well
+    (_Batch.residuals).  On a failed certificate the error is exactly the
+    one solving the games one at a time, in the given order, would raise:
+    the first game to fail, at its highest failing stage, with the pivot
+    `linalg.cholesky_pd` reports for that stage's curvature matrix.
     """
     tol = tol or DEFAULT_TOLERANCES
     known = np.asarray(known, dtype=np.intp).reshape(-1)
     try:
-        return _stacked_pass(spec, known, tol)
+        return _stacked_pass(spec, known, tol, residuals)
     except _Uncertified as exc:
         if known.shape[0] > 1:
             # alone and in order, the first game to fail raises its own error

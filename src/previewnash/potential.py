@@ -12,6 +12,7 @@ experiments.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,7 +20,12 @@ import numpy as np
 
 from . import game as game_mod
 from . import linalg, online
-from .game import DimensionMismatchError, GameSpec, ThetaNotPDError, with_costs
+from .game import (
+    DimensionMismatchError,
+    GameSpec,
+    ThetaNotPDError,
+    with_costs,  # noqa: F401 - kept importable here; benches/test_bench.py rebinds it
+)
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -109,57 +115,57 @@ def build_r_potential(r1, r2) -> np.ndarray:
     return rp
 
 
-def _a1_core(spec: GameSpec, tol: Tolerances):
+def _a1_core(spec: GameSpec, known, tol: Tolerances) -> list:
     """Definiteness of the state weights and stage curvatures, plus the two
-    alignment conditions that make the game a potential game.  Returns
-    (passed, margin, detail, solution-or-None)."""
+    alignment conditions that make the game a potential game, scored on the
+    zero-preview padded games whose last revealed stages are `known`
+    (known = T-1 is the true game).  Returns one (passed, margin, detail)
+    per game.
+
+    All games are solved in one stacked backward pass that also keeps their
+    alignment residuals.  Padded game k weighs states by Q_2..Q_{k+1} only,
+    so its state-weight pivot is a prefix minimum of the true ones.  If any
+    game fails its curvature certificate, every game is scored alone; a
+    failing game's margin is its failing pivot."""
+    q_pivots = list(itertools.accumulate(
+        (linalg.cholesky_pd(q, tol.pd_pivot).min_pivot for q in spec.costs.Q), min))
+    return _a1_scores(spec, np.asarray(known, dtype=np.intp), q_pivots, tol)
+
+
+def _a1_scores(spec: GameSpec, known: np.ndarray, q_pivots: list, tol: Tolerances) -> list:
     try:
-        nash = game_mod.solve_feedback_nash(spec, tol=tol)
+        batch = game_mod._backward(spec, known, tol, residuals=True)
     except ThetaNotPDError as exc:
+        if known.shape[0] > 1:
+            return [s for g in range(known.shape[0])
+                    for s in _a1_scores(spec, known[g:g + 1], q_pivots, tol)]
         pivot = exc.min_pivot
         margin = float(pivot) if np.isfinite(pivot) else None
-        return False, margin, str(exc), None
+        return [(False, margin, str(exc))]
 
-    q_pivot = min(
-        linalg.cholesky_pd(spec.costs.q(t), tol.pd_pivot).min_pivot for t in range(2, spec.T + 1)
-    )
-    theta_min = min(nash.theta_min_eig)
-
-    b1, b2 = spec.B1, spec.B2
-    b = spec.joint_b()
-    m = spec.m
-    cross_res = 0.0
-    for t in range(1, spec.T):
-        r1t = spec.costs.r(1, t)
-        r2t = spec.costs.r(2, t)
-        p1n = nash.value(1, t + 1)
-        p2n = nash.value(2, t + 1)
-        lhs = r1t[:m, m:] + b1.T @ p1n @ b2
-        rhs = (r2t[m:, :m] + b2.T @ p2n @ b1).T
-        cross_res = max(cross_res, linalg.two_norm(lhs - rhs))
-    value_res = 0.0
-    for t in range(2, spec.T + 1):
-        gap = b.T @ (nash.value(1, t) - nash.value(2, t)) @ spec.A
-        value_res = max(value_res, linalg.two_norm(gap))
-
-    passed = (
-        q_pivot > tol.pd_pivot
-        and cross_res <= tol.mat_eq
-        and value_res <= tol.mat_eq
-    )
-    margin = min(q_pivot, theta_min, tol.mat_eq - cross_res, tol.mat_eq - value_res)
-    detail = (
-        f"min state-weight pivot {q_pivot:.3e}; min curvature eig {theta_min:.3e}; "
-        f"cross-weight residual {cross_res:.3e}; value-coupling residual {value_res:.3e}"
-    )
-    return passed, float(margin), detail, nash
+    scores = []
+    for k, theta_row, (cross_res, value_res) in zip(
+            known.tolist(), batch.theta_min, batch.residuals.tolist()):
+        q_pivot = q_pivots[k - 1]
+        theta_min = min(theta_row.tolist())
+        passed = (
+            q_pivot > tol.pd_pivot
+            and cross_res <= tol.mat_eq
+            and value_res <= tol.mat_eq
+        )
+        margin = min(q_pivot, theta_min, tol.mat_eq - cross_res, tol.mat_eq - value_res)
+        detail = (
+            f"min state-weight pivot {q_pivot:.3e}; min curvature eig {theta_min:.3e}; "
+            f"cross-weight residual {cross_res:.3e}; value-coupling residual {value_res:.3e}"
+        )
+        scores.append((passed, float(margin), detail))
+    return scores
 
 
-def _a2_check(spec: GameSpec, tol: Tolerances) -> AssumptionCheck:
-    q_eigs = [linalg.sym_eig(spec.costs.q(t)) for t in range(2, spec.T + 1)]
+def _a2_check(spec: GameSpec, q_eigs: np.ndarray, tol: Tolerances) -> AssumptionCheck:
     r_eigs = [linalg.sym_eig(spec.costs.r(i, t)) for i in (1, 2) for t in range(1, spec.T)]
-    q_lo = min(float(e[0]) for e in q_eigs)
-    q_hi = max(float(e[-1]) for e in q_eigs)
+    q_lo = min(q_eigs[:, 0].tolist())
+    q_hi = max(q_eigs[:, -1].tolist())
     r_lo = min(float(e[0]) for e in r_eigs)
     r_hi = max(float(e[-1]) for e in r_eigs)
     passed = q_lo > tol.pd_pivot and r_lo >= -tol.pd_pivot
@@ -195,7 +201,7 @@ def _a4_check(spec: GameSpec, tol: Tolerances) -> AssumptionCheck:
     return AssumptionCheck("A4", passed, float(margin), detail)
 
 
-def _a5_check(spec: GameSpec, tol: Tolerances) -> AssumptionCheck:
+def _a5_check(spec: GameSpec, q_eigs: np.ndarray, tol: Tolerances) -> AssumptionCheck:
     a_norm = linalg.two_norm(spec.A)
     try:
         b_min = linalg.singular_extremes(spec.joint_b()).sigma_min_pos
@@ -208,7 +214,7 @@ def _a5_check(spec: GameSpec, tol: Tolerances) -> AssumptionCheck:
         diff = linalg.symmetrize(rp - spec.costs.r(1, t))
         diff_top = float(linalg.sym_eig(diff)[-1])
         q_shift = max(q_shift, abs(ratio * diff_top))
-    q_lo = min(float(linalg.sym_eig(spec.costs.q(t))[0]) for t in range(2, spec.T + 1))
+    q_lo = min(q_eigs[:, 0].tolist())
     margin = q_lo - q_shift
     detail = (
         f"min state-weight eigenvalue {q_lo:.4g} vs required excess {q_shift:.4g} "
@@ -217,17 +223,16 @@ def _a5_check(spec: GameSpec, tol: Tolerances) -> AssumptionCheck:
     return AssumptionCheck("A5", margin > 0.0, float(margin), detail)
 
 
-def _a6_check(spec: GameSpec, tol: Tolerances) -> AssumptionCheck:
+def _a6_check(spec: GameSpec, padded: list) -> AssumptionCheck:
     """Every padded schedule must itself satisfy the core conditions.
 
-    Padding at (t, W) reproduces the zero-preview padding at step t+W, so
-    sweeping t with W = 0 covers every preview length at once.
+    `padded` holds the _a1_core verdicts of the zero-preview padded games at
+    steps 1..T-1.  Padding at (t, W) reproduces the zero-preview padding at
+    step t+W, so sweeping t with W = 0 covers every preview length at once.
     """
     worst = np.inf
     failing = []
-    for t in range(1, spec.T):
-        padded = online.pad_schedule(spec.costs, t, 0).costs
-        passed, margin, _, _ = _a1_core(with_costs(spec, padded), tol)
+    for t, (passed, margin, _) in enumerate(padded, start=1):
         if margin is not None:
             worst = min(worst, margin)
         if not passed:
@@ -245,6 +250,10 @@ def check_assumptions(spec: GameSpec, mode: str = "strict",
                       tol: Tolerances | None = None) -> AssumptionReport:
     """Score all six validity conditions with numerical margins.
 
+    A1 and A6 come from one stacked backward pass over the T-1 zero-preview
+    padded games, the last of which is the true game; A2 and A5 share one
+    stacked eigensolve of the state weights.
+
     strict mode raises AssumptionViolatedError (carrying the full report) on
     the first failed assumption; warn mode always returns the report.  warn
     exists because the random-experiment family deliberately uses indefinite
@@ -254,14 +263,16 @@ def check_assumptions(spec: GameSpec, mode: str = "strict",
         raise ValueError(f"mode must be 'strict' or 'warn', got {mode!r}")
     tol = tol or DEFAULT_TOLERANCES
 
-    a1_passed, a1_margin, a1_detail, _ = _a1_core(spec, tol)
+    padded = _a1_core(spec, np.arange(1, spec.T), tol)
+    qs = np.stack(spec.costs.Q)
+    q_eigs = np.linalg.eigvalsh((qs + qs.transpose(0, 2, 1)) / 2.0)  # ascending, (T-1, n)
     checks = [
-        AssumptionCheck("A1", a1_passed, a1_margin, a1_detail),
-        _a2_check(spec, tol),
+        AssumptionCheck("A1", *padded[-1]),
+        _a2_check(spec, q_eigs, tol),
         _a3_check(spec, tol),
         _a4_check(spec, tol),
-        _a5_check(spec, tol),
-        _a6_check(spec, tol),
+        _a5_check(spec, q_eigs, tol),
+        _a6_check(spec, padded),
     ]
     overall = all(c.passed for c in checks)
     report = AssumptionReport(checks=tuple(checks), overall=overall)

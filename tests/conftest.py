@@ -13,6 +13,9 @@ Two families of test games:
   input maps, positive semidefinite stage costs).  Nothing structural is
   promised beyond a solvable curvature recursion; these feed the identities
   that must hold for arbitrary games.
+
+`make_padded_failure_game` is one fixed scalar game whose true game is
+certified while three of its padded games are not.
 """
 
 import numpy as np
@@ -102,6 +105,20 @@ def make_loose_game(rng, n=None, m=None, T=None, n_max=3, m_max=2, T_max=8,
             continue
         return spec
     raise RuntimeError("no solvable instance after %d attempts" % attempts)
+
+
+def make_padded_failure_game():
+    """Scalar game whose zero-preview padded games fail certification at steps 2, 3 and 4.
+
+    The true game is certified.  Step 3 fails at stage 4, above step 2's
+    failing stage 2, so a pass over all steps at once meets step 3's failure
+    first.
+    """
+    q = [1.9, -0.1, -0.3, 0.0, 2.0]
+    r = [0.7, 1.9, 1.0, 2.0, 1.8]
+    costs = cost_schedule([[[v]] for v in q], [np.diag([v, 0.0]) for v in r],
+                          [np.diag([0.0, v]) for v in r])
+    return game_spec([[1.0]], [[1.0]], [[1.0]], [1.0], costs)
 
 
 @pytest.fixture()

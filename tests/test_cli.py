@@ -156,6 +156,20 @@ def test_run_unstabilizable_exits_3(tmp_path, capsys):
     assert err["code"] == "not_stabilizable"
 
 
+def test_run_zero_equilibrium_cost_exits_3(scalar_spec, tmp_path, capsys):
+    # x1 = 0 keeps every cost at zero, so the relative price is undefined
+    doc = spec_to_dict(scalar_spec)
+    doc["x1"] = [0.0]
+    spec_path = tmp_path / "zero.json"
+    spec_path.write_text(json.dumps(doc))
+    code = cli.main(["run", "--spec", str(spec_path), "--preview", "0",
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    _, err = _stderr_json(capsys)
+    assert err["code"] == "zero_nash_cost"
+    assert not (tmp_path / "r.json").exists()
+
+
 # -------------------------------------------------------------------- sweep
 
 def _write_config(tmp_path, **kwargs):

@@ -11,8 +11,6 @@ import pytest
 
 from previewnash import (
     ThetaNotPDError,
-    cost_schedule,
-    game_spec,
     pad_schedule,
     predict_nash,
     run_online,
@@ -21,7 +19,7 @@ from previewnash import (
 )
 from previewnash import linalg
 
-from conftest import make_aligned_game, make_loose_game
+from conftest import make_aligned_game, make_loose_game, make_padded_failure_game
 
 
 def _reference_theta(r1, r2, B1, B2, p1_next, p2_next):
@@ -120,21 +118,8 @@ def test_predictions_match_reference_on_copied_schedules(spec):
             _assert_close(predict_nash(spec, t, W).K, gains)
 
 
-def _padding_breaks_curvature():
-    """Scalar game whose padded games fail at steps 2, 3 and 4 with W = 0.
-
-    Step 3 fails at stage 4, above step 2's failing stage 2, so a pass over
-    all steps at once meets step 3's failure first.
-    """
-    q = [1.9, -0.1, -0.3, 0.0, 2.0]
-    r = [0.7, 1.9, 1.0, 2.0, 1.8]
-    costs = cost_schedule([[[v]] for v in q], [np.diag([v, 0.0]) for v in r],
-                          [np.diag([0.0, v]) for v in r])
-    return game_spec([[1.0]], [[1.0]], [[1.0]], [1.0], costs)
-
-
 def test_failed_padded_game_raises_the_lowest_step_error():
-    spec = _padding_breaks_curvature()
+    spec = make_padded_failure_game()
     solve_feedback_nash(spec)  # the true game is certified
     failures = {}
     for t in range(1, spec.T):

@@ -10,19 +10,23 @@ from previewnash import (
     AssumptionViolatedError,
     DimensionMismatchError,
     ReductionMismatchError,
+    ThetaNotPDError,
     WrongStructureError,
     build_r_potential,
     check_assumptions,
     check_sufficient_structure,
     cost_schedule,
     game_spec,
+    pad_schedule,
+    predict_nash,
     reduce_to_ocp,
     solve_feedback_nash,
     verify_equivalence,
+    with_costs,
 )
 from previewnash import linalg
 
-from conftest import make_aligned_game
+from conftest import make_aligned_game, make_loose_game, make_padded_failure_game
 
 
 def _single_input_game(b1=0.7, b2=-0.9, beta=2.0, T=3, r2_scale=1.0):
@@ -110,6 +114,130 @@ def test_aligned_family_passes_everything():
         spec = make_aligned_game(rng, T_max=6)
         report = check_assumptions(spec, mode="warn")
         assert report.overall, report.to_dict()
+
+
+def _reference_a1(spec, tol=linalg.DEFAULT_TOLERANCES):
+    """A1 of one game: a solve, then explicit loops over its value matrices."""
+    try:
+        nash = solve_feedback_nash(spec, tol=tol)
+    except ThetaNotPDError as exc:
+        margin = float(exc.min_pivot) if np.isfinite(exc.min_pivot) else None
+        return False, margin, str(exc)
+    q_pivot = min(linalg.cholesky_pd(spec.costs.q(t), tol.pd_pivot).min_pivot
+                  for t in range(2, spec.T + 1))
+    theta_min = min(nash.theta_min_eig)
+    b1, b2, b, m = spec.B1, spec.B2, spec.joint_b(), spec.m
+    cross_res = 0.0
+    for t in range(1, spec.T):
+        lhs = spec.costs.r(1, t)[:m, m:] + b1.T @ nash.value(1, t + 1) @ b2
+        rhs = (spec.costs.r(2, t)[m:, :m] + b2.T @ nash.value(2, t + 1) @ b1).T
+        cross_res = max(cross_res, linalg.two_norm(lhs - rhs))
+    value_res = 0.0
+    for t in range(2, spec.T + 1):
+        gap = b.T @ (nash.value(1, t) - nash.value(2, t)) @ spec.A
+        value_res = max(value_res, linalg.two_norm(gap))
+    passed = q_pivot > tol.pd_pivot and cross_res <= tol.mat_eq and value_res <= tol.mat_eq
+    margin = min(q_pivot, theta_min, tol.mat_eq - cross_res, tol.mat_eq - value_res)
+    detail = (
+        f"min state-weight pivot {q_pivot:.3e}; min curvature eig {theta_min:.3e}; "
+        f"cross-weight residual {cross_res:.3e}; value-coupling residual {value_res:.3e}"
+    )
+    return passed, float(margin), detail
+
+
+def _reference_entries(spec, tol=linalg.DEFAULT_TOLERANCES):
+    """Report entries of A1, A2, A5 and A6, one matrix and one padded copy at a time."""
+    def entry(aid, passed, margin, detail):
+        return {"id": aid, "passed": passed, "margin": margin, "detail": detail}
+
+    T, costs = spec.T, spec.costs
+    q_eigs = [linalg.sym_eig(costs.q(t)) for t in range(2, T + 1)]
+    r_eigs = [linalg.sym_eig(costs.r(i, t)) for i in (1, 2) for t in range(1, T)]
+    q_lo = min(float(e[0]) for e in q_eigs)
+    q_hi = max(float(e[-1]) for e in q_eigs)
+    r_lo = min(float(e[0]) for e in r_eigs)
+    r_hi = max(float(e[-1]) for e in r_eigs)
+    a2 = entry("A2", q_lo > tol.pd_pivot and r_lo >= -tol.pd_pivot,
+               float(min(q_lo, r_lo + tol.pd_pivot)),
+               f"state-weight eigenvalues span [{q_lo:.4g}, {q_hi:.4g}]; "
+               f"control-weight eigenvalues span [{r_lo:.4g}, {r_hi:.4g}]")
+
+    ratio = linalg.two_norm(spec.A) / linalg.singular_extremes(spec.joint_b()).sigma_min_pos
+    q_shift = 0.0
+    for t in range(1, T):
+        diff = linalg.symmetrize(build_r_potential(costs.r(1, t), costs.r(2, t)) - costs.r(1, t))
+        q_shift = max(q_shift, abs(ratio * float(linalg.sym_eig(diff)[-1])))
+    q_lo5 = min(float(linalg.sym_eig(costs.q(t))[0]) for t in range(2, T + 1))
+    a5 = entry("A5", q_lo5 - q_shift > 0.0, float(q_lo5 - q_shift),
+               f"min state-weight eigenvalue {q_lo5:.4g} vs required excess {q_shift:.4g} "
+               f"(gain ratio {ratio:.4g})")
+
+    worst, failing = np.inf, []
+    for t in range(1, T):
+        passed, margin, _ = _reference_a1(with_costs(spec, pad_schedule(costs, t, 0).costs), tol)
+        if margin is not None:
+            worst = min(worst, margin)
+        if not passed:
+            failing.append(t)
+    if failing:
+        detail = f"padded schedules failing at steps {failing} of 1..{T - 1}"
+    else:
+        detail = f"all {T - 1} padded schedules pass; worst margin {worst:.3e}"
+    a6 = entry("A6", not failing, None if worst is np.inf else float(worst), detail)
+    return {"A1": entry("A1", *_reference_a1(spec, tol)), "A2": a2, "A5": a5, "A6": a6}
+
+
+def _assert_report_matches_reference(spec):
+    got = check_assumptions(spec, mode="warn").to_dict()
+    want = _reference_entries(spec)
+    assert [e for e in got["assumptions"] if e["id"] in want] == list(want.values())
+    assert got["overall"] == all(e["passed"] for e in got["assumptions"])
+    return got
+
+
+def _negate_one_state_weight(spec, rng):
+    q = list(spec.costs.Q)
+    k = int(rng.integers(len(q)))
+    q[k] = -q[k]
+    return with_costs(spec, cost_schedule(q, spec.costs.R1, spec.costs.R2))
+
+
+def test_report_matches_per_step_reference_on_both_families():
+    rng = np.random.default_rng(57)
+    aligned = [make_aligned_game(rng) for _ in range(10)]
+    loose = [make_loose_game(rng, T_max=10) for _ in range(30)]
+    a6 = [_assert_report_matches_reference(spec)["assumptions"][5]["passed"]
+          for spec in aligned + loose]
+    # aligned games pass A6 by construction; loose ones mostly fail it
+    assert all(a6[:len(aligned)])
+    assert 0 < a6[len(aligned):].count(False) < len(loose)
+
+
+def test_report_matches_reference_when_one_state_weight_is_negative():
+    # padded games that have not yet revealed the negated weight still pass
+    rng = np.random.default_rng(58)
+    details = set()
+    for _ in range(10):
+        spec = _negate_one_state_weight(make_aligned_game(rng, T=int(rng.integers(4, 9))), rng)
+        details.add(_assert_report_matches_reference(spec)["assumptions"][5]["detail"])
+    assert len(details) > 1
+
+
+def test_uncertified_padded_games_are_scored_one_at_a_time():
+    spec = make_padded_failure_game()
+    got = _assert_report_matches_reference(spec)
+    a6 = got["assumptions"][5]
+    # steps 2-4 fail their curvature certificate, step 5 (the true game)
+    # its state-weight pivot
+    assert a6["detail"] == "padded schedules failing at steps [2, 3, 4, 5] of 1..5"
+    pivots = []
+    for t in (2, 3, 4):
+        with pytest.raises(ThetaNotPDError) as exc:
+            predict_nash(spec, t, 0)
+        pivots.append(exc.value.min_pivot)
+    scored = [_reference_a1(with_costs(spec, pad_schedule(spec.costs, t, 0).costs))[1]
+              for t in (1, 5)]
+    assert a6["margin"] == min(pivots + scored)
 
 
 # ---------------------------------------------------------------- reduction
