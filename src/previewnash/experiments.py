@@ -380,7 +380,7 @@ def emit_plot(aggregates, x_axis: str, path) -> Path:
 
     x_axis picks which of T or W runs along the x axis; one series is
     drawn per value of the other variable.  Aggregates without a finite
-    log-ratio are skipped; if none remain, raises EmptyAggregate.
+    log-ratio are skipped; if none remain, raises EmptyAggregateError.
     """
     if x_axis not in ("T", "W"):
         raise ValueError(f"x_axis must be 'T' or 'W', got {x_axis!r}")

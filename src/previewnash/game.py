@@ -221,10 +221,13 @@ class NashSolution:
 
     def value(self, player: int, t: int) -> np.ndarray:
         """Value matrix P_t^player, valid for t = 2..T."""
-        ps = self.P1 if player == 1 else self.P2
-        if not 2 <= t <= len(ps) + 1:
-            raise IndexOutOfRangeError(f"P_{t}: valid stages are 2..{len(ps) + 1}")
-        return ps[t - 2]
+        if not 2 <= t <= len(self.P1) + 1:
+            raise IndexOutOfRangeError(f"P_{t}: valid stages are 2..{len(self.P1) + 1}")
+        if player == 1:
+            return self.P1[t - 2]
+        if player == 2:
+            return self.P2[t - 2]
+        raise ValueError(f"player must be 1 or 2, got {player}")
 
 
 def simulate(spec: GameSpec, controls) -> np.ndarray:
@@ -278,41 +281,27 @@ def _stage_theta(r1, r2, b1p1, b2p2, B1, B2) -> np.ndarray:
     return theta
 
 
-class _Uncertified(Exception):
-    """A stage curvature of the stacked pass failed its certificate.
-
-    theta holds that stage's (G, 2m, 2m) curvature stack, or is None when
-    the rollout left the finite range.
-    """
-
-    def __init__(self, stage: int, theta: np.ndarray | None):
-        self.stage = stage
-        self.theta = theta
-
-
 class _Batch(NamedTuple):
-    """Solutions of G padded games from one stacked pass.
+    """Solutions of G padded games from one stacked backward pass.
 
-    K is (G, T-1, 2m, n), x (G, T, n), u (G, T-1, 2m) and theta_min
-    (G, T-1).  P1, P2 are per-stage (n, n) value matrices for stages 2..T,
-    kept only when G == 1.  residuals is None unless the pass was asked to
-    score them; then it is (G, 2), each game's largest cross-weight residual
-    ||Theta_t[:m, m:] - Theta_t[m:, :m]'||_2 over stages 1..T-1 and largest
-    value-coupling residual ||B'(P1_t - P2_t) A||_2 over stages 2..T.
+    K is (G, T-1, 2m, n) and theta_min (G, T-1).  P1, P2 are per-stage
+    (n, n) value matrices for stages 2..T, kept only when G == 1.  residuals
+    is None unless the pass was asked to score them; then it is (G, 2), each
+    game's largest cross-weight residual ||Theta_t[:m, m:] - Theta_t[m:, :m]'||_2
+    over stages 1..T-1 and largest value-coupling residual
+    ||B'(P1_t - P2_t) A||_2 over stages 2..T.
     """
 
     K: np.ndarray
-    x: np.ndarray
-    u: np.ndarray
     theta_min: np.ndarray
     P1: tuple | None
     P2: tuple | None
     residuals: np.ndarray | None
 
 
-def _stacked_pass(spec: GameSpec, known: np.ndarray, tol: Tolerances,
-                  residuals: bool) -> _Batch:
-    """Coupled Riccati pass and forward rollout for G games at once.
+def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
+              residuals: bool = False) -> _Batch:
+    """Coupled Riccati pass for the padded games whose last revealed stages are `known`.
 
     Game g sees the true schedule through stage known[g] and its last
     revealed weights repeated after that: stage tau uses R_min(tau, known[g])
@@ -320,7 +309,14 @@ def _stacked_pass(spec: GameSpec, known: np.ndarray, tol: Tolerances,
     is a stacked `@`, so each game's arithmetic is the same as if it were
     solved alone.  With `residuals` the pass also keeps each game's running
     maxima of the two alignment residuals (see _Batch).
+
+    On a failed certificate the error is exactly the one solving the games
+    one at a time, in the given order, would raise: the first game to fail,
+    at its highest failing stage, with the pivot `linalg.cholesky_pd`
+    reports for that stage's curvature matrix.
     """
+    tol = tol or DEFAULT_TOLERANCES
+    known = np.asarray(known, dtype=np.intp).reshape(-1)
     T, n, m = spec.T, spec.n, spec.m
     G = known.shape[0]
     a, b1, b2 = spec.A, spec.B1, spec.B2
@@ -345,10 +341,14 @@ def _stacked_pass(spec: GameSpec, known: np.ndarray, tol: Tolerances,
         sym = (theta + theta.transpose(0, 2, 1)) / 2.0
         try:
             pivots = np.diagonal(np.linalg.cholesky(sym), axis1=1, axis2=2) ** 2
+            certified = bool(np.all(pivots > tol.pd_pivot))
         except np.linalg.LinAlgError:
-            raise _Uncertified(t, theta) from None
-        if not np.all(pivots > tol.pd_pivot):
-            raise _Uncertified(t, theta)
+            certified = False
+        if not certified:
+            if G > 1:  # alone and in order, the first game to fail raises its own error
+                for g in range(G):
+                    _backward(spec, known[g:g + 1], tol)
+            raise ThetaNotPDError(t, linalg.cholesky_pd(theta[0], tol.pd_pivot).min_pivot)
         theta_min[:, t - 1] = np.linalg.eigvalsh(sym)[:, 0]
         if residuals:
             # fmax, like max(), passes over a NaN norm
@@ -372,57 +372,50 @@ def _stacked_pass(spec: GameSpec, known: np.ndarray, tol: Tolerances,
                 p1_hist.append(p1[0])
                 p2_hist.append(p2[0])
 
-    x = np.empty((G, T, n))
-    u = np.empty((G, T - 1, 2 * m))
+    values = (tuple(p1_hist[::-1]), tuple(p2_hist[::-1])) if keep_values else (None, None)
+    return _Batch(gains, theta_min, *values, res)
+
+
+def _rollout(spec: GameSpec, gains: np.ndarray, x_start) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-loop rollout of G gain sequences, all from the state x_start.
+
+    gains is (G, L, 2m, n); the k-th control is gains[:, k] applied to the
+    k-th state.  Returns states (G, L+1, n) and controls (G, L, 2m).
+    """
+    G, L = gains.shape[:2]
+    a = spec.A
+    b = spec.joint_b()
+    x = np.empty((G, L + 1, spec.n))
+    u = np.empty((G, L, 2 * spec.m))
     # `@` on (G, n, 1) columns gives every game the rollout it would get
     # alone, bit for bit; an einsum over the stack does not
-    xk = np.repeat(spec.x1[None, :, None], G, axis=0)
-    x[:, 0] = spec.x1
-    for k in range(T - 1):
+    xk = np.repeat(x_start[None, :, None], G, axis=0)
+    x[:, 0] = x_start
+    for k in range(L):
         uk = gains[:, k] @ xk
         xk = a @ xk + b @ uk
         u[:, k] = uk[:, :, 0]
         x[:, k + 1] = xk[:, :, 0]
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
-        raise _Uncertified(0, None)  # pragma: no cover - defensive
-
-    values = (tuple(p1_hist[::-1]), tuple(p2_hist[::-1])) if keep_values else (None, None)
-    return _Batch(gains, _freeze(x), _freeze(u), theta_min, *values, res)
+    return x, u
 
 
-def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
-              residuals: bool = False) -> _Batch:
-    """Solve the padded games whose last revealed stages are `known`, in one pass.
-
-    `residuals` asks the pass to score the alignment residuals as well
-    (_Batch.residuals).  On a failed certificate the error is exactly the
-    one solving the games one at a time, in the given order, would raise:
-    the first game to fail, at its highest failing stage, with the pivot
-    `linalg.cholesky_pd` reports for that stage's curvature matrix.
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    known = np.asarray(known, dtype=np.intp).reshape(-1)
-    try:
-        return _stacked_pass(spec, known, tol, residuals)
-    except _Uncertified as exc:
-        if known.shape[0] > 1:
-            # alone and in order, the first game to fail raises its own error
-            for g in range(known.shape[0]):
-                _backward(spec, known[g:g + 1], tol)
-        if exc.theta is None:  # pragma: no cover - defensive
-            raise ThetaNotPDError(exc.stage, float("nan")) from None
-        pivot = linalg.cholesky_pd(exc.theta[0], tol.pd_pivot).min_pivot
-        raise ThetaNotPDError(exc.stage, pivot) from None
+def _equilibrium_paths(spec: GameSpec, gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen equilibrium trajectories of solved games, from x1."""
+    x, u = _rollout(spec, gains, spec.x1)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):  # pragma: no cover - defensive
+        raise ThetaNotPDError(0, float("nan"))
+    return _freeze(x), _freeze(u)
 
 
-def _nash_solution(batch: _Batch) -> NashSolution:
+def _nash_solution(spec: GameSpec, batch: _Batch) -> NashSolution:
     """The single game of a G == 1 batch as a NashSolution."""
+    x, u = _equilibrium_paths(spec, batch.K)
     return NashSolution(
         K=tuple(batch.K[0]),
         P1=batch.P1,
         P2=batch.P2,
-        x_star=batch.x[0],
-        u_star=batch.u[0],
+        x_star=x[0],
+        u_star=u[0],
         theta_min_eig=tuple(batch.theta_min[0].tolist()),
     )
 
@@ -436,7 +429,7 @@ def solve_feedback_nash(spec: GameSpec, tol: Tolerances | None = None) -> NashSo
     The terminal condition is P_T^1 = P_T^2 = Q_T.  Raises ThetaNotPDError
     if any stage's curvature matrix fails certification.
     """
-    return _nash_solution(_backward(spec, [spec.T - 1], tol))
+    return _nash_solution(spec, _backward(spec, [spec.T - 1], tol))
 
 
 class DeviationCheck(NamedTuple):
@@ -462,21 +455,14 @@ def verify_nash_by_deviation(spec: GameSpec, nash: NashSolution, stage: int,
         raise ValueError(f"player must be 1 or 2, got {player}")
     dev = linalg.as_vector(deviation, length=m, name="deviation")
 
-    a = spec.A
-    b = spec.joint_b()
-    x = np.empty((T, spec.n))
-    u = np.empty((T - 1, 2 * m))
-    x[:stage] = nash.x_star[:stage]
-    u[:stage - 1] = nash.u_star[:stage - 1]
-
-    ut = np.array(nash.gain(stage) @ x[stage - 1])
+    x_dev = nash.x_star[stage - 1]
+    ut = nash.gain(stage) @ x_dev
     rows = slice(0, m) if player == 1 else slice(m, 2 * m)
     ut[rows] += dev
-    u[stage - 1] = ut
-    x[stage] = a @ x[stage - 1] + b @ ut
-    for t in range(stage + 1, T):
-        u[t - 1] = nash.gain(t) @ x[t - 1]
-        x[t] = a @ x[t - 1] + b @ u[t - 1]
+    tail_x, tail_u = _rollout(spec, np.asarray(nash.K)[None, stage:],
+                              spec.A @ x_dev + spec.joint_b() @ ut)
+    x = np.concatenate((nash.x_star[:stage], tail_x[0]))
+    u = np.concatenate((nash.u_star[:stage - 1], ut[None], tail_u[0]))
 
     return DeviationCheck(
         cost_at_nash=evaluate_cost(spec, player, nash.x_star, nash.u_star),
@@ -489,35 +475,20 @@ class CostDifference(NamedTuple):
     rhs: float
 
 
-def _rollout_gains(spec: GameSpec, gains) -> tuple[np.ndarray, np.ndarray]:
-    a = spec.A
-    b = spec.joint_b()
-    x = np.empty((spec.T, spec.n))
-    u = np.empty((spec.T - 1, 2 * spec.m))
-    x[0] = spec.x1
-    for k in range(spec.T - 1):
-        u[k] = gains[k] @ x[k]
-        x[k + 1] = a @ x[k] + b @ u[k]
-    return x, u
+def _stage_cost(spec: GameSpec, player: int, t: int, x_next: np.ndarray, u: np.ndarray) -> float:
+    """Stage-t cost x_next' Q_{t+1} x_next + u' R_t u of the control u leading to x_next."""
+    return float(x_next @ spec.costs.q(t + 1) @ x_next) + float(u @ spec.costs.r(player, t) @ u)
 
 
-def _stage_cost(spec: GameSpec, player: int, t: int, x: np.ndarray, u: np.ndarray) -> float:
-    """Stage cost with the successor-state term folded in: c_t(x, u)."""
-    xn = spec.A @ x + spec.joint_b() @ u
-    return float(xn @ spec.costs.q(t + 1) @ xn) + float(u @ spec.costs.r(player, t) @ u)
-
-
-def _value_under(spec: GameSpec, player: int, gains, t: int, x: np.ndarray) -> float:
-    """Cost-to-go from stage t, state x, playing the given gains to the end.
+def _value_under(spec: GameSpec, player: int, gains: np.ndarray, t: int, x: np.ndarray) -> float:
+    """Cost-to-go from stage t, state x, playing the (T-1, 2m, n) gains to the end.
 
     Stage T has no control and no remaining cost, so the value there is 0.
     """
+    xs, us = _rollout(spec, gains[None, t - 1:], x)
     total = 0.0
-    xt = x
-    for s in range(t, spec.T):
-        us = gains[s - 1] @ xt
-        total += _stage_cost(spec, player, s, xt, us)
-        xt = spec.A @ xt + spec.joint_b() @ us
+    for s, x_next, u_s in zip(range(t, spec.T), xs[0, 1:], us[0]):
+        total += _stage_cost(spec, player, s, x_next, u_s)
     return total
 
 
@@ -535,17 +506,16 @@ def cost_difference_check(spec: GameSpec, policies_a, policies_b, player: int) -
     if len(ka) != spec.T - 1 or len(kb) != spec.T - 1:
         raise DimensionMismatchError(f"need {spec.T - 1} gains per policy")
 
-    xa, ua = _rollout_gains(spec, ka)
-    xb, ub = _rollout_gains(spec, kb)
-    lhs = evaluate_cost(spec, player, xa, ua) - evaluate_cost(spec, player, xb, ub)
+    gains = np.stack((ka, kb))
+    x, u = _rollout(spec, gains, spec.x1)
+    xa, ua = x[0], u[0]
+    lhs = evaluate_cost(spec, player, xa, ua) - evaluate_cost(spec, player, x[1], u[1])
 
     rhs = 0.0
     for t in range(1, spec.T):
-        xt = xa[t - 1]
-        ut = ua[t - 1]
-        x_next = spec.A @ xt + spec.joint_b() @ ut
-        q_val = _stage_cost(spec, player, t, xt, ut) + _value_under(spec, player, kb, t + 1, x_next)
-        v_val = _value_under(spec, player, kb, t, xt)
+        q_val = (_stage_cost(spec, player, t, xa[t], ua[t - 1])
+                 + _value_under(spec, player, gains[1], t + 1, xa[t]))
+        v_val = _value_under(spec, player, gains[1], t, xa[t - 1])
         rhs += q_val - v_val
     return CostDifference(lhs=lhs, rhs=rhs)
 

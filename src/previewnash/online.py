@@ -142,7 +142,7 @@ def predict_nash(spec: GameSpec, t: int, W: int, tol: Tolerances | None = None) 
         raise IndexOutOfRangeError(f"t must be in 1..{spec.T - 1}, got {t}")
     if W < 0:
         raise IndexOutOfRangeError(f"preview length must be >= 0, got {W}")
-    return game_mod._nash_solution(game_mod._backward(spec, [t + W], tol))
+    return game_mod._nash_solution(spec, game_mod._backward(spec, [t + W], tol))
 
 
 class PouResult(NamedTuple):
@@ -160,11 +160,16 @@ def compute_pou(spec: GameSpec, run_states, run_controls,
     but nothing forces it to be worse on a given instance.
     """
     nash = game_mod.solve_feedback_nash(spec, tol=tol)
+    return _pou(spec, run_states, run_controls, nash.x_star, nash.u_star)
+
+
+def _pou(spec: GameSpec, run_states, run_controls, x_star, u_star) -> PouResult:
+    """compute_pou against the given equilibrium trajectory."""
     gap = 0.0
     social = 0.0
     for player in (1, 2):
         j_run = game_mod.evaluate_cost(spec, player, run_states, run_controls)
-        j_star = game_mod.evaluate_cost(spec, player, nash.x_star, nash.u_star)
+        j_star = game_mod.evaluate_cost(spec, player, x_star, u_star)
         gap += j_run - j_star
         social += j_star
     return PouResult(pou=0.5 * gap, nash_social_cost=0.5 * social)
@@ -222,7 +227,9 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
     in one stacked backward pass.  At step t the applied control is
     u_t = K_tracking (x_t - x_pred_t) + u_pred_t.  With full preview the
     prediction matches the equilibrium at every step, the tracking term
-    stays exactly zero, and the price of uncertainty vanishes.
+    stays exactly zero, and the price of uncertainty vanishes.  Step T-1's
+    padded game is the true game, so its prediction is the full-information
+    equilibrium the price is measured against (as `compute_pou` solves it).
 
     If a padded game fails certification, the ThetaNotPDError raised is the
     one `predict_nash` raises at the lowest failing step t.
@@ -237,6 +244,7 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
 
     T, n, m = spec.T, spec.n, spec.m
     pred = game_mod._backward(spec, np.arange(1, T) + W, tol)
+    x_pred, u_pred = game_mod._equilibrium_paths(spec, pred.K)
     a = spec.A
     b = spec.joint_b()
     x = np.empty((T, n))
@@ -244,17 +252,17 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
     err = np.empty(T - 1)
     x[0] = spec.x1
     for t in range(1, T):
-        offset = x[t - 1] - pred.x[t - 1, t - 1]
+        offset = x[t - 1] - x_pred[t - 1, t - 1]
         err[t - 1] = linalg.two_norm(offset)
-        u[t - 1] = k_bar @ offset + pred.u[t - 1, t - 1]
+        u[t - 1] = k_bar @ offset + u_pred[t - 1, t - 1]
         x[t] = a @ x[t - 1] + b @ u[t - 1]
 
-    pou, social = compute_pou(spec, x, u, tol=tol)
+    pou, social = _pou(spec, x, u, x_pred[-1], u_pred[-1])
     return OnlineRun(
         x=x,
         u=u,
-        x_pred=tuple(pred.x),
-        u_pred=tuple(pred.u),
+        x_pred=tuple(x_pred),
+        u_pred=tuple(u_pred),
         K_tracking=k_bar,
         pou=pou,
         log_rel_pou=log_rel_pou(pou, social),

@@ -23,6 +23,7 @@ from . import linalg, online
 from .game import (
     DimensionMismatchError,
     GameSpec,
+    NashSolution,
     ThetaNotPDError,
     with_costs,  # noqa: F401 - kept importable here; benches/test_bench.py rebinds it
 )
@@ -312,7 +313,11 @@ def reduce_to_ocp(spec: GameSpec, tol: Tolerances | None = None) -> OcpReduction
         nash = game_mod.solve_feedback_nash(spec, tol=tol)
     except ThetaNotPDError as exc:
         raise AssumptionViolatedError("A1", str(exc)) from exc
+    return _reduce(spec, nash, tol)
 
+
+def _reduce(spec: GameSpec, nash: NashSolution, tol: Tolerances) -> OcpReduction:
+    """reduce_to_ocp on the game's solved equilibrium `nash`."""
     T = spec.T
     costs = spec.costs
     for t in range(2, T + 1):
@@ -321,10 +326,12 @@ def reduce_to_ocp(spec: GameSpec, tol: Tolerances | None = None) -> OcpReduction
 
     b1, b2, b = spec.B1, spec.B2, spec.joint_b()
     m = spec.m
+    # the game's stage-t curvature is thetas[t - 1]
+    thetas = game_mod._stage_theta(np.stack(costs.R1), np.stack(costs.R2),
+                                   b1.T @ np.stack(nash.P1), b2.T @ np.stack(nash.P2), b1, b2)
     for t in range(1, T):
-        lhs = costs.r(1, t)[:m, m:] + b1.T @ nash.value(1, t + 1) @ b2
-        rhs = (costs.r(2, t)[m:, :m] + b2.T @ nash.value(2, t + 1) @ b1).T
-        if linalg.two_norm(lhs - rhs) > tol.mat_eq:
+        theta = thetas[t - 1]
+        if linalg.two_norm(theta[:m, m:] - theta[m:, :m].T) > tol.mat_eq:
             raise AssumptionViolatedError("A1", f"cross-weight blocks disagree at stage {t}")
 
     r_pot = [None] * T
@@ -350,11 +357,7 @@ def reduce_to_ocp(spec: GameSpec, tol: Tolerances | None = None) -> OcpReduction
                 f"reduced curvature at stage {t} is not positive definite (pivot {check.min_pivot:.3e})"
             )
         k_bar[t] = -linalg.solve_linear(theta_bar, b.T @ p_bar[t + 1] @ a)
-
-        game_theta = game_mod._stage_theta(costs.r(1, t), costs.r(2, t),
-                                           b1.T @ nash.value(1, t + 1),
-                                           b2.T @ nash.value(2, t + 1), b1, b2)
-        resid = linalg.two_norm(r_pot[t] - (game_theta - b.T @ p_bar[t + 1] @ b))
+        resid = linalg.two_norm(r_pot[t] - (thetas[t - 1] - b.T @ p_bar[t + 1] @ b))
         if resid > tol.mat_eq:
             raise ReductionMismatchError(
                 f"shortcut control weight off by {resid:.3e} at stage {t}"
@@ -378,9 +381,15 @@ def reduce_to_ocp(spec: GameSpec, tol: Tolerances | None = None) -> OcpReduction
 
 
 def verify_equivalence(spec: GameSpec, tol: Tolerances | None = None) -> float:
-    """Largest stage-wise gain gap between the game and its reduction."""
+    """Largest stage-wise gain gap between the game and its reduction.
+
+    The game is solved once and reduced from that solution.  An uncertified
+    game raises ThetaNotPDError; a game that does not reduce raises what
+    reduce_to_ocp raises.
+    """
+    tol = tol or DEFAULT_TOLERANCES
     nash = game_mod.solve_feedback_nash(spec, tol=tol)
-    reduction = reduce_to_ocp(spec, tol=tol)
+    reduction = _reduce(spec, nash, tol)
     return max(
         linalg.two_norm(kg - kb) for kg, kb in zip(nash.K, reduction.K_bar_ocp)
     )

@@ -28,7 +28,7 @@ from previewnash import (
     with_costs,
 )
 
-from conftest import make_loose_game
+from conftest import make_aligned_game, make_loose_game
 
 
 # ---------------------------------------------------------------- schedules
@@ -128,6 +128,13 @@ def test_solution_index_bounds(scalar_spec):
         nash.value(1, 3)
 
 
+
+def test_value_rejects_unknown_player(scalar_spec):
+    nash = solve_feedback_nash(scalar_spec)
+    for player in (0, 3):
+        with pytest.raises(ValueError):
+            nash.value(player, 2)
+
 def test_singular_curvature_is_rejected():
     # zero control weights leave the curvature [[1, 1], [1, 1]], singular
     costs = cost_schedule([[[1.0]]], [np.zeros((2, 2))], [np.zeros((2, 2))])
@@ -190,6 +197,20 @@ def test_deviation_increases_cost_quadratically(scalar_spec):
     check2 = verify_nash_by_deviation(scalar_spec, nash, 1, 2, [-0.25])
     assert check2.cost_deviated - check2.cost_at_nash == pytest.approx(2 * 0.0625, abs=1e-12)
 
+
+
+@pytest.mark.parametrize("family", [make_aligned_game, make_loose_game])
+def test_zero_deviation_replays_the_equilibrium(family):
+    # the tail after the deviating stage must replay the equilibrium gains
+    # of the right stages, or a zero deviation would change the cost
+    rng = np.random.default_rng(61)
+    for _ in range(6):
+        spec = family(rng, T_max=8)
+        nash = solve_feedback_nash(spec)
+        for stage in range(1, spec.T):
+            for player in (1, 2):
+                check = verify_nash_by_deviation(spec, nash, stage, player, np.zeros(spec.m))
+                assert check.cost_deviated == pytest.approx(check.cost_at_nash, rel=1e-12, abs=0.0)
 
 def test_deviation_argument_validation(scalar_spec):
     nash = solve_feedback_nash(scalar_spec)

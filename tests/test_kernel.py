@@ -11,12 +11,15 @@ import pytest
 
 from previewnash import (
     ThetaNotPDError,
+    check_assumptions,
+    gain_decay_diagnostic,
     pad_schedule,
     predict_nash,
     run_online,
     solve_feedback_nash,
     with_costs,
 )
+from previewnash import game as game_mod
 from previewnash import linalg
 
 from conftest import make_aligned_game, make_loose_game, make_padded_failure_game
@@ -137,6 +140,20 @@ def test_failed_padded_game_raises_the_lowest_step_error():
         run_online(spec, 0, K_tracking=np.zeros((2, 1)))
     assert (exc.value.stage, exc.value.min_pivot) == failures[2]
 
+
+
+def test_scoring_passes_roll_nothing_out(monkeypatch):
+    # A1/A6 scoring and the gain-decay table read gains and curvatures only
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rollout called")
+
+    monkeypatch.setattr(game_mod, "_rollout", no_rollout)
+    spec = make_aligned_game(np.random.default_rng(29), T_max=8)
+    assert check_assumptions(spec, "warn").overall
+    assert not check_assumptions(make_padded_failure_game(), "warn").overall
+    assert len(gain_decay_diagnostic(spec, 1)) == spec.T - 1
+    with pytest.raises(AssertionError, match="rollout called"):
+        solve_feedback_nash(spec)
 
 def test_run_predictions_equal_single_predictions():
     hypothesis = pytest.importorskip("hypothesis")

@@ -179,6 +179,19 @@ def test_run_replays_its_own_policy():
     assert run.tracking_error[0] == 0.0
 
 
+
+@pytest.mark.parametrize("W", [0, 1, 3])
+def test_run_prices_against_the_full_information_equilibrium(W):
+    # the run reads the equilibrium off its last prediction; compute_pou
+    # solves the true game afresh, and the two must agree to the bit
+    spec_varied = _varied_spec(6)
+    spec_aligned = make_aligned_game(np.random.default_rng(71), T_max=7)
+    for spec in (spec_varied, spec_aligned):
+        run = run_online(spec, W)
+        res = compute_pou(spec, run.x, run.u)
+        assert run.pou == res.pou
+        assert run.nash_cost_avg == res.nash_social_cost
+
 def test_limited_preview_costs_something_here():
     spec = _varied_spec(5)
     run = run_online(spec, W=0)

@@ -24,6 +24,7 @@ from previewnash import (
     verify_equivalence,
     with_costs,
 )
+from previewnash import game as game_mod
 from previewnash import linalg
 
 from conftest import make_aligned_game, make_loose_game, make_padded_failure_game
@@ -287,6 +288,28 @@ def test_equivalence_on_aligned_family():
         spec = make_aligned_game(rng, T_max=6)
         assert verify_equivalence(spec) <= 1e-9
 
+
+
+def test_verify_equivalence_solves_the_game_once(monkeypatch):
+    spec = make_aligned_game(np.random.default_rng(8), T_max=6)
+    backward = game_mod._backward
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(game_mod, "_backward", counted)
+    assert verify_equivalence(spec) <= 1e-9
+    assert len(calls) == 1
+
+
+def test_verify_equivalence_rejects_an_uncertified_game():
+    # zero control weights leave the curvature [[1, 1], [1, 1]], singular
+    costs = cost_schedule([[[1.0]]], [np.zeros((2, 2))], [np.zeros((2, 2))])
+    spec = game_spec([[1.0]], [[1.0]], [[1.0]], [1.0], costs)
+    with pytest.raises(ThetaNotPDError):
+        verify_equivalence(spec)
 
 def test_reduction_invariants_on_aligned_family():
     rng = np.random.default_rng(44)
