@@ -16,6 +16,8 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import experiments, game, linalg, online, potential
 from .game import ThetaNotPDError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
@@ -202,6 +204,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ZeroNashCostError as exc:  # a ValueError, but numerical, not bad input
         _error_out("zero_nash_cost", str(exc))
+        return EXIT_NUMERICAL
+    except np.linalg.LinAlgError as exc:  # likewise
+        _error_out("linalg_error", str(exc))
         return EXIT_NUMERICAL
     except (ValueError, KeyError, IndexError) as exc:
         _error_out("input", str(exc))

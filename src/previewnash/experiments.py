@@ -4,7 +4,9 @@ Generates games whose scalar inputs act on the first state only with
 per-stage control prices r_i,t = b_i^2 * beta_t, so both players share
 the same gain-to-price ratio at every stage; runs the preview-limited
 online algorithm across (T, W, seed) cells, and writes the results as
-CSV tables and a plain SVG chart.
+CSV tables and a plain SVG chart.  The unit of work is one (T, seed)
+game: it is drawn, validated and solved once, and every preview length
+is played from that one solve.
 
 Random draws are counter-based: each scalar comes from its own generator
 keyed by (seed, stage, field), so raising T or adding cells never
@@ -22,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import game as game_mod
 from . import online, potential
-from .game import GameSpec, ThetaNotPDError, cost_schedule, game_spec
+from .game import DimensionMismatchError, GameSpec, ThetaNotPDError, cost_schedule, game_spec
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .online import NotStabilizableError, ZeroNashCostError
 from .potential import AssumptionViolatedError
@@ -251,28 +254,71 @@ class SweepResult:
     aggregates: tuple
 
 
-def _run_cell(config: ExperimentConfig, T: int, W: int, run_index: int,
-              k_bar, tol: Tolerances) -> SweepRow:
+# Failures that stay local to the rows of the game that raised them.
+_ERROR_TAGS = (
+    (ThetaNotPDError, "theta_not_pd"),
+    (NotStabilizableError, "not_stabilizable"),
+    (ZeroNashCostError, "zero_nash_cost"),
+    (np.linalg.LinAlgError, "linalg_error"),
+    (DimensionMismatchError, "dimension_mismatch"),
+)
+_LOCAL_ERRORS = (AssumptionViolatedError, *(cls for cls, _ in _ERROR_TAGS))
+
+
+def _error_tag(exc: Exception) -> str:
+    if isinstance(exc, AssumptionViolatedError):
+        return f"assumption_{exc.assumption_id}"
+    return next(tag for cls, tag in _ERROR_TAGS if isinstance(exc, cls))
+
+
+def _row(T: int, W: int, seed: int, pou: float, social: float) -> SweepRow:
+    lrp = online.log_rel_pou(pou, social)
+    return SweepRow(T, W, seed, pou, social, lrp if math.isfinite(lrp) else None)
+
+
+def _play_alone(spec: GameSpec, W: int, seed: int, k_bar, tol: Tolerances) -> SweepRow:
+    try:
+        run = online.run_online(spec, W, K_tracking=k_bar, tol=tol)
+    except _LOCAL_ERRORS as exc:
+        return SweepRow(spec.T, W, seed, None, None, None, error=_error_tag(exc))
+    return _row(spec.T, W, seed, run.pou, run.nash_cost_avg)
+
+
+def _run_group(config: ExperimentConfig, T: int, run_index: int,
+               k_bar, tol: Tolerances) -> list:
+    """The rows of one (T, seed) game, one per preview length in W_range.
+
+    The game is drawn and validated once, and its T-1 zero-preview padded
+    games are solved in one pass: under preview W, step t plays the game
+    revealed through min(t+W, T-1), so every W reads its predictions off
+    that one set and all W are tracked together (`online._play`).  Every W
+    is priced against the last game, the true one.  If a padded game fails
+    certification, each W is played alone, so only the W whose steps meet
+    a failing game fail.  A failure before that fails every row of the seed.
+    """
     seed = config.seed + run_index
+    w_range = config.W_range
     try:
         spec = generate_game(config, T, seed)
         if config.assumption_mode == "strict":
             potential.check_assumptions(spec, mode="strict", tol=tol)
-        run = online.run_online(spec, W, K_tracking=k_bar, tol=tol)
-    except ThetaNotPDError:
-        return SweepRow(T, W, seed, None, None, None, error="theta_not_pd")
-    except NotStabilizableError:
-        return SweepRow(T, W, seed, None, None, None, error="not_stabilizable")
-    except ZeroNashCostError:
-        return SweepRow(T, W, seed, None, None, None, error="zero_nash_cost")
-    except AssumptionViolatedError as exc:
-        return SweepRow(T, W, seed, None, None, None, error=f"assumption_{exc.assumption_id}")
-    lrp = run.log_rel_pou if math.isfinite(run.log_rel_pou) else None
-    return SweepRow(T, W, seed, run.pou, run.nash_cost_avg, lrp)
+        if k_bar is None:
+            k_bar = online.compute_tracking_gain(spec, tol=tol)
+        try:
+            pred = game_mod._backward(spec, np.arange(1, T), tol)
+            x_pred, u_pred = game_mod._equilibrium_paths(spec, pred.K)
+        except ThetaNotPDError:
+            return [_play_alone(spec, W, seed, k_bar, tol) for W in w_range]
+        xs, us = online._play(spec, x_pred, u_pred, w_range, k_bar)
+        nash_costs = online._costs(spec, x_pred[-1], u_pred[-1])
+        prices = [online._price(online._costs(spec, x, u), nash_costs) for x, u in zip(xs, us)]
+        return [_row(T, W, seed, *price) for W, price in zip(w_range, prices)]
+    except _LOCAL_ERRORS as exc:
+        return [SweepRow(T, W, seed, None, None, None, error=_error_tag(exc)) for W in w_range]
 
 
-def _cell_task(args) -> SweepRow:
-    return _run_cell(*args)
+def _group_task(args) -> list:
+    return _run_group(*args)
 
 
 def _aggregate(rows) -> list:
@@ -298,11 +344,16 @@ def _aggregate(rows) -> list:
 def sweep(config: ExperimentConfig, jobs: int = 1, tol: Tolerances | None = None) -> SweepResult:
     """Run every (T, W, run-index) cell and aggregate per (T, W).
 
-    The tracking gain depends only on (A, B), which the whole sweep
-    shares, so it is computed once up front; if that fails each cell is
-    left to fail on its own and be flagged rather than aborting the sweep.
-    Rows are sorted by (T, W, seed) before aggregation, so jobs > 1
-    changes wall time and nothing else.
+    Work is split by (T, run-index) game, not by cell: each game is drawn,
+    validated and solved once (one backward pass over its T-1 zero-preview
+    padded games) and yields the rows of every W in W_range (see
+    `_run_group`); with jobs > 1 the games are spread over worker
+    processes.  A failure stays in the rows of the game that raised it,
+    tagged with a short code.  The tracking gain depends only on (A, B),
+    which the whole sweep shares, so it is computed once up front from a
+    probe game; if that fails each game computes it again, and a game that
+    fails too has its rows flagged rather than aborting the sweep.  Rows are sorted by (T, W, seed) before
+    aggregation, so jobs > 1 changes wall time and nothing else.
     """
     tol = tol or DEFAULT_TOLERANCES
     jobs = int(jobs)
@@ -312,21 +363,16 @@ def sweep(config: ExperimentConfig, jobs: int = 1, tol: Tolerances | None = None
     try:
         probe = generate_game(config, min(config.T_range), config.seed)
         k_bar = online.compute_tracking_gain(probe, tol=tol)
-    except NotStabilizableError:
+    except _LOCAL_ERRORS:
         k_bar = None
 
-    cells = [
-        (config, T, W, k, k_bar, tol)
-        for T in config.T_range
-        for W in config.W_range
-        for k in range(config.runs)
-    ]
+    groups = [(config, T, k, k_bar, tol) for T in config.T_range for k in range(config.runs)]
     if jobs > 1:
-        chunk = max(1, len(cells) // (jobs * 8))
+        chunk = max(1, len(groups) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_cell_task, cells, chunksize=chunk))
+            rows = [r for group in pool.map(_group_task, groups, chunksize=chunk) for r in group]
     else:
-        rows = [_run_cell(*args) for args in cells]
+        rows = [r for args in groups for r in _run_group(*args)]
 
     rows.sort(key=lambda r: (r.T, r.W, r.seed))
     return SweepResult(config=config, rows=tuple(rows), aggregates=tuple(_aggregate(rows)))

@@ -339,12 +339,7 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
         b2p2 = b2.T @ p2
         theta = _stage_theta(r1t, r2t, b1p1, b2p2, b1, b2)
         sym = (theta + theta.transpose(0, 2, 1)) / 2.0
-        try:
-            pivots = np.diagonal(np.linalg.cholesky(sym), axis1=1, axis2=2) ** 2
-            certified = bool(np.all(pivots > tol.pd_pivot))
-        except np.linalg.LinAlgError:
-            certified = False
-        if not certified:
+        if not linalg._all_pd(sym, tol.pd_pivot):
             if G > 1:  # alone and in order, the first game to fail raises its own error
                 for g in range(G):
                     _backward(spec, known[g:g + 1], tol)

@@ -150,6 +150,20 @@ def cholesky_pd(m, tol: float | None = None) -> CholeskyCheck:
     return CholeskyCheck(True, min_pivot)
 
 
+def _all_pd(sym: np.ndarray, tol: float) -> bool:
+    """Whether every matrix of a symmetric (..., k, k) stack has all Cholesky pivots above tol.
+
+    One LAPACK factorization of the whole stack, with pivots diag(L)^2.
+    It certifies what `cholesky_pd` certifies; on a failure, callers that
+    report which matrix failed, and its pivot, ask `cholesky_pd`.
+    """
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(sym), axis1=-2, axis2=-1) ** 2
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(pivots > tol))
+
+
 def sym_eig(m) -> np.ndarray:
     """Eigenvalues of the symmetrized input, ascending."""
     s = symmetrize(_require_square(m, "sym_eig"))

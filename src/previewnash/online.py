@@ -2,11 +2,14 @@
 
 At step t the players know the cost matrices only W stages ahead.  The
 missing tail is padded by holding the last revealed matrices constant, and
-the padded game is solved from the original start state; the T-1 padded
-games of a run are solved together in one stacked backward pass.  The
-realized control tracks each step's prediction through a fixed stabilizing
-gain.  The gap between the realized costs and the full-information
-equilibrium costs is the price of uncertainty.
+the padded game is solved from the original start state.  Step t's padded
+game depends on t and W only through the last revealed stage min(t+W, T-1),
+so the T-1 zero-preview padded games, solved together in one stacked
+backward pass, hold the predictions of every preview length; a sweep plays
+all its preview lengths from that one pass.  The realized control tracks
+each step's prediction through a fixed stabilizing gain.  The gap between
+the realized costs and the full-information equilibrium costs is the price
+of uncertainty.
 """
 
 from __future__ import annotations
@@ -160,16 +163,19 @@ def compute_pou(spec: GameSpec, run_states, run_controls,
     but nothing forces it to be worse on a given instance.
     """
     nash = game_mod.solve_feedback_nash(spec, tol=tol)
-    return _pou(spec, run_states, run_controls, nash.x_star, nash.u_star)
+    return _price(_costs(spec, run_states, run_controls), _costs(spec, nash.x_star, nash.u_star))
 
 
-def _pou(spec: GameSpec, run_states, run_controls, x_star, u_star) -> PouResult:
-    """compute_pou against the given equilibrium trajectory."""
+def _costs(spec: GameSpec, states, controls) -> tuple[float, float]:
+    """Both players' costs (J_1, J_2) along one trajectory."""
+    return tuple(game_mod.evaluate_cost(spec, player, states, controls) for player in (1, 2))
+
+
+def _price(run_costs, nash_costs) -> PouResult:
+    """compute_pou from the players' run and equilibrium costs."""
     gap = 0.0
     social = 0.0
-    for player in (1, 2):
-        j_run = game_mod.evaluate_cost(spec, player, run_states, run_controls)
-        j_star = game_mod.evaluate_cost(spec, player, x_star, u_star)
+    for j_run, j_star in zip(run_costs, nash_costs):
         gap += j_run - j_star
         social += j_star
     return PouResult(pou=0.5 * gap, nash_social_cost=0.5 * social)
@@ -223,8 +229,9 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
                tol: Tolerances | None = None) -> OnlineRun:
     """Play the horizon with preview W: predict, track the prediction, step.
 
-    The predictions of all T-1 steps, one padded game per step, are solved
-    in one stacked backward pass.  At step t the applied control is
+    Step t's prediction is the padded game revealed through stage
+    min(t+W, T-1); those games are solved in one stacked backward pass and
+    tracked by `_play`.  At step t the applied control is
     u_t = K_tracking (x_t - x_pred_t) + u_pred_t.  With full preview the
     prediction matches the equilibrium at every step, the tracking term
     stays exactly zero, and the price of uncertainty vanishes.  Step T-1's
@@ -242,22 +249,18 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
     else:
         k_bar = linalg.as_matrix(K_tracking, 2 * spec.m, spec.n, name="K_tracking")
 
-    T, n, m = spec.T, spec.n, spec.m
-    pred = game_mod._backward(spec, np.arange(1, T) + W, tol)
-    x_pred, u_pred = game_mod._equilibrium_paths(spec, pred.K)
-    a = spec.A
-    b = spec.joint_b()
-    x = np.empty((T, n))
-    u = np.empty((T - 1, 2 * m))
-    err = np.empty(T - 1)
-    x[0] = spec.x1
-    for t in range(1, T):
-        offset = x[t - 1] - x_pred[t - 1, t - 1]
-        err[t - 1] = linalg.two_norm(offset)
-        u[t - 1] = k_bar @ offset + u_pred[t - 1, t - 1]
-        x[t] = a @ x[t - 1] + b @ u[t - 1]
+    T = spec.T
+    first = min(1 + W, T - 1)  # the game step 1 tracks; every later step's is revealed further
+    pred = game_mod._backward(spec, np.arange(first, T), tol)
+    x_games, u_games = game_mod._equilibrium_paths(spec, pred.K)
+    x, u = _play(spec, x_games, u_games, [W], k_bar)
+    x, u = x[0], u[0]
+    steps = np.minimum(np.arange(1, T) + W, T - 1) - first
+    x_pred = game_mod._freeze(x_games[steps])
+    u_pred = game_mod._freeze(u_games[steps])
+    err = np.array([linalg.two_norm(x[k] - x_pred[k, k]) for k in range(T - 1)])
 
-    pou, social = _pou(spec, x, u, x_pred[-1], u_pred[-1])
+    pou, social = _price(_costs(spec, x, u), _costs(spec, x_games[-1], u_games[-1]))
     return OnlineRun(
         x=x,
         u=u,
@@ -269,6 +272,37 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
         nash_cost_avg=social,
         tracking_error=err,
     )
+
+
+def _play(spec: GameSpec, x_pred: np.ndarray, u_pred: np.ndarray, Ws,
+          k_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Realized runs of the tracking law under each preview length in Ws.
+
+    x_pred (L, T, n) and u_pred (L, T-1, 2m) are the equilibrium paths of
+    the last L padded games, revealed through stages T-L..T-1.  Under
+    preview W, step t tracks the game revealed through min(t+W, T-1), which
+    must be one of them.  All runs step together as `(G, n, 1)` columns, so
+    each is bitwise the run it would be alone.  Returns states (G, T, n)
+    and controls (G, T-1, 2m).
+    """
+    T, n, m = spec.T, spec.n, spec.m
+    steps = np.minimum(np.arange(1, T) + np.asarray(Ws)[:, None], T - 1) - (T - len(x_pred))
+    stages = np.arange(T - 1)
+    x_ref = x_pred[steps, stages][..., None]
+    u_ref = u_pred[steps, stages][..., None]
+    G = steps.shape[0]
+    a = spec.A
+    b = spec.joint_b()
+    x = np.empty((G, T, n))
+    u = np.empty((G, T - 1, 2 * m))
+    xk = np.repeat(spec.x1[None, :, None], G, axis=0)
+    x[:, 0] = spec.x1
+    for k in range(T - 1):
+        uk = k_bar @ (xk - x_ref[:, k]) + u_ref[:, k]
+        xk = a @ xk + b @ uk
+        u[:, k] = uk[:, :, 0]
+        x[:, k + 1] = xk[:, :, 0]
+    return x, u
 
 
 def gain_decay_diagnostic(spec: GameSpec, W: int,

@@ -320,9 +320,12 @@ def _reduce(spec: GameSpec, nash: NashSolution, tol: Tolerances) -> OcpReduction
     """reduce_to_ocp on the game's solved equilibrium `nash`."""
     T = spec.T
     costs = spec.costs
-    for t in range(2, T + 1):
-        if not linalg.cholesky_pd(costs.q(t), tol.pd_pivot).is_pd:
-            raise AssumptionViolatedError("A1", f"state weight at stage {t} is not positive definite")
+    # one LAPACK factorization per check; cholesky_pd names the first failing matrix
+    qs = np.stack(costs.Q)
+    if not linalg._all_pd((qs + qs.transpose(0, 2, 1)) / 2.0, tol.pd_pivot):
+        for t in range(2, T + 1):
+            if not linalg.cholesky_pd(costs.q(t), tol.pd_pivot).is_pd:
+                raise AssumptionViolatedError("A1", f"state weight at stage {t} is not positive definite")
 
     b1, b2, b = spec.B1, spec.B2, spec.joint_b()
     m = spec.m
@@ -334,14 +337,15 @@ def _reduce(spec: GameSpec, nash: NashSolution, tol: Tolerances) -> OcpReduction
         if linalg.two_norm(theta[:m, m:] - theta[m:, :m].T) > tol.mat_eq:
             raise AssumptionViolatedError("A1", f"cross-weight blocks disagree at stage {t}")
 
-    r_pot = [None] * T
-    for t in range(1, T):
-        rp = build_r_potential(costs.r(1, t), costs.r(2, t))
+    rps = np.stack([build_r_potential(costs.r(1, t), costs.r(2, t)) for t in range(1, T)])
+    r_sym = (rps + rps.transpose(0, 2, 1)) / 2.0
+    r_sym_pd = linalg._all_pd(r_sym, tol.pd_pivot)
+    for t, rp in enumerate(rps, start=1):
         if linalg.two_norm(rp - rp.T) > tol.symmetry:
             raise AssumptionViolatedError("A4", f"joint control weight at stage {t} is not symmetric")
-        if not linalg.cholesky_pd(rp, tol.pd_pivot).is_pd:
+        if not r_sym_pd and not linalg.cholesky_pd(rp, tol.pd_pivot).is_pd:
             raise AssumptionViolatedError("A4", f"joint control weight at stage {t} is not positive definite")
-        r_pot[t] = linalg.symmetrize(rp)
+    r_pot = [None, *r_sym]
 
     a = spec.A
     p_bar = [None] * (T + 1)
@@ -351,11 +355,12 @@ def _reduce(spec: GameSpec, nash: NashSolution, tol: Tolerances) -> OcpReduction
     p_bar[T] = costs.q(T)
     for t in range(T - 1, 0, -1):
         theta_bar = r_pot[t] + b.T @ p_bar[t + 1] @ b
-        check = linalg.cholesky_pd(theta_bar, tol.pd_pivot)
-        if not check.is_pd:
-            raise ReductionMismatchError(
-                f"reduced curvature at stage {t} is not positive definite (pivot {check.min_pivot:.3e})"
-            )
+        if not linalg._all_pd(linalg.symmetrize(theta_bar), tol.pd_pivot):
+            check = linalg.cholesky_pd(theta_bar, tol.pd_pivot)
+            if not check.is_pd:
+                raise ReductionMismatchError(
+                    f"reduced curvature at stage {t} is not positive definite (pivot {check.min_pivot:.3e})"
+                )
         k_bar[t] = -linalg.solve_linear(theta_bar, b.T @ p_bar[t + 1] @ a)
         resid = linalg.two_norm(r_pot[t] - (thetas[t - 1] - b.T @ p_bar[t + 1] @ b))
         if resid > tol.mat_eq:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from previewnash import cli
+from previewnash import game as game_mod
 from previewnash import (
     ExperimentConfig,
     generate_game,
@@ -168,6 +169,20 @@ def test_run_zero_equilibrium_cost_exits_3(scalar_spec, tmp_path, capsys):
     _, err = _stderr_json(capsys)
     assert err["code"] == "zero_nash_cost"
     assert not (tmp_path / "r.json").exists()
+
+
+def test_solve_linalg_error_exits_3(scalar_spec_file, tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError, but it is numerical, not bad input
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(game_mod, "_backward", singular)
+    code = cli.main(["solve", "--spec", str(scalar_spec_file), "--out", str(tmp_path / "n.json")])
+    assert code == 3
+    _, err = _stderr_json(capsys)
+    assert err["code"] == "linalg_error"
+    assert err["detail"] == "Singular matrix"
+    assert not (tmp_path / "n.json").exists()
 
 
 # -------------------------------------------------------------------- sweep

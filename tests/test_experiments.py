@@ -9,16 +9,28 @@ import pytest
 
 from previewnash import (
     AggregateRow,
+    AssumptionViolatedError,
+    DimensionMismatchError,
     EmptyAggregateError,
     ExperimentConfig,
     InvalidConfigError,
+    NotStabilizableError,
+    SweepRow,
+    ThetaNotPDError,
+    ZeroNashCostError,
+    check_assumptions,
     check_sufficient_structure,
+    compute_tracking_gain,
     emit_csv,
     emit_plot,
     generate_game,
+    run_online,
     sweep,
 )
-from previewnash import cli
+from previewnash import cli, experiments
+from previewnash import game as game_mod
+
+from conftest import make_padded_failure_game
 
 ROWS_HEADER = ["T", "W", "seed", "pou", "nash_social_cost", "log_rel_pou"]
 AGG_HEADER = ["T", "W", "mean_pou", "mean_nash_cost", "log_rel_pou"]
@@ -296,3 +308,130 @@ def test_emit_plot_validates_axis(tmp_path):
         emit_plot(_fake_aggs(), "seed", tmp_path / "bad.svg")
     with pytest.raises(EmptyAggregateError):
         emit_plot([], "W", tmp_path / "empty.svg")
+
+
+# ------------------------------------------------- one game, every preview
+
+_REFERENCE_TAGS = (
+    (ThetaNotPDError, "theta_not_pd"),
+    (NotStabilizableError, "not_stabilizable"),
+    (ZeroNashCostError, "zero_nash_cost"),
+    (np.linalg.LinAlgError, "linalg_error"),
+    (DimensionMismatchError, "dimension_mismatch"),
+)
+
+
+def _reference_cell(config, T, W, seed, k_bar):
+    """One (T, W, seed) cell on its own: draw, validate, run_online."""
+    try:
+        spec = experiments.generate_game(config, T, seed)
+        if config.assumption_mode == "strict":
+            check_assumptions(spec, mode="strict")
+        run = run_online(spec, W, K_tracking=k_bar)
+    except AssumptionViolatedError as exc:
+        return SweepRow(T, W, seed, None, None, None, error=f"assumption_{exc.assumption_id}")
+    except tuple(cls for cls, _ in _REFERENCE_TAGS) as exc:
+        tag = next(tag for cls, tag in _REFERENCE_TAGS if isinstance(exc, cls))
+        return SweepRow(T, W, seed, None, None, None, error=tag)
+    lrp = run.log_rel_pou if math.isfinite(run.log_rel_pou) else None
+    return SweepRow(T, W, seed, run.pou, run.nash_cost_avg, lrp)
+
+
+def _reference_sweep(config):
+    """Sorted rows of a sweep that plays every cell with its own run_online."""
+    try:
+        probe = experiments.generate_game(config, min(config.T_range), config.seed)
+        k_bar = compute_tracking_gain(probe)
+    except NotStabilizableError:
+        k_bar = None
+    rows = [_reference_cell(config, T, W, config.seed + k, k_bar)
+            for T in config.T_range for W in config.W_range for k in range(config.runs)]
+    return sorted(rows, key=lambda r: (r.T, r.W, r.seed))
+
+
+@pytest.mark.parametrize("kwargs, jobs", [
+    ({"runs": 10}, 1),
+    ({"T_range": (5, 10), "W_range": (0, 1, 3, 12), "runs": 5}, 1),
+    ({"runs": 3, "assumption_mode": "strict"}, 1),
+    ({"runs": 3, "x1": (0.0, 0.0)}, 1),
+    ({"T_range": (5, 10), "W_range": (0, 1, 3, 12), "runs": 3}, 2),
+], ids=["defaults", "T_and_W", "strict", "zero_start", "jobs2"])
+def test_grouped_sweep_equals_per_cell_runs(kwargs, jobs):
+    config = ExperimentConfig(**kwargs)
+    res = sweep(config, jobs=jobs)
+    ref = _reference_sweep(config)
+    assert list(res.rows) == ref
+    assert list(res.aggregates) == experiments._aggregate(ref)
+
+
+def test_failing_padded_game_fails_only_the_previews_that_meet_it(monkeypatch):
+    # the zero-preview games of steps 2, 3 and 4 fail certification, so a
+    # preview W fails iff some step t has min(t + W, 5) in {2, 3, 4}
+    monkeypatch.setattr(experiments, "generate_game",
+                        lambda config, T, seed: make_padded_failure_game())
+    config = ExperimentConfig(T_range=(6,), W_range=(0, 1, 2, 3, 4, 5), runs=2)
+    res = sweep(config)
+    assert [(r.W, r.error) for r in res.rows if r.seed == 0] == (
+        [(W, "theta_not_pd") for W in range(4)] + [(4, None), (5, None)])
+    assert list(res.rows) == _reference_sweep(config)
+
+
+@pytest.mark.parametrize("exc, tag", [
+    (np.linalg.LinAlgError("Singular matrix"), "linalg_error"),
+    (DimensionMismatchError("schedule lengths must match"), "dimension_mismatch"),
+], ids=["linalg_error", "dimension_mismatch"])
+def test_draw_failure_is_tagged_in_its_own_rows(monkeypatch, exc, tag):
+    config = _tiny_config(runs=3)
+    clean = sweep(config)
+    draw = experiments.generate_game
+
+    def failing(config, T, seed):
+        if seed == 2:
+            raise exc
+        return draw(config, T, seed)
+
+    monkeypatch.setattr(experiments, "generate_game", failing)
+    res = sweep(config)
+    assert [r.error for r in res.rows if r.seed == 2] == [tag, tag]
+    assert [r for r in res.rows if r.seed != 2] == [r for r in clean.rows if r.seed != 2]
+
+
+def test_solver_failure_is_tagged_in_its_own_rows(monkeypatch):
+    config = _tiny_config(runs=3)
+    clean = sweep(config)
+    backward = game_mod._backward
+    failing_game = experiments.generate_game(config, 4, 3)
+
+    def failing(spec, *args, **kwargs):
+        if np.array_equal(spec.costs.Q, failing_game.costs.Q):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return backward(spec, *args, **kwargs)
+
+    monkeypatch.setattr(game_mod, "_backward", failing)
+    res = sweep(config)
+    assert [r.error for r in res.rows if r.seed == 3] == ["linalg_error"] * 2
+    assert [r for r in res.rows if r.seed != 3] == [r for r in clean.rows if r.seed != 3]
+
+
+@pytest.mark.parametrize("w_range", [(0,), (0, 1, 2, 3, 4, 5, 6), (2, 9, 0, 2)])
+def test_sweep_solves_once_per_game_whatever_the_previews(monkeypatch, w_range):
+    backward = game_mod._backward
+    draw = experiments.generate_game
+    passes, draws = [], []
+
+    def counted_backward(spec, known, *args, **kwargs):
+        passes.append((spec.T, list(known)))
+        return backward(spec, known, *args, **kwargs)
+
+    def counted_draw(config, T, seed):
+        draws.append((T, seed))
+        return draw(config, T, seed)
+
+    monkeypatch.setattr(game_mod, "_backward", counted_backward)
+    monkeypatch.setattr(experiments, "generate_game", counted_draw)
+    config = ExperimentConfig(T_range=(5, 8), W_range=w_range, runs=3)
+    res = sweep(config)
+    assert all(r.error is None for r in res.rows)
+    assert len(passes) == config.runs * len(config.T_range)
+    assert all(known == list(range(1, T)) for T, known in passes)
+    assert len(draws) == config.runs * len(config.T_range) + 1

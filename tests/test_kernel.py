@@ -20,7 +20,7 @@ from previewnash import (
     with_costs,
 )
 from previewnash import game as game_mod
-from previewnash import linalg
+from previewnash import linalg, online
 
 from conftest import make_aligned_game, make_loose_game, make_padded_failure_game
 
@@ -178,3 +178,42 @@ def test_run_predictions_equal_single_predictions():
             assert np.array_equal(run.x_pred[t - 1], predict_nash(spec, t, W).x_star)
 
     check()
+
+
+def _reference_play(spec, W, k_bar):
+    """Tracking loop one step at a time, each step's prediction solved alone."""
+    T = spec.T
+    b = spec.joint_b()
+    x = np.empty((T, spec.n))
+    u = np.empty((T - 1, 2 * spec.m))
+    x[0] = spec.x1
+    for t in range(1, T):
+        pred = predict_nash(spec, t, W)
+        u[t - 1] = k_bar @ (x[t - 1] - pred.x_star[t - 1]) + pred.u_star[t - 1]
+        x[t] = spec.A @ x[t - 1] + b @ u[t - 1]
+    return x, u
+
+
+@pytest.mark.parametrize("family", [make_aligned_game, make_loose_game])
+def test_all_previews_play_from_the_zero_preview_pass(family):
+    # step t under preview W tracks the zero-preview game revealed through
+    # min(t + W, T - 1); the stacked runs are bitwise the runs played alone
+    rng = np.random.default_rng(71)
+    played = 0
+    for _ in range(25):
+        spec = family(rng)
+        k_bar = rng.uniform(-0.5, 0.5, size=(2 * spec.m, spec.n))
+        try:
+            batch = game_mod._backward(spec, np.arange(1, spec.T))
+        except ThetaNotPDError:
+            continue
+        x_pred, u_pred = game_mod._equilibrium_paths(spec, batch.K)
+        ws = (0, 1, 3, spec.T, 1)
+        xs, us = online._play(spec, x_pred, u_pred, ws, k_bar)
+        for W, x, u in zip(ws, xs, us):
+            x_ref, u_ref = _reference_play(spec, W, k_bar)
+            assert np.array_equal(x, x_ref) and np.array_equal(u, u_ref)
+            run = run_online(spec, W, K_tracking=k_bar)
+            assert np.array_equal(run.x, x_ref) and np.array_equal(run.u, u_ref)
+        played += 1
+    assert played >= 15

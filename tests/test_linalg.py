@@ -162,3 +162,19 @@ def test_solve_linear():
 def test_tolerance_override_object():
     t = Tolerances(pd_pivot=1e-6)
     assert not cholesky_pd([[1e-7]], tol=t.pd_pivot).is_pd
+
+
+def test_stacked_pd_verdict_matches_cholesky_pd():
+    rng = np.random.default_rng(12)
+    for k in (1, 2, 3, 5):
+        basis = [np.linalg.qr(rng.normal(size=(k, k)))[0] for _ in range(40)]
+        mats = np.stack([q @ np.diag(rng.uniform(-0.3, 2.0, size=k)) @ q.T for q in basis])
+        sym = (mats + mats.transpose(0, 2, 1)) / 2.0
+        verdicts = [cholesky_pd(m).is_pd for m in mats]
+        assert 0 < sum(verdicts) < len(verdicts)
+        assert [linalg._all_pd(s, 1e-10) for s in sym] == verdicts
+        assert linalg._all_pd(sym, 1e-10) == all(verdicts)
+        passing = sym[np.array(verdicts)]
+        assert linalg._all_pd(passing, 1e-10)
+        # a pivot above zero but not above the tolerance still fails
+        assert not linalg._all_pd(passing, 1e3)

@@ -1,6 +1,7 @@
 """Structural checks, the single-agent reduction, and their invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from previewnash import (
     with_costs,
 )
 from previewnash import game as game_mod
-from previewnash import linalg
+from previewnash import linalg, potential
 
 from conftest import make_aligned_game, make_loose_game, make_padded_failure_game
 
@@ -362,3 +363,47 @@ def test_sufficient_structure_rejects_wrong_shapes():
     wide = make_aligned_game(rng, m=2, T=3)
     with pytest.raises(WrongStructureError):
         check_sufficient_structure(wide)
+
+
+def _failure_text(call):
+    try:
+        call()
+    except (AssumptionViolatedError, ReductionMismatchError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    raise AssertionError("no failure")
+
+
+def test_reduction_failures_name_their_stage():
+    # each game below is certified, so the reduction's own checks speak
+    r1, r2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    negative_q3 = game_spec([[0.5]], [[1.0]], [[1.0]], [1.0],
+                            cost_schedule([[[1.0]], [[-0.05]], [[1.0]]], [r1] * 3, [r2] * 3))
+    assert _failure_text(lambda: reduce_to_ocp(negative_q3)) == (
+        "AssumptionViolatedError: assumption A1 violated: "
+        "state weight at stage 3 is not positive definite")
+    # own blocks [[1, 2], [2, 1]] are indefinite; the curvature [[2, 1], [1, 2]] is not
+    indefinite_joint = game_spec([[1.0]], [[1.0]], [[-1.0]], [1.0], cost_schedule(
+        [[[1.0]]], [[[1.0, 2.0], [2.0, 4.0]]], [[[4.0, 2.0], [2.0, 1.0]]]))
+    assert _failure_text(lambda: reduce_to_ocp(indefinite_joint)) == (
+        "AssumptionViolatedError: assumption A4 violated: "
+        "joint control weight at stage 1 is not positive definite")
+    # a stage-2 gain far from the equilibrium one drives the reduced
+    # state weight, and with it the stage-1 reduced curvature, negative
+    spec = game_spec([[1.0]], [[1.0]], [[1.0]], [1.0],
+                     cost_schedule([[[1.0]]] * 2, [r1] * 2, [r2] * 2))
+    nash = solve_feedback_nash(spec)
+    forged = replace(nash, K=(nash.K[0], np.array([[0.0], [10.0]])))
+    assert _failure_text(lambda: potential._reduce(spec, forged, linalg.DEFAULT_TOLERANCES)) == (
+        "ReductionMismatchError: reduced curvature at stage 1 is not positive definite "
+        "(pivot -9.767e+01)")
+
+
+def test_reduction_certifies_without_cholesky_pd(monkeypatch):
+    # a game that reduces never needs the pure-Python factorization
+    def no_cholesky_pd(*args, **kwargs):
+        raise AssertionError("cholesky_pd called")
+
+    specs = [make_aligned_game(np.random.default_rng(seed), T_max=6) for seed in (3, 4)]
+    monkeypatch.setattr(linalg, "cholesky_pd", no_cholesky_pd)
+    for spec in specs:
+        assert verify_equivalence(spec) <= 1e-9
