@@ -69,36 +69,43 @@ class ThetaNotPDError(RuntimeError):
 
 @dataclass(frozen=True)
 class CostSchedule:
-    """Time-indexed cost matrices.
+    """Time-indexed cost matrices, held as read-only float64 stacks.
 
-    Q[k] weighs the state x_{k+2}, so the Q list covers stages 2..T.
-    R1[k] and R2[k] weigh the joint control at stage k+1 (stages 1..T-1);
-    each is 2m x 2m with the block layout [[R_11, R_12], [R_21, R_22]],
-    blocks of size m x m.
+    Q is (T-1, n, n); Q[k] weighs the state x_{k+2}, so Q covers stages 2..T.
+    R1 and R2 are (T-1, 2m, 2m); R1[k] and R2[k] weigh the joint control at
+    stage k+1 (stages 1..T-1), each with the block layout
+    [[R_11, R_12], [R_21, R_22]], blocks of size m x m.  Construction stacks
+    and freezes a copy of whatever it is given, without validating it.
     """
 
-    Q: tuple
-    R1: tuple
-    R2: tuple
+    Q: np.ndarray
+    R1: np.ndarray
+    R2: np.ndarray
+
+    def __post_init__(self):
+        for field in ("Q", "R1", "R2"):
+            stack = _freeze(np.array(getattr(self, field), dtype=float))
+            object.__setattr__(self, field, stack)
+            object.__setattr__(self, f"_{field}_views", tuple(stack))
 
     @property
     def horizon(self) -> int:
         return len(self.Q) + 1
 
     def q(self, t: int) -> np.ndarray:
-        """State weight Q_t, valid for t = 2..T."""
+        """State weight Q_t, valid for t = 2..T; the same read-only view on every call."""
         if not 2 <= t <= self.horizon:
             raise IndexOutOfRangeError(f"Q_{t}: valid stages are 2..{self.horizon}")
-        return self.Q[t - 2]
+        return self._Q_views[t - 2]
 
     def r(self, player: int, t: int) -> np.ndarray:
-        """Control weight R_t^player, valid for t = 1..T-1."""
+        """Control weight R_t^player, valid for t = 1..T-1; the same read-only view on every call."""
         if not 1 <= t <= self.horizon - 1:
             raise IndexOutOfRangeError(f"R_{t}: valid stages are 1..{self.horizon - 1}")
         if player == 1:
-            return self.R1[t - 1]
+            return self._R1_views[t - 1]
         if player == 2:
-            return self.R2[t - 1]
+            return self._R2_views[t - 1]
         raise ValueError(f"player must be 1 or 2, got {player}")
 
 
@@ -108,37 +115,61 @@ def _freeze(m: np.ndarray) -> np.ndarray:
 
 
 def cost_schedule(Q: Sequence, R1: Sequence, R2: Sequence, tol: Tolerances | None = None) -> CostSchedule:
-    """Validate and freeze a cost schedule.
+    """Validate a cost schedule and store it as frozen stacks.
 
     Q entries must be symmetric (within the symmetry tolerance; definiteness
     is deliberately NOT required here, assumption checking reports on it).
     R entries must be symmetric positive semi-definite with even dimension.
+    The first failing entry is reported, in the order Q, R^1, R^2.
     """
     tol = tol or DEFAULT_TOLERANCES
     if len(Q) != len(R1) or len(Q) != len(R2) or len(Q) == 0:
         raise DimensionMismatchError(
             f"schedule lengths must match and be >= 1, got |Q|={len(Q)}, |R1|={len(R1)}, |R2|={len(R2)}"
         )
-    n = np.asarray(Q[0], dtype=float).shape[0]
-    two_m = np.asarray(R1[0], dtype=float).shape[0]
+    n = _rows(Q[0], "Q_2")
+    two_m = _rows(R1[0], "R_1^1")
     if two_m % 2 != 0 or two_m == 0:
         raise DimensionMismatchError(f"R matrices must be 2m x 2m, got {two_m} rows")
+    return CostSchedule(Q=_checked_stack(Q, n, "Q_{}", 2, tol, psd=False),
+                        R1=_checked_stack(R1, two_m, "R_{}^1", 1, tol, psd=True),
+                        R2=_checked_stack(R2, two_m, "R_{}^2", 1, tol, psd=True))
 
-    q_out, r1_out, r2_out = [], [], []
-    for k, qk in enumerate(Q):
-        q = linalg.as_matrix(qk, n, n, name=f"Q_{k + 2}")
-        if linalg.two_norm(q - q.T) > tol.symmetry:
-            raise DimensionMismatchError(f"Q_{k + 2} is not symmetric within tolerance")
-        q_out.append(_freeze(q))
-    for player, rs, out in ((1, R1, r1_out), (2, R2, r2_out)):
-        for k, rk in enumerate(rs):
-            r = linalg.as_matrix(rk, two_m, two_m, name=f"R_{k + 1}^{player}")
-            if linalg.two_norm(r - r.T) > tol.symmetry:
-                raise DimensionMismatchError(f"R_{k + 1}^{player} is not symmetric within tolerance")
-            if float(linalg.sym_eig(r)[0]) < -tol.pd_pivot:
-                raise DimensionMismatchError(f"R_{k + 1}^{player} is not positive semi-definite")
-            out.append(_freeze(r))
-    return CostSchedule(Q=tuple(q_out), R1=tuple(r1_out), R2=tuple(r2_out))
+
+def _rows(first, name: str) -> int:
+    """Row count of a group's first entry; a scalar, which has none, is rejected by name."""
+    shape = np.asarray(first, dtype=float).shape
+    if not shape:
+        linalg.as_matrix(first, name=name)  # raises
+    return shape[0]
+
+
+def _checked_stack(entries: Sequence, size: int, name: str, first: int, tol: Tolerances,
+                   psd: bool) -> np.ndarray:
+    """Entries name.format(first), name.format(first + 1), ... as one (len, size, size) stack.
+
+    Raises for the first entry that is not a finite size x size matrix, not
+    symmetric, or (with psd) not positive semi-definite, trying an entry's
+    faults in that order; a shape fault at entry k gives way to a value
+    fault at an earlier entry.
+    """
+    stack = np.empty((len(entries), size, size))
+    shape_error = None
+    for k, entry in enumerate(entries):
+        try:
+            stack[k] = linalg.as_matrix(entry, size, size, name=name.format(first + k))
+        except ValueError as exc:
+            shape_error, stack = exc, stack[:k]
+            break
+    asym = linalg._asymmetry(stack) > tol.symmetry
+    faulty = asym | (np.linalg.eigvalsh(linalg.symmetrize(stack))[:, 0] < -tol.pd_pivot) if psd else asym
+    bad = np.flatnonzero(faulty)
+    if bad.size:
+        fault = "symmetric within tolerance" if asym[bad[0]] else "positive semi-definite"
+        raise DimensionMismatchError(f"{name.format(first + bad[0])} is not {fault}")
+    if shape_error is not None:
+        raise shape_error
+    return stack
 
 
 @dataclass(frozen=True)
@@ -284,15 +315,16 @@ def _stage_theta(r1, r2, b1p1, b2p2, B1, B2) -> np.ndarray:
 class _Batch(NamedTuple):
     """Solutions of G padded games from one stacked backward pass.
 
-    K is (G, T-1, 2m, n) and theta_min (G, T-1).  P1, P2 are per-stage
-    (n, n) value matrices for stages 2..T, kept only when G == 1.  residuals
-    is None unless the pass was asked to score them; then it is (G, 2), each
-    game's largest cross-weight residual ||Theta_t[:m, m:] - Theta_t[m:, :m]'||_2
-    over stages 1..T-1 and largest value-coupling residual
+    K is (G, T-1, 2m, n), or None when the pass scored residuals, and
+    theta_min (G, T-1).  P1, P2 are per-stage (n, n) value matrices for
+    stages 2..T, kept only when G == 1.  residuals is None unless the pass
+    was asked to score them; then it is (G, 2), each game's largest
+    cross-weight residual ||Theta_t[:m, m:] - Theta_t[m:, :m]'||_2 over
+    stages 1..T-1 and largest value-coupling residual
     ||B'(P1_t - P2_t) A||_2 over stages 2..T.
     """
 
-    K: np.ndarray
+    K: np.ndarray | None
     theta_min: np.ndarray
     P1: tuple | None
     P2: tuple | None
@@ -308,7 +340,8 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
     and the state weight of stage s is Q_min(s, known[g]+1).  Every product
     is a stacked `@`, so each game's arithmetic is the same as if it were
     solved alone.  With `residuals` the pass also keeps each game's running
-    maxima of the two alignment residuals (see _Batch).
+    maxima of the two alignment residuals (see _Batch) and keeps no gain
+    stack.  Weights are read by index from the schedule's stacks.
 
     On a failed certificate the error is exactly the one solving the games
     one at a time, in the given order, would raise: the first game to fail,
@@ -321,14 +354,12 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
     G = known.shape[0]
     a, b1, b2 = spec.A, spec.B1, spec.B2
     b = spec.joint_b()
-    qs = np.stack(spec.costs.Q)
-    r1s = np.stack(spec.costs.R1)
-    r2s = np.stack(spec.costs.R2)
+    qs, r1s, r2s = spec.costs.Q, spec.costs.R1, spec.costs.R2
 
     p1 = p2 = qs[np.minimum(T, known + 1) - 2]
     keep_values = G == 1
     p1_hist, p2_hist = [p1[0]], [p2[0]]
-    gains = np.empty((G, T - 1, 2 * m, n))
+    gains = None if residuals else np.empty((G, T - 1, 2 * m, n))
     theta_min = np.empty((G, T - 1))
     res = np.zeros((G, 2)) if residuals else None
 
@@ -353,7 +384,8 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
             res[:, 1] = np.fmax(res[:, 1], np.linalg.norm(gap, 2, axis=(-2, -1)))
         rhs = np.concatenate((b1p1, b2p2), axis=1) @ a
         kt = -np.linalg.solve(theta, rhs)
-        gains[:, t - 1] = kt
+        if gains is not None:
+            gains[:, t - 1] = kt
         if t >= 2:
             closed = a + b @ kt
             closed_t = closed.transpose(0, 2, 1)
@@ -525,9 +557,9 @@ def spec_to_dict(spec: GameSpec) -> dict:
         "B1": spec.B1.tolist(),
         "B2": spec.B2.tolist(),
         "x1": spec.x1.tolist(),
-        "Q": [q.tolist() for q in spec.costs.Q],
-        "R1": [r.tolist() for r in spec.costs.R1],
-        "R2": [r.tolist() for r in spec.costs.R2],
+        "Q": spec.costs.Q.tolist(),
+        "R1": spec.costs.R1.tolist(),
+        "R2": spec.costs.R2.tolist(),
     }
 
 

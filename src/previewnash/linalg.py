@@ -110,9 +110,9 @@ def _require_square(m, name: str) -> np.ndarray:
 
 
 def symmetrize(m) -> np.ndarray:
-    """(M + M') / 2."""
+    """(M + M') / 2, of one matrix or of each matrix of a (..., k, k) stack."""
     m = np.asarray(m, dtype=float)
-    return (m + m.T) / 2.0
+    return (m + np.swapaxes(m, -1, -2)) / 2.0
 
 
 def two_norm(m) -> float:
@@ -162,6 +162,11 @@ def _all_pd(sym: np.ndarray, tol: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return bool(np.all(pivots > tol))
+
+
+def _asymmetry(stack: np.ndarray) -> np.ndarray:
+    """||M - M'||_2 of each matrix of a (..., k, k) stack."""
+    return np.linalg.norm(stack - np.swapaxes(stack, -1, -2), 2, axis=(-2, -1))
 
 
 def sym_eig(m) -> np.ndarray:

@@ -77,6 +77,8 @@ def pad_schedule(costs: CostSchedule, t: int, W: int) -> PaddedSchedule:
     if W < 0:
         raise IndexOutOfRangeError(f"preview length must be >= 0, got {W}")
     known = t + W
+    if known >= T - 1:  # nothing is hidden
+        return PaddedSchedule(base=costs, t=t, W=W, costs=costs)
     q_pad = tuple(costs.q(tau + 1) if tau <= known else costs.q(known + 1)
                   for tau in range(1, T))
     r1_pad = tuple(costs.r(1, tau) if tau <= known else costs.r(1, known)

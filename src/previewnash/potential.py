@@ -109,10 +109,14 @@ def build_r_potential(r1, r2) -> np.ndarray:
         raise DimensionMismatchError(
             f"control weights must share an even square shape, got {r1.shape} and {r2.shape}"
         )
-    m = r1.shape[0] // 2
-    rp = np.empty_like(r1)
-    rp[:m, :] = r1[:m, :]
-    rp[m:, :] = r2[m:, :]
+    return _joint_weights(r1, r2)
+
+
+def _joint_weights(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """build_r_potential of each stage of two (..., 2m, 2m) stacks, unchecked."""
+    m = r1.shape[-1] // 2
+    rp = r1.copy()
+    rp[..., m:, :] = r2[..., m:, :]
     return rp
 
 
@@ -164,11 +168,12 @@ def _a1_scores(spec: GameSpec, known: np.ndarray, q_pivots: list, tol: Tolerance
 
 
 def _a2_check(spec: GameSpec, q_eigs: np.ndarray, tol: Tolerances) -> AssumptionCheck:
-    r_eigs = [linalg.sym_eig(spec.costs.r(i, t)) for i in (1, 2) for t in range(1, spec.T)]
+    rs = np.concatenate((spec.costs.R1, spec.costs.R2))
+    r_eigs = np.linalg.eigvalsh(linalg.symmetrize(rs))  # ascending, (2(T-1), 2m)
     q_lo = min(q_eigs[:, 0].tolist())
     q_hi = max(q_eigs[:, -1].tolist())
-    r_lo = min(float(e[0]) for e in r_eigs)
-    r_hi = max(float(e[-1]) for e in r_eigs)
+    r_lo = min(r_eigs[:, 0].tolist())
+    r_hi = max(r_eigs[:, -1].tolist())
     passed = q_lo > tol.pd_pivot and r_lo >= -tol.pd_pivot
     margin = min(q_lo, r_lo + tol.pd_pivot)
     detail = (
@@ -189,32 +194,26 @@ def _a3_check(spec: GameSpec, tol: Tolerances) -> AssumptionCheck:
                            f"tracking closed-loop radius estimate {radius:.6f}")
 
 
-def _a4_check(spec: GameSpec, tol: Tolerances) -> AssumptionCheck:
-    worst_pivot = np.inf
-    worst_asym = 0.0
-    for t in range(1, spec.T):
-        rp = build_r_potential(spec.costs.r(1, t), spec.costs.r(2, t))
-        worst_asym = max(worst_asym, linalg.two_norm(rp - rp.T))
-        worst_pivot = min(worst_pivot, linalg.cholesky_pd(rp, tol.pd_pivot).min_pivot)
+def _a4_check(rps: np.ndarray, tol: Tolerances) -> AssumptionCheck:
+    # the margin reports cholesky_pd's own pivots, so they are taken one matrix at a time
+    worst_pivot = min(linalg.cholesky_pd(rp, tol.pd_pivot).min_pivot for rp in rps)
+    worst_asym = max(0.0, *linalg._asymmetry(rps).tolist())
     passed = worst_pivot > tol.pd_pivot and worst_asym <= tol.symmetry
     margin = min(worst_pivot, tol.symmetry - worst_asym)
     detail = f"min joint-weight pivot {worst_pivot:.3e}; max asymmetry {worst_asym:.3e}"
     return AssumptionCheck("A4", passed, float(margin), detail)
 
 
-def _a5_check(spec: GameSpec, q_eigs: np.ndarray, tol: Tolerances) -> AssumptionCheck:
+def _a5_check(spec: GameSpec, q_eigs: np.ndarray, rps: np.ndarray,
+              tol: Tolerances) -> AssumptionCheck:
     a_norm = linalg.two_norm(spec.A)
     try:
         b_min = linalg.singular_extremes(spec.joint_b()).sigma_min_pos
     except linalg.AllZeroError:
         return AssumptionCheck("A5", False, None, "input map is numerically zero")
     ratio = a_norm / b_min
-    q_shift = 0.0
-    for t in range(1, spec.T):
-        rp = build_r_potential(spec.costs.r(1, t), spec.costs.r(2, t))
-        diff = linalg.symmetrize(rp - spec.costs.r(1, t))
-        diff_top = float(linalg.sym_eig(diff)[-1])
-        q_shift = max(q_shift, abs(ratio * diff_top))
+    diff_tops = np.linalg.eigvalsh(linalg.symmetrize(rps - spec.costs.R1))[:, -1]
+    q_shift = max(0.0, *np.abs(ratio * diff_tops).tolist())
     q_lo = min(q_eigs[:, 0].tolist())
     margin = q_lo - q_shift
     detail = (
@@ -265,14 +264,14 @@ def check_assumptions(spec: GameSpec, mode: str = "strict",
     tol = tol or DEFAULT_TOLERANCES
 
     padded = _a1_core(spec, np.arange(1, spec.T), tol)
-    qs = np.stack(spec.costs.Q)
-    q_eigs = np.linalg.eigvalsh((qs + qs.transpose(0, 2, 1)) / 2.0)  # ascending, (T-1, n)
+    q_eigs = np.linalg.eigvalsh(linalg.symmetrize(spec.costs.Q))  # ascending, (T-1, n)
+    rps = _joint_weights(spec.costs.R1, spec.costs.R2)
     checks = [
         AssumptionCheck("A1", *padded[-1]),
         _a2_check(spec, q_eigs, tol),
         _a3_check(spec, tol),
-        _a4_check(spec, tol),
-        _a5_check(spec, q_eigs, tol),
+        _a4_check(rps, tol),
+        _a5_check(spec, q_eigs, rps, tol),
         _a6_check(spec, padded),
     ]
     overall = all(c.passed for c in checks)
@@ -321,8 +320,7 @@ def _reduce(spec: GameSpec, nash: NashSolution, tol: Tolerances) -> OcpReduction
     T = spec.T
     costs = spec.costs
     # one LAPACK factorization per check; cholesky_pd names the first failing matrix
-    qs = np.stack(costs.Q)
-    if not linalg._all_pd((qs + qs.transpose(0, 2, 1)) / 2.0, tol.pd_pivot):
+    if not linalg._all_pd(linalg.symmetrize(costs.Q), tol.pd_pivot):
         for t in range(2, T + 1):
             if not linalg.cholesky_pd(costs.q(t), tol.pd_pivot).is_pd:
                 raise AssumptionViolatedError("A1", f"state weight at stage {t} is not positive definite")
@@ -330,21 +328,24 @@ def _reduce(spec: GameSpec, nash: NashSolution, tol: Tolerances) -> OcpReduction
     b1, b2, b = spec.B1, spec.B2, spec.joint_b()
     m = spec.m
     # the game's stage-t curvature is thetas[t - 1]
-    thetas = game_mod._stage_theta(np.stack(costs.R1), np.stack(costs.R2),
+    thetas = game_mod._stage_theta(costs.R1, costs.R2,
                                    b1.T @ np.stack(nash.P1), b2.T @ np.stack(nash.P2), b1, b2)
-    for t in range(1, T):
-        theta = thetas[t - 1]
-        if linalg.two_norm(theta[:m, m:] - theta[m:, :m].T) > tol.mat_eq:
-            raise AssumptionViolatedError("A1", f"cross-weight blocks disagree at stage {t}")
+    cross = np.linalg.norm(thetas[:, :m, m:] - thetas[:, m:, :m].transpose(0, 2, 1), 2,
+                           axis=(-2, -1))
+    bad = np.flatnonzero(cross > tol.mat_eq)
+    if bad.size:
+        raise AssumptionViolatedError("A1", f"cross-weight blocks disagree at stage {bad[0] + 1}")
 
-    rps = np.stack([build_r_potential(costs.r(1, t), costs.r(2, t)) for t in range(1, T)])
-    r_sym = (rps + rps.transpose(0, 2, 1)) / 2.0
-    r_sym_pd = linalg._all_pd(r_sym, tol.pd_pivot)
-    for t, rp in enumerate(rps, start=1):
-        if linalg.two_norm(rp - rp.T) > tol.symmetry:
-            raise AssumptionViolatedError("A4", f"joint control weight at stage {t} is not symmetric")
-        if not r_sym_pd and not linalg.cholesky_pd(rp, tol.pd_pivot).is_pd:
-            raise AssumptionViolatedError("A4", f"joint control weight at stage {t} is not positive definite")
+    rps = _joint_weights(costs.R1, costs.R2)
+    asym = linalg._asymmetry(rps) > tol.symmetry
+    r_sym = linalg.symmetrize(rps)
+    indefinite = np.zeros(T - 1, dtype=bool)
+    if not linalg._all_pd(r_sym, tol.pd_pivot):
+        indefinite = np.array([not linalg.cholesky_pd(rp, tol.pd_pivot).is_pd for rp in rps])
+    bad = np.flatnonzero(asym | indefinite)
+    if bad.size:
+        fault = "symmetric" if asym[bad[0]] else "positive definite"
+        raise AssumptionViolatedError("A4", f"joint control weight at stage {bad[0] + 1} is not {fault}")
     r_pot = [None, *r_sym]
 
     a = spec.A
@@ -426,24 +427,21 @@ def check_sufficient_structure(spec: GameSpec, tol: Tolerances | None = None) ->
     if b1 == 0.0 or b2 == 0.0:
         raise WrongStructureError("both players need a nonzero input gain")
 
-    ratio_ok = True
-    for t in range(1, spec.T):
-        r1t = spec.costs.r(1, t)
-        r2t = spec.costs.r(2, t)
-        off1 = r1t.copy()
-        off1[0, 0] = 0.0
-        off2 = r2t.copy()
-        off2[1, 1] = 0.0
-        if linalg.two_norm(off1) > tol.mat_eq or linalg.two_norm(off2) > tol.mat_eq:
-            raise WrongStructureError(f"control weights at stage {t} are not single-entry")
-        r1_val = float(r1t[0, 0])
-        r2_val = float(r2t[1, 1])
-        if r1_val <= 0.0 or r2_val <= 0.0:
-            raise WrongStructureError(f"control weights at stage {t} must be positive")
-        rho1 = b1 * b1 / r1_val
-        rho2 = b2 * b2 / r2_val
-        if abs(rho1 - rho2) > 1e-10 * max(abs(rho1), abs(rho2)):
-            ratio_ok = False
+    off1 = spec.costs.R1.copy()
+    off1[:, 0, 0] = 0.0
+    off2 = spec.costs.R2.copy()
+    off2[:, 1, 1] = 0.0
+    spread = ((np.linalg.norm(off1, 2, axis=(-2, -1)) > tol.mat_eq)
+              | (np.linalg.norm(off2, 2, axis=(-2, -1)) > tol.mat_eq))
+    r1_val = spec.costs.R1[:, 0, 0]
+    r2_val = spec.costs.R2[:, 1, 1]
+    bad = np.flatnonzero(spread | (r1_val <= 0.0) | (r2_val <= 0.0))
+    if bad.size:
+        fault = "are not single-entry" if spread[bad[0]] else "must be positive"
+        raise WrongStructureError(f"control weights at stage {bad[0] + 1} {fault}")
+    rho1 = b1 * b1 / r1_val
+    rho2 = b2 * b2 / r2_val
+    ratio_ok = not np.any(np.abs(rho1 - rho2) > 1e-10 * np.maximum(np.abs(rho1), np.abs(rho2)))
 
     nash = game_mod.solve_feedback_nash(spec, tol=tol)
     gap = max(linalg.two_norm(p1 - p2) for p1, p2 in zip(nash.P1, nash.P2))

@@ -99,6 +99,17 @@ def test_solve_numerical_failure_exits_3(tmp_path, capsys):
     assert err["stage"] == 1
 
 
+def test_solve_names_a_scalar_first_weight(scalar_spec, tmp_path, capsys):
+    doc = spec_to_dict(scalar_spec)
+    doc["Q"] = [1.0]
+    spec_path = tmp_path / "scalar_q.json"
+    spec_path.write_text(json.dumps(doc))
+    assert cli.main(["solve", "--spec", str(spec_path), "--out", str(tmp_path / "x.json")]) == 1
+    _, err = _stderr_json(capsys)
+    assert err["code"] == "input"
+    assert err["detail"] == "Q_2: expected a 2-D array, got ndim=0"
+
+
 # ---------------------------------------------------------------------- run
 
 def test_run_full_preview(scalar_spec_file, tmp_path, capsys):

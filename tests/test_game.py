@@ -6,18 +6,23 @@ has a closed-form equilibrium: stage curvature [[2, 1], [1, 2]], joint gain
 arithmetic.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from previewnash import (
     CostDifference,
+    CostSchedule,
     DimensionMismatchError,
+    ExperimentConfig,
     IndexOutOfRangeError,
     ThetaNotPDError,
     cost_difference_check,
     cost_schedule,
     evaluate_cost,
     game_spec,
+    generate_game,
     nash_from_dict,
     nash_to_dict,
     simulate,
@@ -28,7 +33,10 @@ from previewnash import (
     with_costs,
 )
 
-from conftest import make_aligned_game, make_loose_game
+from previewnash import linalg
+from previewnash.linalg import DEFAULT_TOLERANCES
+
+from conftest import make_aligned_game, make_loose_game, spd
 
 
 # ---------------------------------------------------------------- schedules
@@ -69,6 +77,140 @@ def test_schedule_matrices_are_frozen(scalar_spec):
         scalar_spec.costs.q(2)[0, 0] = 5.0
     with pytest.raises(ValueError):
         scalar_spec.A[0, 0] = 2.0
+
+
+# a drawn game's serialised form, fixed when the schedule was stored as
+# per-stage matrices; the stacked storage must write the same text
+_DRAWN_T3_SEED0 = (
+    '{"n": 2, "m": 1, "T": 3, "A": [[1.6, 0.0], [0.0, 0.9]], "B1": [[-0.85], [0.0]], '
+    '"B2": [[-0.89], [0.0]], "x1": [1.0, 1.0], "Q": [[[61.89932705759129, 104.82059434142718], '
+    '[104.82059434142718, 0.0]], [[13.266592647853228, 16.859503860234696], '
+    '[16.859503860234696, 0.0]]], "R1": [[[71.5086276698452, 0.0], [0.0, 0.0]], '
+    '[[13.064536830262796, 0.0], [0.0, 0.0]]], "R2": [[[0.0, 0.0], [0.0, 78.39720965714102]], '
+    '[[0.0, 0.0], [0.0, 14.323072142908183]]]}'
+)
+
+
+def test_schedule_storage_contract():
+    spec = make_loose_game(np.random.default_rng(3), n=3, m=2, T=5)
+    costs = spec.costs
+    for stack, size in ((costs.Q, 3), (costs.R1, 4), (costs.R2, 4)):
+        assert stack.shape == (4, size, size) and stack.dtype == np.float64
+        assert stack.flags.c_contiguous and not stack.flags.writeable
+    for t in range(1, 5):
+        views = ((costs.q(t + 1), costs.Q), (costs.r(1, t), costs.R1), (costs.r(2, t), costs.R2))
+        for view, stack in views:
+            assert np.shares_memory(view, stack) and not view.flags.writeable
+            assert np.array_equal(view, stack[t - 1])
+    # built directly from per-stage matrices, as pad_schedule does
+    direct = CostSchedule(Q=tuple(costs.Q), R1=tuple(costs.R1), R2=tuple(costs.R2))
+    for got, want in ((direct.Q, costs.Q), (direct.R1, costs.R1), (direct.R2, costs.R2)):
+        assert np.array_equal(got, want) and not np.shares_memory(got, want)
+        assert got.flags.c_contiguous and not got.flags.writeable
+    drawn = generate_game(ExperimentConfig(), T=3, seed=0)
+    assert json.dumps(spec_to_dict(drawn)) == _DRAWN_T3_SEED0
+
+
+def test_scalar_first_entry_is_named():
+    q, r = [[1.0]], np.eye(2)
+    with pytest.raises(ValueError, match=r"^Q_2: expected a 2-D array, got ndim=0$"):
+        cost_schedule([1.0], [r], [r])
+    with pytest.raises(ValueError, match=r"^R_1\^1: expected a 2-D array, got ndim=0$"):
+        cost_schedule([q], [1.0], [1.0])
+
+
+def _reference_cost_schedule(Q, R1, R2, tol=DEFAULT_TOLERANCES):
+    """The per-matrix validation loop the stacked one replaced; returns the three stacks."""
+    if len(Q) != len(R1) or len(Q) != len(R2) or len(Q) == 0:
+        raise DimensionMismatchError(
+            f"schedule lengths must match and be >= 1, got |Q|={len(Q)}, |R1|={len(R1)}, |R2|={len(R2)}"
+        )
+    n = np.asarray(Q[0], dtype=float).shape[0]
+    two_m = np.asarray(R1[0], dtype=float).shape[0]
+    if two_m % 2 != 0 or two_m == 0:
+        raise DimensionMismatchError(f"R matrices must be 2m x 2m, got {two_m} rows")
+
+    q_out, r1_out, r2_out = [], [], []
+    for k, qk in enumerate(Q):
+        q = linalg.as_matrix(qk, n, n, name=f"Q_{k + 2}")
+        if linalg.two_norm(q - q.T) > tol.symmetry:
+            raise DimensionMismatchError(f"Q_{k + 2} is not symmetric within tolerance")
+        q_out.append(q)
+    for player, rs, out in ((1, R1, r1_out), (2, R2, r2_out)):
+        for k, rk in enumerate(rs):
+            r = linalg.as_matrix(rk, two_m, two_m, name=f"R_{k + 1}^{player}")
+            if linalg.two_norm(r - r.T) > tol.symmetry:
+                raise DimensionMismatchError(f"R_{k + 1}^{player} is not symmetric within tolerance")
+            if float(linalg.sym_eig(r)[0]) < -tol.pd_pivot:
+                raise DimensionMismatchError(f"R_{k + 1}^{player} is not positive semi-definite")
+            out.append(r)
+    return np.array(q_out), np.array(r1_out), np.array(r2_out)
+
+
+def _inject_fault(rng, groups):
+    """Break one entry of one group in place: shape, non-finite, asymmetry or indefiniteness."""
+    name = str(rng.choice(["Q", "R1", "R2"]))
+    entries = groups[name]
+    k = int(rng.integers(len(entries)))
+    mat = np.array(entries[k], dtype=float)
+    size = mat.shape[0] if mat.ndim == 2 else 1
+    kind = str(rng.choice(["shape", "nonfinite", "asymmetric", "indefinite"]))
+    if kind == "shape":
+        shape = [(size + 1, size + 1), (size, size + 1), (size,), (), (size + 2, size + 2)]
+        entries[k] = np.ones(shape[int(rng.integers(len(shape)))])
+    elif kind == "nonfinite" and mat.size:
+        mat.flat[int(rng.integers(mat.size))] = rng.choice([np.nan, np.inf, -np.inf])
+        entries[k] = mat
+    elif kind == "asymmetric" and mat.ndim == 2 and size > 1:
+        mat[0, size - 1] += 1e-3
+        entries[k] = mat
+    elif kind == "indefinite" and mat.ndim == 2 and name != "Q" and np.isfinite(mat).all():
+        mat[size - 1, size - 1] -= 1.0 + float(np.abs(mat).sum())
+        entries[k] = mat
+
+
+def _reference_outcome(Q, R1, R2):
+    try:
+        return ("built", *_reference_cost_schedule(Q, R1, R2))
+    except IndexError:
+        # the loop failed on a scalar first entry's row count; the stacked
+        # pass names that entry instead
+        name = "Q_2" if np.ndim(Q[0]) == 0 else "R_1^1"
+        return ("raised", ValueError, f"{name}: expected a 2-D array, got ndim=0")
+    except ValueError as exc:  # DimensionMismatchError included
+        return ("raised", type(exc), str(exc))
+
+
+def _outcome(Q, R1, R2):
+    try:
+        costs = cost_schedule(Q, R1, R2)
+    except ValueError as exc:
+        return ("raised", type(exc), str(exc))
+    return ("built", costs.Q, costs.R1, costs.R2)
+
+
+def test_stacked_validation_matches_the_per_matrix_loop():
+    rng = np.random.default_rng(71)
+    raised = set()
+    for _ in range(600):
+        n, m, T = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(2, 7))
+        groups = {
+            "Q": [spd(rng, n, -0.5) for _ in range(T - 1)],  # indefinite Q is valid here
+            "R1": [spd(rng, 2 * m, 0.0) for _ in range(T - 1)],
+            "R2": [spd(rng, 2 * m, 0.0) for _ in range(T - 1)],
+        }
+        for _ in range(int(rng.integers(0, 4))):
+            _inject_fault(rng, groups)
+        want = _reference_outcome(groups["Q"], groups["R1"], groups["R2"])
+        got = _outcome(groups["Q"], groups["R1"], groups["R2"])
+        assert got[0] == want[0]
+        if want[0] == "raised":
+            assert got == want
+            raised.add(want[2].split(" ", 1)[-1])
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got[1:], want[1:]))
+    assert {"is not symmetric within tolerance", "is not positive semi-definite",
+            "entries must be finite", "expected a 2-D array, got ndim=0"} <= raised
 
 
 def test_game_spec_validation(scalar_spec):

@@ -155,6 +155,20 @@ def test_scoring_passes_roll_nothing_out(monkeypatch):
     with pytest.raises(AssertionError, match="rollout called"):
         solve_feedback_nash(spec)
 
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_scoring_pass_keeps_no_gain_stack(seed):
+    # the A1/A6 pass reads curvatures and residuals only; the report itself
+    # is pinned to the per-step reference in test_potential.py
+    spec = make_aligned_game(np.random.default_rng(seed), T_max=9)
+    known = np.arange(1, spec.T)
+    scored = game_mod._backward(spec, known, residuals=True)
+    plain = game_mod._backward(spec, known)
+    assert scored.K is None and plain.K is not None
+    assert scored.residuals.shape == (spec.T - 1, 2)
+    assert np.array_equal(scored.theta_min, plain.theta_min)
+
+
 def test_run_predictions_equal_single_predictions():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

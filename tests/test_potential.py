@@ -148,7 +148,7 @@ def _reference_a1(spec, tol=linalg.DEFAULT_TOLERANCES):
 
 
 def _reference_entries(spec, tol=linalg.DEFAULT_TOLERANCES):
-    """Report entries of A1, A2, A5 and A6, one matrix and one padded copy at a time."""
+    """Report entries of A1, A2, A4, A5 and A6, one matrix and one padded copy at a time."""
     def entry(aid, passed, margin, detail):
         return {"id": aid, "passed": passed, "margin": margin, "detail": detail}
 
@@ -163,6 +163,15 @@ def _reference_entries(spec, tol=linalg.DEFAULT_TOLERANCES):
                float(min(q_lo, r_lo + tol.pd_pivot)),
                f"state-weight eigenvalues span [{q_lo:.4g}, {q_hi:.4g}]; "
                f"control-weight eigenvalues span [{r_lo:.4g}, {r_hi:.4g}]")
+
+    worst_pivot, worst_asym = np.inf, 0.0
+    for t in range(1, T):
+        rp = build_r_potential(costs.r(1, t), costs.r(2, t))
+        worst_asym = max(worst_asym, linalg.two_norm(rp - rp.T))
+        worst_pivot = min(worst_pivot, linalg.cholesky_pd(rp, tol.pd_pivot).min_pivot)
+    a4 = entry("A4", worst_pivot > tol.pd_pivot and worst_asym <= tol.symmetry,
+               float(min(worst_pivot, tol.symmetry - worst_asym)),
+               f"min joint-weight pivot {worst_pivot:.3e}; max asymmetry {worst_asym:.3e}")
 
     ratio = linalg.two_norm(spec.A) / linalg.singular_extremes(spec.joint_b()).sigma_min_pos
     q_shift = 0.0
@@ -186,7 +195,7 @@ def _reference_entries(spec, tol=linalg.DEFAULT_TOLERANCES):
     else:
         detail = f"all {T - 1} padded schedules pass; worst margin {worst:.3e}"
     a6 = entry("A6", not failing, None if worst is np.inf else float(worst), detail)
-    return {"A1": entry("A1", *_reference_a1(spec, tol)), "A2": a2, "A5": a5, "A6": a6}
+    return {"A1": entry("A1", *_reference_a1(spec, tol)), "A2": a2, "A4": a4, "A5": a5, "A6": a6}
 
 
 def _assert_report_matches_reference(spec):
@@ -223,6 +232,35 @@ def test_report_matches_reference_when_one_state_weight_is_negative():
         spec = _negate_one_state_weight(make_aligned_game(rng, T=int(rng.integers(4, 9))), rng)
         details.add(_assert_report_matches_reference(spec)["assumptions"][5]["detail"])
     assert len(details) > 1
+
+
+def _joint_weight_game(r1_mid, r2_mid):
+    """Scalar T=5 game whose stage-3 control weights are the given ones.
+
+    The other stages use own-slot weights.  With B2 = -B1, a stage-3 pair
+    that is the block swap of itself keeps the two players mirror images,
+    so their value recursions coincide and the reduction's cross-weight
+    check passes.
+    """
+    r1 = [np.diag([1.0, 0.0])] * 4
+    r2 = [np.diag([0.0, 1.0])] * 4
+    r1[2], r2[2] = r1_mid, r2_mid
+    return game_spec([[1.0]], [[1.0]], [[-1.0]], [1.0], cost_schedule([[[1.0]]] * 4, r1, r2))
+
+
+def test_report_matches_reference_on_faulty_joint_weights():
+    # stage 3's joint weight [[1, 0.5], [0, 1]] is asymmetric
+    asymmetric = _joint_weight_game(np.array([[1.0, 0.5], [0.5, 1.0]]), np.eye(2))
+    a4 = _assert_report_matches_reference(asymmetric)["assumptions"][3]
+    assert not a4["passed"] and a4["detail"].endswith("max asymmetry 5.000e-01")
+    # stage 3's joint weight [[1, 2], [2, 1]] is symmetric but indefinite
+    indefinite = _joint_weight_game(np.array([[1.0, 2.0], [2.0, 4.0]]),
+                                    np.array([[4.0, 2.0], [2.0, 1.0]]))
+    a4 = _assert_report_matches_reference(indefinite)["assumptions"][3]
+    assert not a4["passed"] and a4["margin"] < 0.0
+    assert _failure_text(lambda: reduce_to_ocp(indefinite)) == (
+        "AssumptionViolatedError: assumption A4 violated: "
+        "joint control weight at stage 3 is not positive definite")
 
 
 def test_uncertified_padded_games_are_scored_one_at_a_time():
