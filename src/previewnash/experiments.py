@@ -276,14 +276,6 @@ def _row(T: int, W: int, seed: int, pou: float, social: float) -> SweepRow:
     return SweepRow(T, W, seed, pou, social, lrp if math.isfinite(lrp) else None)
 
 
-def _play_alone(spec: GameSpec, W: int, seed: int, k_bar, tol: Tolerances) -> SweepRow:
-    try:
-        run = online.run_online(spec, W, K_tracking=k_bar, tol=tol)
-    except _LOCAL_ERRORS as exc:
-        return SweepRow(spec.T, W, seed, None, None, None, error=_error_tag(exc))
-    return _row(spec.T, W, seed, run.pou, run.nash_cost_avg)
-
-
 def _run_group(config: ExperimentConfig, T: int, run_index: int,
                k_bar, tol: Tolerances) -> list:
     """The rows of one (T, seed) game, one per preview length in W_range.
@@ -292,29 +284,34 @@ def _run_group(config: ExperimentConfig, T: int, run_index: int,
     games are solved in one pass: under preview W, step t plays the game
     revealed through min(t+W, T-1), so every W reads its predictions off
     that one set and all W are tracked together (`online._play`).  Every W
-    is priced against the last game, the true one.  If a padded game fails
-    certification, each W is played alone, so only the W whose steps meet
-    a failing game fail.  A failure before that fails every row of the seed.
+    is priced against the last game, the true one.  Only the W that play a
+    game failing certification fail with it.  A failure before the pass
+    fails every row of the seed, and one after it every row played.
     """
     seed = config.seed + run_index
     w_range = config.W_range
+    rows = {}
     try:
         spec = generate_game(config, T, seed)
         if config.assumption_mode == "strict":
             potential.check_assumptions(spec, mode="strict", tol=tol)
         if k_bar is None:
             k_bar = online.compute_tracking_gain(spec, tol=tol)
-        try:
-            pred = game_mod._backward(spec, np.arange(1, T), tol)
-            x_pred, u_pred = game_mod._equilibrium_paths(spec, pred.K)
-        except ThetaNotPDError:
-            return [_play_alone(spec, W, seed, k_bar, tol) for W in w_range]
-        xs, us = online._play(spec, x_pred, u_pred, w_range, k_bar)
-        nash_costs = online._costs(spec, x_pred[-1], u_pred[-1])
-        prices = [online._price(online._costs(spec, x, u), nash_costs) for x, u in zip(xs, us)]
-        return [_row(T, W, seed, *price) for W, price in zip(w_range, prices)]
+        pred = game_mod._backward(spec, np.arange(1, T), tol)
+        for W in w_range:  # preview W plays the games revealed through min(1+W, T-1)..T-1
+            exc = next(filter(None, pred.failures[min(W, T - 2):]), None)
+            if exc is not None:
+                rows[W] = SweepRow(T, W, seed, None, None, None, error=_error_tag(exc))
+        played = [W for W in w_range if W not in rows]
+        if played:  # all the games they play are certified
+            x_pred, u_pred = game_mod._equilibrium_paths(spec, pred.K[min(min(played), T - 2):])
+            xs, us = online._play(spec, x_pred, u_pred, played, k_bar)
+            nash_costs = online._costs(spec, x_pred[-1], u_pred[-1])
+            for W, x, u in zip(played, xs, us):
+                rows[W] = _row(T, W, seed, *online._price(online._costs(spec, x, u), nash_costs))
     except _LOCAL_ERRORS as exc:
-        return [SweepRow(T, W, seed, None, None, None, error=_error_tag(exc)) for W in w_range]
+        rows = {W: SweepRow(T, W, seed, None, None, None, error=_error_tag(exc)) for W in w_range} | rows
+    return [rows[W] for W in w_range]
 
 
 def _group_task(args) -> list:

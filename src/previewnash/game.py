@@ -11,7 +11,7 @@ identity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -92,6 +92,9 @@ class CostSchedule:
     def horizon(self) -> int:
         return len(self.Q) + 1
 
+    def __eq__(self, other) -> bool:
+        return _equal_fields(self, other)
+
     def q(self, t: int) -> np.ndarray:
         """State weight Q_t, valid for t = 2..T; the same read-only view on every call."""
         if not 2 <= t <= self.horizon:
@@ -112,6 +115,14 @@ class CostSchedule:
 def _freeze(m: np.ndarray) -> np.ndarray:
     m.flags.writeable = False
     return m
+
+
+def _equal_fields(a, b) -> bool:
+    """Field-by-field equality of two dataclasses of one type, arrays by np.array_equal."""
+    if type(a) is not type(b):
+        return False
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a)))
 
 
 def cost_schedule(Q: Sequence, R1: Sequence, R2: Sequence, tol: Tolerances | None = None) -> CostSchedule:
@@ -187,6 +198,9 @@ class GameSpec:
     B2: np.ndarray
     x1: np.ndarray
     costs: CostSchedule
+
+    def __eq__(self, other) -> bool:
+        return _equal_fields(self, other)
 
     def joint_b(self) -> np.ndarray:
         """B = [B1 B2], n x 2m."""
@@ -321,7 +335,8 @@ class _Batch(NamedTuple):
     was asked to score them; then it is (G, 2), each game's largest
     cross-weight residual ||Theta_t[:m, m:] - Theta_t[m:, :m]'||_2 over
     stages 1..T-1 and largest value-coupling residual
-    ||B'(P1_t - P2_t) A||_2 over stages 2..T.
+    ||B'(P1_t - P2_t) A||_2 over stages 2..T.  failures[g] is None or the
+    ThetaNotPDError game g raises alone; its other entries are then void.
     """
 
     K: np.ndarray | None
@@ -329,6 +344,13 @@ class _Batch(NamedTuple):
     P1: tuple | None
     P2: tuple | None
     residuals: np.ndarray | None
+    failures: tuple
+
+    def certified(self) -> "_Batch":
+        """The batch itself, or the first failed game's error, raised."""
+        for exc in filter(None, self.failures):
+            raise exc
+        return self
 
 
 def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
@@ -343,10 +365,10 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
     maxima of the two alignment residuals (see _Batch) and keeps no gain
     stack.  Weights are read by index from the schedule's stacks.
 
-    On a failed certificate the error is exactly the one solving the games
-    one at a time, in the given order, would raise: the first game to fail,
-    at its highest failing stage, with the pivot `linalg.cholesky_pd`
-    reports for that stage's curvature matrix.
+    A failed certificate is reported, not raised: failures[g] is the error
+    game g raises alone (its highest failing stage, with the pivot
+    `linalg.cholesky_pd` reports there), and the game goes on with identity
+    curvature and zero values, which leaves the other games untouched.
     """
     tol = tol or DEFAULT_TOLERANCES
     known = np.asarray(known, dtype=np.intp).reshape(-1)
@@ -362,6 +384,8 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
     gains = None if residuals else np.empty((G, T - 1, 2 * m, n))
     theta_min = np.empty((G, T - 1))
     res = np.zeros((G, 2)) if residuals else None
+    failures = [None] * G
+    failed = np.zeros(G, dtype=bool)
 
     for t in range(T - 1, 0, -1):
         r_idx = np.minimum(t, known) - 1
@@ -369,12 +393,14 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
         b1p1 = b1.T @ p1
         b2p2 = b2.T @ p2
         theta = _stage_theta(r1t, r2t, b1p1, b2p2, b1, b2)
+        theta[failed] = np.eye(2 * m)
         sym = (theta + theta.transpose(0, 2, 1)) / 2.0
         if not linalg._all_pd(sym, tol.pd_pivot):
-            if G > 1:  # alone and in order, the first game to fail raises its own error
-                for g in range(G):
-                    _backward(spec, known[g:g + 1], tol)
-            raise ThetaNotPDError(t, linalg.cholesky_pd(theta[0], tol.pd_pivot).min_pivot)
+            for g in range(G):
+                if not linalg._all_pd(sym[g], tol.pd_pivot):
+                    failures[g] = ThetaNotPDError(t, linalg.cholesky_pd(theta[g], tol.pd_pivot).min_pivot)
+                    failed[g] = True
+            theta[failed] = sym[failed] = np.eye(2 * m)
         theta_min[:, t - 1] = np.linalg.eigvalsh(sym)[:, 0]
         if residuals:
             # fmax, like max(), passes over a NaN norm
@@ -395,12 +421,13 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
             p2 = qt + kt_t @ r2t @ kt + closed_t @ p2 @ closed
             p1 = (p1 + p1.transpose(0, 2, 1)) / 2.0
             p2 = (p2 + p2.transpose(0, 2, 1)) / 2.0
+            p1[failed] = p2[failed] = 0.0
             if keep_values:
                 p1_hist.append(p1[0])
                 p2_hist.append(p2[0])
 
     values = (tuple(p1_hist[::-1]), tuple(p2_hist[::-1])) if keep_values else (None, None)
-    return _Batch(gains, theta_min, *values, res)
+    return _Batch(gains, theta_min, *values, res, tuple(failures))
 
 
 def _rollout(spec: GameSpec, gains: np.ndarray, x_start) -> tuple[np.ndarray, np.ndarray]:
@@ -456,7 +483,7 @@ def solve_feedback_nash(spec: GameSpec, tol: Tolerances | None = None) -> NashSo
     The terminal condition is P_T^1 = P_T^2 = Q_T.  Raises ThetaNotPDError
     if any stage's curvature matrix fails certification.
     """
-    return _nash_solution(spec, _backward(spec, [spec.T - 1], tol))
+    return _nash_solution(spec, _backward(spec, [spec.T - 1], tol).certified())
 
 
 class DeviationCheck(NamedTuple):

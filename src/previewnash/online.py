@@ -147,7 +147,7 @@ def predict_nash(spec: GameSpec, t: int, W: int, tol: Tolerances | None = None) 
         raise IndexOutOfRangeError(f"t must be in 1..{spec.T - 1}, got {t}")
     if W < 0:
         raise IndexOutOfRangeError(f"preview length must be >= 0, got {W}")
-    return game_mod._nash_solution(spec, game_mod._backward(spec, [t + W], tol))
+    return game_mod._nash_solution(spec, game_mod._backward(spec, [t + W], tol).certified())
 
 
 class PouResult(NamedTuple):
@@ -253,7 +253,7 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
 
     T = spec.T
     first = min(1 + W, T - 1)  # the game step 1 tracks; every later step's is revealed further
-    pred = game_mod._backward(spec, np.arange(first, T), tol)
+    pred = game_mod._backward(spec, np.arange(first, T), tol).certified()
     x_games, u_games = game_mod._equilibrium_paths(spec, pred.K)
     x, u = _play(spec, x_games, u_games, [W], k_bar)
     x, u = x[0], u[0]
@@ -319,5 +319,5 @@ def gain_decay_diagnostic(spec: GameSpec, W: int,
     lowest failing step t.
     """
     T = spec.T
-    gains = game_mod._backward(spec, np.r_[T - 1, np.arange(1, T) + W], tol).K
+    gains = game_mod._backward(spec, np.r_[T - 1, np.arange(1, T) + W], tol).certified().K
     return [(t, linalg.two_norm(gains[t, t - 1] - gains[0, t - 1])) for t in range(1, T)]

@@ -129,28 +129,18 @@ def _a1_core(spec: GameSpec, known, tol: Tolerances) -> list:
 
     All games are solved in one stacked backward pass that also keeps their
     alignment residuals.  Padded game k weighs states by Q_2..Q_{k+1} only,
-    so its state-weight pivot is a prefix minimum of the true ones.  If any
-    game fails its curvature certificate, every game is scored alone; a
-    failing game's margin is its failing pivot."""
+    so its state-weight pivot is a prefix minimum of the true ones.  A game
+    that fails its curvature certificate is scored from the pass's
+    failure report: its margin is its failing pivot."""
     q_pivots = list(itertools.accumulate(
         (linalg.cholesky_pd(q, tol.pd_pivot).min_pivot for q in spec.costs.Q), min))
-    return _a1_scores(spec, np.asarray(known, dtype=np.intp), q_pivots, tol)
-
-
-def _a1_scores(spec: GameSpec, known: np.ndarray, q_pivots: list, tol: Tolerances) -> list:
-    try:
-        batch = game_mod._backward(spec, known, tol, residuals=True)
-    except ThetaNotPDError as exc:
-        if known.shape[0] > 1:
-            return [s for g in range(known.shape[0])
-                    for s in _a1_scores(spec, known[g:g + 1], q_pivots, tol)]
-        pivot = exc.min_pivot
-        margin = float(pivot) if np.isfinite(pivot) else None
-        return [(False, margin, str(exc))]
-
+    batch = game_mod._backward(spec, known, tol, residuals=True)
     scores = []
-    for k, theta_row, (cross_res, value_res) in zip(
-            known.tolist(), batch.theta_min, batch.residuals.tolist()):
+    for k, exc, theta_row, (cross_res, value_res) in zip(
+            np.asarray(known).tolist(), batch.failures, batch.theta_min, batch.residuals.tolist()):
+        if exc is not None:
+            scores.append((False, float(exc.min_pivot) if np.isfinite(exc.min_pivot) else None, str(exc)))
+            continue
         q_pivot = q_pivots[k - 1]
         theta_min = min(theta_row.tolist())
         passed = (

@@ -1,6 +1,7 @@
 """Random-family generation, sweeps, CSV emission, and the SVG plotter."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -364,15 +365,30 @@ def test_grouped_sweep_equals_per_cell_runs(kwargs, jobs):
     assert list(res.aggregates) == experiments._aggregate(ref)
 
 
-def test_failing_padded_game_fails_only_the_previews_that_meet_it(monkeypatch):
+@pytest.mark.parametrize("w_range, x1, tags", [
+    ((0, 1, 2, 3, 4, 5), 1.0, ["theta_not_pd"] * 4 + [None, None]),
+    ((0,), 1.0, ["theta_not_pd"]),
+    ((2,), 1.0, ["theta_not_pd"]),
+    ((0, 1, 2, 3, 4, 5), 0.0, ["theta_not_pd"] * 4 + ["zero_nash_cost"] * 2),
+], ids=["all_W", "only_W0", "only_W2", "zero_start"])
+def test_failing_padded_game_fails_only_the_previews_that_meet_it(monkeypatch, w_range, x1, tags):
     # the zero-preview games of steps 2, 3 and 4 fail certification, so a
-    # preview W fails iff some step t has min(t + W, 5) in {2, 3, 4}
-    monkeypatch.setattr(experiments, "generate_game",
-                        lambda config, T, seed: make_padded_failure_game())
-    config = ExperimentConfig(T_range=(6,), W_range=(0, 1, 2, 3, 4, 5), runs=2)
+    # preview W fails iff some step t has min(t + W, 5) in {2, 3, 4}; the
+    # others are played from the same single pass
+    spec = dataclasses.replace(make_padded_failure_game(), x1=np.array([x1]))
+    backward = game_mod._backward
+    passes = []
+
+    def counted_backward(*args, **kwargs):
+        passes.append(args)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "generate_game", lambda config, T, seed: spec)
+    monkeypatch.setattr(game_mod, "_backward", counted_backward)
+    config = ExperimentConfig(T_range=(6,), W_range=w_range, runs=2)
     res = sweep(config)
-    assert [(r.W, r.error) for r in res.rows if r.seed == 0] == (
-        [(W, "theta_not_pd") for W in range(4)] + [(4, None), (5, None)])
+    assert len(passes) == config.runs
+    assert [(r.W, r.error) for r in res.rows if r.seed == 0] == list(zip(w_range, tags))
     assert list(res.rows) == _reference_sweep(config)
 
 

@@ -235,6 +235,24 @@ def test_with_costs_keeps_horizon(scalar_spec, scalar_spec_t3):
         with_costs(scalar_spec, scalar_spec_t3.costs)
 
 
+def test_schedules_and_specs_compare_by_value():
+    config = ExperimentConfig()
+    spec = generate_game(config, 5, 0)
+    assert spec == generate_game(config, 5, 0)
+    assert spec.costs == generate_game(config, 5, 0).costs
+    q = spec.costs.Q.copy()
+    q[1, 0, 0] += 1e-9
+    perturbed = cost_schedule(q, spec.costs.R1, spec.costs.R2)
+    assert perturbed != spec.costs and with_costs(spec, perturbed) != spec
+    assert generate_game(config, 6, 0) != spec
+    assert generate_game(config, 6, 0).costs != spec.costs
+    assert game_spec(spec.A, spec.B1, spec.B2, -spec.x1, spec.costs) != spec
+    assert (spec == spec.costs) is False and (spec.costs == spec.costs.Q) is False
+    for value in (spec, spec.costs):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 # ---------------------------------------------------------------- the solver
 
 def test_scalar_equilibrium_closed_form(scalar_spec):

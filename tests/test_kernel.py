@@ -6,6 +6,8 @@ one stacked pass.  It is the reference path: the solver, the predictions
 and the order of certification errors are all pinned to it.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,32 @@ def test_failed_padded_game_raises_the_lowest_step_error():
     assert (exc.value.stage, exc.value.min_pivot) == failures[2]
 
 
+@pytest.mark.parametrize("residuals", [False, True])
+def test_one_pass_reports_each_failed_game(residuals):
+    # a failed game is data, not a replay: its error is the one it raises
+    # alone, and the certified games in the same pass are untouched
+    spec = make_padded_failure_game()
+    known = list(range(1, spec.T))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = game_mod._backward(spec, known, residuals=residuals)
+    assert [exc is None for exc in batch.failures] == [k in (1, 5) for k in known]
+    for g, (k, exc) in enumerate(zip(known, batch.failures)):
+        if exc is None:
+            alone = game_mod._backward(spec, [k], residuals=residuals)
+            assert np.array_equal(batch.theta_min[g], alone.theta_min[0])
+            if residuals:
+                assert np.array_equal(batch.residuals[g], alone.residuals[0])
+            else:
+                assert np.array_equal(batch.K[g], alone.K[0])
+        else:
+            with pytest.raises(ThetaNotPDError) as ref:
+                _reference_predict(spec, k, 0)
+            assert (exc.stage, exc.min_pivot) == (ref.value.stage, ref.value.min_pivot)
+    with pytest.raises(ThetaNotPDError) as first:
+        batch.certified()
+    assert first.value is batch.failures[1]
+
 
 def test_scoring_passes_roll_nothing_out(monkeypatch):
     # A1/A6 scoring and the gain-decay table read gains and curvatures only
@@ -218,7 +246,7 @@ def test_all_previews_play_from_the_zero_preview_pass(family):
         spec = family(rng)
         k_bar = rng.uniform(-0.5, 0.5, size=(2 * spec.m, spec.n))
         try:
-            batch = game_mod._backward(spec, np.arange(1, spec.T))
+            batch = game_mod._backward(spec, np.arange(1, spec.T)).certified()
         except ThetaNotPDError:
             continue
         x_pred, u_pred = game_mod._equilibrium_paths(spec, batch.K)

@@ -280,6 +280,19 @@ def test_uncertified_padded_games_are_scored_one_at_a_time():
     assert a6["margin"] == min(pivots + scored)
 
 
+def test_uncertified_padded_games_are_scored_from_one_pass(monkeypatch):
+    backward = game_mod._backward
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(game_mod, "_backward", counted)
+    assert not check_assumptions(make_padded_failure_game(), "warn").overall
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------- reduction
 
 def test_scalar_reduction_closed_form(scalar_spec_t3):
