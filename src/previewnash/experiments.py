@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +59,14 @@ _BETA = 0
 _ELL = 1
 _DEE = 2
 
-_CONFIG_KEYS = (
-    "a", "b1", "b2", "T_range", "W_range", "runs", "seed",
-    "beta_dist", "l_dist", "d_dist", "d_convention", "assumption_mode", "x1",
-)
+
+def _scalar(name: str, value, kind: type):
+    """value as an int or a float; a value that does not convert is an InvalidConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"{name} must be {'an integer' if kind is int else 'a real'}, "
+                                 f"got {value!r}") from exc
 
 
 def _check_dist(name: str, dist) -> tuple:
@@ -111,18 +115,18 @@ class ExperimentConfig:
         object.__setattr__(self, "W_range", w_range)
 
         for name in ("a", "b1", "b2"):
-            v = float(getattr(self, name))
+            v = _scalar(name, getattr(self, name), float)
             if not math.isfinite(v):
                 raise InvalidConfigError(f"{name} must be finite, got {v}")
             object.__setattr__(self, name, v)
         if self.b1 == 0.0 or self.b2 == 0.0:
             raise InvalidConfigError("input gains b1 and b2 must be nonzero")
 
-        runs = int(self.runs)
+        runs = _scalar("runs", self.runs, int)
         if runs < 1:
             raise InvalidConfigError(f"runs must be at least 1, got {runs}")
         object.__setattr__(self, "runs", runs)
-        seed = int(self.seed)
+        seed = _scalar("seed", self.seed, int)
         if seed < 0:
             raise InvalidConfigError(f"seed must be non-negative, got {seed}")
         object.__setattr__(self, "seed", seed)
@@ -149,27 +153,15 @@ class ExperimentConfig:
         object.__setattr__(self, "x1", x1)
 
     def to_dict(self) -> dict:
-        return {
-            "T_range": list(self.T_range),
-            "W_range": list(self.W_range),
-            "a": self.a,
-            "b1": self.b1,
-            "b2": self.b2,
-            "runs": self.runs,
-            "seed": self.seed,
-            "beta_dist": list(self.beta_dist),
-            "l_dist": list(self.l_dist),
-            "d_dist": list(self.d_dist),
-            "d_convention": self.d_convention,
-            "assumption_mode": self.assumption_mode,
-            "x1": list(self.x1),
-        }
+        """Every field in declaration order, tuples as lists."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise InvalidConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        unknown = sorted(set(data) - set(_CONFIG_KEYS))
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise InvalidConfigError(f"unknown config keys: {unknown}")
         return cls(**data)

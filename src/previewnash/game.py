@@ -6,7 +6,8 @@ pays sum over t = 1..T-1 of x_{t+1}' Q_{t+1} x_{t+1} + u_t' R_t^i u_t.
 This module holds the data model, simulation and cost evaluation, the
 coupled-Riccati feedback Nash solver, and two oracles used to certify the
 equilibrium property (stage-wise deviations, and the policy cost-difference
-identity).
+identity).  Every trajectory in the package, open loop, closed loop or
+tracking, is stepped by the one affine rollout `_rollout`.
 """
 
 from __future__ import annotations
@@ -278,19 +279,16 @@ class NashSolution:
 def simulate(spec: GameSpec, controls) -> np.ndarray:
     """Roll the system forward from x1 under the given joint controls.
 
-    Returns the (T, n) state sequence.
+    The controls are applied open loop: `_rollout` with zero gains and the
+    controls as its control reference.  Returns the (T, n) state sequence.
     """
     u = np.asarray(controls, dtype=float)
     if u.shape != (spec.T - 1, 2 * spec.m):
         raise DimensionMismatchError(
             f"controls must be ({spec.T - 1}, {2 * spec.m}), got {u.shape}"
         )
-    b = spec.joint_b()
-    x = np.empty((spec.T, spec.n))
-    x[0] = spec.x1
-    for k in range(spec.T - 1):
-        x[k + 1] = spec.A @ x[k] + b @ u[k]
-    return x
+    x, _ = _rollout(spec, np.zeros((1, spec.T - 1, 2 * spec.m, spec.n)), spec.x1, u_ref=u[None])
+    return x[0]
 
 
 def evaluate_cost(spec: GameSpec, player: int, states, controls) -> float:
@@ -430,11 +428,15 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
     return _Batch(gains, theta_min, *values, res, tuple(failures))
 
 
-def _rollout(spec: GameSpec, gains: np.ndarray, x_start) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-loop rollout of G gain sequences, all from the state x_start.
+def _rollout(spec: GameSpec, gains: np.ndarray, x_start, x_ref: np.ndarray | None = None,
+             u_ref: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The one forward rollout: G affine feedback laws, all from the state x_start.
 
-    gains is (G, L, 2m, n); the k-th control is gains[:, k] applied to the
-    k-th state.  Returns states (G, L+1, n) and controls (G, L, 2m).
+    gains is (G, L, 2m, n); the k-th control is
+    gains[:, k] (x_k - x_ref[:, k]) + u_ref[:, k], with the references
+    x_ref (G, L, n) and u_ref (G, L, 2m) read as zero when omitted, which
+    leaves the plain closed loop u_k = gains[:, k] x_k.  Returns states
+    (G, L+1, n) and controls (G, L, 2m).
     """
     G, L = gains.shape[:2]
     a = spec.A
@@ -446,7 +448,9 @@ def _rollout(spec: GameSpec, gains: np.ndarray, x_start) -> tuple[np.ndarray, np
     xk = np.repeat(x_start[None, :, None], G, axis=0)
     x[:, 0] = x_start
     for k in range(L):
-        uk = gains[:, k] @ xk
+        uk = gains[:, k] @ (xk if x_ref is None else xk - x_ref[:, k, :, None])
+        if u_ref is not None:
+            uk += u_ref[:, k, :, None]
         xk = a @ xk + b @ uk
         u[:, k] = uk[:, :, 0]
         x[:, k + 1] = xk[:, :, 0]
@@ -499,8 +503,10 @@ def verify_nash_by_deviation(spec: GameSpec, nash: NashSolution, stage: int,
     deviating player adds `deviation` to their equilibrium control while the
     other player's feedback policy is evaluated at the (unchanged) state.
     From the next stage on, BOTH equilibrium feedback policies act on the
-    realized, perturbed states.  When the solution is a genuine equilibrium
-    the deviated cost can only be higher.
+    realized, perturbed states.  The deviating step and the ones after it
+    are one `_rollout` of the equilibrium gains, with the deviation as the
+    control reference of its first step.  When the solution is a genuine equilibrium the
+    deviated cost can only be higher.
     """
     T, m = spec.T, spec.m
     if not 1 <= stage <= T - 1:
@@ -509,14 +515,12 @@ def verify_nash_by_deviation(spec: GameSpec, nash: NashSolution, stage: int,
         raise ValueError(f"player must be 1 or 2, got {player}")
     dev = linalg.as_vector(deviation, length=m, name="deviation")
 
-    x_dev = nash.x_star[stage - 1]
-    ut = nash.gain(stage) @ x_dev
-    rows = slice(0, m) if player == 1 else slice(m, 2 * m)
-    ut[rows] += dev
-    tail_x, tail_u = _rollout(spec, np.asarray(nash.K)[None, stage:],
-                              spec.A @ x_dev + spec.joint_b() @ ut)
-    x = np.concatenate((nash.x_star[:stage], tail_x[0]))
-    u = np.concatenate((nash.u_star[:stage - 1], ut[None], tail_u[0]))
+    shift = np.zeros((1, T - stage, 2 * m))
+    shift[0, 0, (player - 1) * m:player * m] = dev
+    tail_x, tail_u = _rollout(spec, np.asarray(nash.K)[None, stage - 1:],
+                              nash.x_star[stage - 1], u_ref=shift)
+    x = np.concatenate((nash.x_star[:stage - 1], tail_x[0]))
+    u = np.concatenate((nash.u_star[:stage - 1], tail_u[0]))
 
     return DeviationCheck(
         cost_at_nash=evaluate_cost(spec, player, nash.x_star, nash.u_star),
@@ -591,13 +595,25 @@ def spec_to_dict(spec: GameSpec) -> dict:
 
 
 def spec_from_dict(data: dict, tol: Tolerances | None = None) -> GameSpec:
+    """Inverse of spec_to_dict.
+
+    A non-object, a missing field or a mistyped one raises
+    DimensionMismatchError, like a matrix of the wrong shape.
+    """
+    if not isinstance(data, dict):
+        raise DimensionMismatchError(
+            f"game description must be a JSON object, got {type(data).__name__}"
+        )
     try:
         costs = cost_schedule(data["Q"], data["R1"], data["R2"], tol=tol)
         spec = game_spec(data["A"], data["B1"], data["B2"], data["x1"], costs, tol=tol)
+        declared = {field: int(data[field]) for field in ("n", "m", "T") if field in data}
     except KeyError as exc:
         raise DimensionMismatchError(f"game description is missing field {exc}") from exc
-    for field in ("n", "m", "T"):
-        if field in data and int(data[field]) != getattr(spec, field):
+    except TypeError as exc:
+        raise DimensionMismatchError(f"game description has a mistyped field: {exc}") from exc
+    for field, value in declared.items():
+        if value != getattr(spec, field):
             raise DimensionMismatchError(
                 f"declared {field}={data[field]} disagrees with matrix shapes ({getattr(spec, field)})"
             )

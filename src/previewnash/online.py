@@ -283,28 +283,16 @@ def _play(spec: GameSpec, x_pred: np.ndarray, u_pred: np.ndarray, Ws,
     x_pred (L, T, n) and u_pred (L, T-1, 2m) are the equilibrium paths of
     the last L padded games, revealed through stages T-L..T-1.  Under
     preview W, step t tracks the game revealed through min(t+W, T-1), which
-    must be one of them.  All runs step together as `(G, n, 1)` columns, so
-    each is bitwise the run it would be alone.  Returns states (G, T, n)
-    and controls (G, T-1, 2m).
+    must be one of them.  The tracking law is `game._rollout` with k_bar as
+    every gain and the gathered predictions as its references, so all runs
+    step together and each is bitwise the run it would be alone.  Returns
+    states (G, T, n) and controls (G, T-1, 2m).
     """
-    T, n, m = spec.T, spec.n, spec.m
+    T = spec.T
     steps = np.minimum(np.arange(1, T) + np.asarray(Ws)[:, None], T - 1) - (T - len(x_pred))
     stages = np.arange(T - 1)
-    x_ref = x_pred[steps, stages][..., None]
-    u_ref = u_pred[steps, stages][..., None]
-    G = steps.shape[0]
-    a = spec.A
-    b = spec.joint_b()
-    x = np.empty((G, T, n))
-    u = np.empty((G, T - 1, 2 * m))
-    xk = np.repeat(spec.x1[None, :, None], G, axis=0)
-    x[:, 0] = spec.x1
-    for k in range(T - 1):
-        uk = k_bar @ (xk - x_ref[:, k]) + u_ref[:, k]
-        xk = a @ xk + b @ uk
-        u[:, k] = uk[:, :, 0]
-        x[:, k + 1] = xk[:, :, 0]
-    return x, u
+    gains = np.broadcast_to(k_bar, (steps.shape[0], T - 1, *k_bar.shape))
+    return game_mod._rollout(spec, gains, spec.x1, x_pred[steps, stages], u_pred[steps, stages])
 
 
 def gain_decay_diagnostic(spec: GameSpec, W: int,
@@ -318,6 +306,8 @@ def gain_decay_diagnostic(spec: GameSpec, W: int,
     certificate raises the error of the full game first, then of the
     lowest failing step t.
     """
+    if W < 0:
+        raise IndexOutOfRangeError(f"preview length must be >= 0, got {W}")
     T = spec.T
     gains = game_mod._backward(spec, np.r_[T - 1, np.arange(1, T) + W], tol).certified().K
     return [(t, linalg.two_norm(gains[t, t - 1] - gains[0, t - 1])) for t in range(1, T)]

@@ -297,6 +297,24 @@ def test_truncated_spec_is_input_error(tmp_path, capsys):
     assert err["code"] == "input"
 
 
+@pytest.mark.parametrize("doc", [[1, 2], {"n": None}, {"Q": 5}])
+def test_mistyped_spec_is_input_error(scalar_spec, doc, tmp_path, capsys):
+    data = doc if isinstance(doc, list) else {**spec_to_dict(scalar_spec), **doc}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["validate", "--spec", str(path)]) == 1
+    _, err = _stderr_json(capsys)
+    assert err["code"] == "input"
+
+
+@pytest.mark.parametrize("doc", [{"runs": None}, {"a": None}, {"seed": [1]}])
+def test_mistyped_config_is_input_error(doc, tmp_path, capsys):
+    cfg = _write_config(tmp_path, **doc)
+    assert cli.main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    _, err = _stderr_json(capsys)
+    assert err["code"] == "input"
+
+
 def test_tolerance_overrides(scalar_spec_file, capsys):
     assert cli.main(["validate", "--spec", str(scalar_spec_file),
                      "--tol", "mat_eq=1e-6", "--tol", "pd_pivot=1e-12"]) == 0

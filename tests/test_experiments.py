@@ -66,10 +66,21 @@ def test_config_defaults():
     {"assumption_mode": "loose"},
     {"x1": (1.0,)},
     {"x1": (1.0, math.nan)},
+    {"runs": None},
+    {"a": None},
+    {"seed": [1]},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(**kwargs)
+
+
+def test_config_dict_lists_every_field_in_declaration_order():
+    assert json.dumps(ExperimentConfig().to_dict()) == (
+        '{"T_range": [20], "W_range": [0, 1, 2, 3, 4, 5, 6], "a": 1.6, "b1": 0.85, '
+        '"b2": 0.89, "runs": 100, "seed": 0, "beta_dist": [10.0, 110.0], '
+        '"l_dist": [10.0, 110.0], "d_dist": [-110.0, -10.0], "d_convention": "literal", '
+        '"assumption_mode": "warn", "x1": [1.0, 1.0]}')
 
 
 def test_config_round_trip_and_unknown_keys():

@@ -33,6 +33,7 @@ from previewnash import (
     with_costs,
 )
 
+from previewnash import game as game_mod
 from previewnash import linalg
 from previewnash.linalg import DEFAULT_TOLERANCES
 
@@ -337,6 +338,53 @@ def test_simulate_matches_hand_rollout(scalar_spec):
         simulate(scalar_spec, [[0.25]])
 
 
+def _reference_simulate(spec, controls):
+    """The open-loop rollout written out one 1-D step at a time."""
+    b = spec.joint_b()
+    x = np.empty((spec.T, spec.n))
+    x[0] = spec.x1
+    for k in range(spec.T - 1):
+        x[k + 1] = spec.A @ x[k] + b @ controls[k]
+    return x
+
+
+def _reference_deviation(spec, nash, stage, player, dev):
+    """The deviation oracle with its deviating step written out by hand."""
+    m = spec.m
+    x_dev = nash.x_star[stage - 1]
+    ut = nash.gain(stage) @ x_dev
+    rows = slice(0, m) if player == 1 else slice(m, 2 * m)
+    ut[rows] += dev
+    tail_x, tail_u = game_mod._rollout(spec, np.asarray(nash.K)[None, stage:],
+                                       spec.A @ x_dev + spec.joint_b() @ ut)
+    x = np.concatenate((nash.x_star[:stage], tail_x[0]))
+    u = np.concatenate((nash.u_star[:stage - 1], ut[None], tail_u[0]))
+    return game_mod.DeviationCheck(evaluate_cost(spec, player, nash.x_star, nash.u_star),
+                                   evaluate_cost(spec, player, x, u))
+
+
+@pytest.mark.parametrize("family", [make_aligned_game, make_loose_game])
+def test_simulate_is_bitwise_the_step_by_step_rollout(family):
+    rng = np.random.default_rng(83)
+    for _ in range(8):
+        spec = family(rng)
+        controls = rng.normal(size=(spec.T - 1, 2 * spec.m))
+        assert np.array_equal(simulate(spec, controls), _reference_simulate(spec, controls))
+
+
+@pytest.mark.parametrize("family", [make_aligned_game, make_loose_game])
+def test_deviation_oracle_is_bitwise_the_hand_step(family):
+    rng = np.random.default_rng(89)
+    for _ in range(6):
+        spec = family(rng, T_max=8)
+        nash = solve_feedback_nash(spec)
+        for stage in range(1, spec.T):
+            for player in (1, 2):
+                for dev in (np.zeros(spec.m), rng.normal(size=spec.m)):
+                    got = verify_nash_by_deviation(spec, nash, stage, player, dev)
+                    assert got == _reference_deviation(spec, nash, stage, player, dev)
+
+
 def test_evaluate_cost_hand_value(scalar_spec):
     x = [[1.0], [2.0]]
     u = [[3.0, 4.0]]
@@ -427,6 +475,13 @@ def test_spec_round_trip(scalar_spec):
 def test_spec_from_dict_rejects_malformed():
     with pytest.raises((KeyError, ValueError)):
         spec_from_dict({"n": 1})
+
+
+@pytest.mark.parametrize("doc", [[1, 2], {"n": None}, {"Q": 5}])
+def test_spec_from_dict_rejects_mistyped_fields(scalar_spec, doc):
+    data = doc if isinstance(doc, list) else {**spec_to_dict(scalar_spec), **doc}
+    with pytest.raises(DimensionMismatchError):
+        spec_from_dict(data)
 
 
 def test_nash_round_trip(scalar_spec):

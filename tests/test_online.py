@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from previewnash import (
+    ExperimentConfig,
     IndexOutOfRangeError,
     NotStabilizableError,
     ZeroNashCostError,
@@ -14,6 +15,7 @@ from previewnash import (
     cost_schedule,
     gain_decay_diagnostic,
     game_spec,
+    generate_game,
     log_rel_pou,
     pad_schedule,
     predict_nash,
@@ -257,6 +259,13 @@ def test_gain_decay_diagnostic_axes():
     assert table[-1][1] == 0.0
     assert table[-2][1] == 0.0
     assert table[0][1] > 0.0
+
+
+def test_gain_decay_diagnostic_rejects_negative_preview():
+    # a negative W would read the weights of wrapped stage indices
+    spec = generate_game(ExperimentConfig(), 6, 0)
+    with pytest.raises(IndexOutOfRangeError, match="preview length must be >= 0, got -1"):
+        gain_decay_diagnostic(spec, -1)
 
 
 def test_gain_decay_diagnostic_constant_costs_all_zero():

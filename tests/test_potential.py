@@ -263,7 +263,7 @@ def test_report_matches_reference_on_faulty_joint_weights():
         "joint control weight at stage 3 is not positive definite")
 
 
-def test_uncertified_padded_games_are_scored_one_at_a_time():
+def test_uncertified_padded_games_score_their_failing_pivot():
     spec = make_padded_failure_game()
     got = _assert_report_matches_reference(spec)
     a6 = got["assumptions"][5]
