@@ -4,9 +4,10 @@ Generates games whose scalar inputs act on the first state only with
 per-stage control prices r_i,t = b_i^2 * beta_t, so both players share
 the same gain-to-price ratio at every stage; runs the preview-limited
 online algorithm across (T, W, seed) cells, and writes the results as
-CSV tables and a plain SVG chart.  The unit of work is one (T, seed)
-game: it is drawn, validated and solved once, and every preview length
-is played from that one solve.
+CSV tables and a plain SVG chart.  The unit of work is a block of seeds
+at one horizon T: every game of the block is drawn and validated once,
+all of them are solved in one stacked backward pass, and every preview
+length of every seed is played and priced from that one pass.
 
 Random draws are counter-based: each scalar comes from its own generator
 keyed by (seed, stage, field), so raising T or adding cells never
@@ -61,10 +62,11 @@ _DEE = 2
 
 
 def _scalar(name: str, value, kind: type):
-    """value as an int or a float; a value that does not convert is an InvalidConfigError."""
+    """value as an int or a float; a value that does not convert, or an int
+    that would have to be truncated, is an InvalidConfigError."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        return game_mod._integral(value) if kind is int else kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfigError(f"{name} must be {'an integer' if kind is int else 'a real'}, "
                                  f"got {value!r}") from exc
 
@@ -101,9 +103,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:
-            t_range = tuple(int(v) for v in self.T_range)
-            w_range = tuple(int(v) for v in self.W_range)
-        except (TypeError, ValueError) as exc:
+            t_range = tuple(game_mod._integral(v) for v in self.T_range)
+            w_range = tuple(game_mod._integral(v) for v in self.W_range)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfigError("T_range and W_range must be integer sequences") from exc
         if not t_range or not w_range:
             raise InvalidConfigError("T_range and W_range must be non-empty")
@@ -268,46 +270,113 @@ def _row(T: int, W: int, seed: int, pou: float, social: float) -> SweepRow:
     return SweepRow(T, W, seed, pou, social, lrp if math.isfinite(lrp) else None)
 
 
-def _run_group(config: ExperimentConfig, T: int, run_index: int,
-               k_bar, tol: Tolerances) -> list:
-    """The rows of one (T, seed) game, one per preview length in W_range.
+def _failed(T: int, Ws, seed: int, exc: Exception) -> list:
+    return [SweepRow(T, W, seed, None, None, None, error=_error_tag(exc)) for W in Ws]
 
-    The game is drawn and validated once, and its T-1 zero-preview padded
-    games are solved in one pass: under preview W, step t plays the game
-    revealed through min(t+W, T-1), so every W reads its predictions off
-    that one set and all W are tracked together (`online._play`).  Every W
-    is priced against the last game, the true one.  Only the W that play a
-    game failing certification fail with it.  A failure before the pass
-    fails every row of the seed, and one after it every row played.
+
+# A block of S seeds at horizon T keeps a gain stack of S (T-1)^2 2m n
+# floats (2m n = 4 in this family); a block holds at most about 16 MB of it.
+_BLOCK_FLOATS = 2 ** 21
+
+
+def _blocks(config: ExperimentConfig, jobs: int) -> list:
+    """The (T, run indices) work units: each T's runs in `jobs` contiguous
+    blocks, cut smaller where a block's gain stack would pass _BLOCK_FLOATS."""
+    blocks = []
+    for T in config.T_range:
+        size = min(-(-config.runs // jobs), max(1, _BLOCK_FLOATS // (4 * (T - 1) ** 2)))
+        blocks += [(T, range(k, min(k + size, config.runs))) for k in range(0, config.runs, size)]
+    return blocks
+
+
+def _run_block(config: ExperimentConfig, T: int, runs: range, k_bar, tol: Tolerances) -> list:
+    """The rows of a block of seeds at horizon T, one per (seed, W).
+
+    Each game is drawn and validated alone, and a seed that fails there has
+    every row tagged and stays out of the stack.  The rest are played
+    together by `_play_block`.
     """
-    seed = config.seed + run_index
-    w_range = config.W_range
-    rows = {}
+    rows, games = [], []
+    for k in runs:
+        seed = config.seed + k
+        try:
+            spec = generate_game(config, T, seed)
+            if config.assumption_mode == "strict":
+                potential.check_assumptions(spec, mode="strict", tol=tol)
+            gain = online.compute_tracking_gain(spec, tol=tol) if k_bar is None else k_bar
+        except _LOCAL_ERRORS as exc:
+            rows += _failed(T, config.W_range, seed, exc)
+            continue
+        games.append((seed, spec, gain))
+    if games:
+        rows += _play_block(T, config.W_range, games, tol)
+    return rows
+
+
+def _play_block(T: int, w_range: tuple, games: list, tol: Tolerances) -> list:
+    """The rows of the drawn (seed, spec, tracking gain) games of a block.
+
+    The games share their system and start, as every game of a config
+    does, and differ in their cost schedules.  The T-1 zero-preview padded games of every seed are solved in one pass
+    over the seeds' stacked schedules.  Under preview W, step t plays the
+    game revealed through min(t+W, T-1), so every W reads its predictions
+    off its seed's games; all the (seed, W) runs are tracked in one
+    `online._play` and priced, with each seed's true game, in one stacked
+    cost sum.  Only the W that play a game failing certification fail with
+    it.  If the stacked work raises, the block is replayed one seed at a
+    time, so the failure stays in the rows of the seed that raised it.
+    """
+    L = T - 1
+    specs = [spec for _, spec, _ in games]
     try:
-        spec = generate_game(config, T, seed)
-        if config.assumption_mode == "strict":
-            potential.check_assumptions(spec, mode="strict", tol=tol)
-        if k_bar is None:
-            k_bar = online.compute_tracking_gain(spec, tol=tol)
-        pred = game_mod._backward(spec, np.arange(1, T), tol)
-        for W in w_range:  # preview W plays the games revealed through min(1+W, T-1)..T-1
-            exc = next(filter(None, pred.failures[min(W, T - 2):]), None)
-            if exc is not None:
-                rows[W] = SweepRow(T, W, seed, None, None, None, error=_error_tag(exc))
-        played = [W for W in w_range if W not in rows]
-        if played:  # all the games they play are certified
-            x_pred, u_pred = game_mod._equilibrium_paths(spec, pred.K[min(min(played), T - 2):])
-            xs, us = online._play(spec, x_pred, u_pred, played, k_bar)
-            nash_costs = online._costs(spec, x_pred[-1], u_pred[-1])
-            for W, x, u in zip(played, xs, us):
-                rows[W] = _row(T, W, seed, *online._price(online._costs(spec, x, u), nash_costs))
+        pred = game_mod._backward(specs[0], np.tile(np.arange(1, T), len(games)), tol,
+                                  costs=[spec.costs for spec in specs],
+                                  schedule=np.repeat(np.arange(len(games)), L))
+        rows, plays, picked, steps = [], [], [], []
+        for s, (seed, _, _) in enumerate(games):
+            failures = pred.failures[s * L:(s + 1) * L]
+            played = []
+            for W in w_range:  # preview W plays the games revealed through min(1+W, T-1)..T-1
+                exc = next(filter(None, failures[min(W, T - 2):]), None)
+                if exc is None:
+                    played.append(W)
+                else:
+                    rows += _failed(T, [W], seed, exc)
+            if played:  # all the games they play are certified; roll out those only
+                first = min(min(played), T - 2)
+                steps.append(online._preview_steps(T, played, first + 1) + len(picked))
+                picked += range(s * L + first, (s + 1) * L)
+                plays.append((s, played, len(picked) - 1))  # the last is the true game
+        if not plays:
+            return rows
+        x_games, u_games = game_mod._equilibrium_paths(specs[0], pred.K[picked])
+        owner = [s for s, played, _ in plays for _ in played]
+        xs, us = online._play(specs[0], x_games, u_games, np.concatenate(steps),
+                              np.stack([games[s][2] for s in owner])[:, None])
+        # price the runs, then each seed's true game, that all its W are priced against
+        truth = [last for _, _, last in plays]
+        owner += [s for s, _, _ in plays]
+        weights = (np.stack([getattr(spec.costs, f) for spec in specs])[owner] for f in ("Q", "R1", "R2"))
+        costs = game_mod._path_costs(*weights, np.concatenate((xs, x_games[truth])),
+                                     np.concatenate((us, u_games[truth]))).tolist()
     except _LOCAL_ERRORS as exc:
-        rows = {W: SweepRow(T, W, seed, None, None, None, error=_error_tag(exc)) for W in w_range} | rows
-    return [rows[W] for W in w_range]
+        if len(games) == 1:
+            return _failed(T, w_range, games[0][0], exc)
+        return [r for game in games for r in _play_block(T, w_range, [game], tol)]
+    run = 0
+    for (s, played, _), nash_costs in zip(plays, costs[len(xs):]):
+        seed = games[s][0]
+        try:
+            rows += [_row(T, W, seed, *online._price(costs[run + j], nash_costs))
+                     for j, W in enumerate(played)]
+        except _LOCAL_ERRORS as exc:
+            rows += _failed(T, played, seed, exc)
+        run += len(played)
+    return rows
 
 
-def _group_task(args) -> list:
-    return _run_group(*args)
+def _block_task(args) -> list:
+    return _run_block(*args)
 
 
 def _aggregate(rows) -> list:
@@ -333,16 +402,19 @@ def _aggregate(rows) -> list:
 def sweep(config: ExperimentConfig, jobs: int = 1, tol: Tolerances | None = None) -> SweepResult:
     """Run every (T, W, run-index) cell and aggregate per (T, W).
 
-    Work is split by (T, run-index) game, not by cell: each game is drawn,
-    validated and solved once (one backward pass over its T-1 zero-preview
-    padded games) and yields the rows of every W in W_range (see
-    `_run_group`); with jobs > 1 the games are spread over worker
-    processes.  A failure stays in the rows of the game that raised it,
-    tagged with a short code.  The tracking gain depends only on (A, B),
+    Work is split into blocks of run indices at one T, not into cells (see
+    `_blocks`): with jobs=1 a block holds all the runs of a T, and with
+    jobs > 1 each T's runs are split into `jobs` contiguous blocks spread
+    over worker processes.  Each block's games are solved in one stacked
+    backward pass and yield the rows of every W in W_range (see
+    `_play_block`).  A failure stays in the rows of the game that raised
+    it, tagged with a short code.  The tracking gain depends only on (A, B),
     which the whole sweep shares, so it is computed once up front from a
     probe game; if that fails each game computes it again, and a game that
-    fails too has its rows flagged rather than aborting the sweep.  Rows are sorted by (T, W, seed) before
-    aggregation, so jobs > 1 changes wall time and nothing else.
+    fails too has its rows flagged rather than aborting the sweep.  Every
+    game's arithmetic is the same whatever block it is in, and rows are
+    sorted by (T, W, seed) before aggregation, so jobs > 1 changes wall
+    time and nothing else.
     """
     tol = tol or DEFAULT_TOLERANCES
     jobs = int(jobs)
@@ -355,13 +427,12 @@ def sweep(config: ExperimentConfig, jobs: int = 1, tol: Tolerances | None = None
     except _LOCAL_ERRORS:
         k_bar = None
 
-    groups = [(config, T, k, k_bar, tol) for T in config.T_range for k in range(config.runs)]
+    blocks = [(config, T, runs, k_bar, tol) for T, runs in _blocks(config, jobs)]
     if jobs > 1:
-        chunk = max(1, len(groups) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [r for group in pool.map(_group_task, groups, chunksize=chunk) for r in group]
+            rows = [r for block in pool.map(_block_task, blocks) for r in block]
     else:
-        rows = [r for args in groups for r in _run_group(*args)]
+        rows = [r for args in blocks for r in _run_block(*args)]
 
     rows.sort(key=lambda r: (r.T, r.W, r.seed))
     return SweepResult(config=config, rows=tuple(rows), aggregates=tuple(_aggregate(rows)))

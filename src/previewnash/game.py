@@ -113,6 +113,14 @@ class CostSchedule:
         raise ValueError(f"player must be 1 or 2, got {player}")
 
 
+def _integral(value) -> int:
+    """int(value), refusing to truncate: a value that int() would round is a ValueError."""
+    whole = int(value)
+    if not isinstance(value, str) and whole != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return whole
+
+
 def _freeze(m: np.ndarray) -> np.ndarray:
     m.flags.writeable = False
     return m
@@ -163,16 +171,22 @@ def _checked_stack(entries: Sequence, size: int, name: str, first: int, tol: Tol
     Raises for the first entry that is not a finite size x size matrix, not
     symmetric, or (with psd) not positive semi-definite, trying an entry's
     faults in that order; a shape fault at entry k gives way to a value
-    fault at an earlier entry.
+    fault at an earlier entry.  The group is coerced in one call, and
+    entry by entry only when that fails, to find the first faulty entry.
     """
-    stack = np.empty((len(entries), size, size))
+    try:
+        stack = np.array(entries, dtype=float)
+    except (TypeError, ValueError):
+        stack = None
     shape_error = None
-    for k, entry in enumerate(entries):
-        try:
-            stack[k] = linalg.as_matrix(entry, size, size, name=name.format(first + k))
-        except ValueError as exc:
-            shape_error, stack = exc, stack[:k]
-            break
+    if stack is None or stack.shape != (len(entries), size, size) or not np.all(np.isfinite(stack)):
+        stack = np.empty((len(entries), size, size))
+        for k, entry in enumerate(entries):
+            try:
+                stack[k] = linalg.as_matrix(entry, size, size, name=name.format(first + k))
+            except ValueError as exc:
+                shape_error, stack = exc, stack[:k]
+                break
     asym = linalg._asymmetry(stack) > tol.symmetry
     faulty = asym | (np.linalg.eigvalsh(linalg.symmetrize(stack))[:, 0] < -tol.pd_pivot) if psd else asym
     bad = np.flatnonzero(faulty)
@@ -293,6 +307,13 @@ def simulate(spec: GameSpec, controls) -> np.ndarray:
 
 def evaluate_cost(spec: GameSpec, player: int, states, controls) -> float:
     """Cost J_player along a trajectory: terminal-free, weights x_2..x_T and u_1..u_{T-1}."""
+    if player not in (1, 2):
+        raise ValueError(f"player must be 1 or 2, got {player}")
+    return float(_costs(spec, *_trajectory(spec, states, controls))[player - 1])
+
+
+def _trajectory(spec: GameSpec, states, controls) -> tuple[np.ndarray, np.ndarray]:
+    """states and controls as (T, n) and (T-1, 2m) float arrays, or a DimensionMismatchError."""
     x = np.asarray(states, dtype=float)
     u = np.asarray(controls, dtype=float)
     if x.shape != (spec.T, spec.n):
@@ -301,12 +322,35 @@ def evaluate_cost(spec: GameSpec, player: int, states, controls) -> float:
         raise DimensionMismatchError(
             f"controls must be ({spec.T - 1}, {2 * spec.m}), got {u.shape}"
         )
-    total = 0.0
-    for k in range(spec.T - 1):
-        xn = x[k + 1]
-        uk = u[k]
-        total += float(xn @ spec.costs.q(k + 2) @ xn) + float(uk @ spec.costs.r(player, k + 1) @ uk)
-    return total
+    return x, u
+
+
+def _path_costs(q: np.ndarray, r1: np.ndarray, r2: np.ndarray, x: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """Both players' costs along stacked paths of L steps, as a (..., 2) array.
+
+    x (..., L+1, n) and u (..., L, 2m) are the states and controls of the
+    steps, and q (..., L, n, n), r1 and r2 (..., L, 2m, 2m) their weights;
+    step k costs x[k+1]' q[k] x[k+1] + u[k]' r[k] u[k].  Each step's cost
+    is one stacked `@`, and the steps are summed in order by `np.cumsum`,
+    which gives the running sum of a loop over the steps bit for bit.
+    """
+    xs = x[..., 1:, None, :]
+    us = u[..., None, :]
+    state = xs @ q @ x[..., 1:, :, None]
+    steps = np.concatenate([state + us @ r @ u[..., :, None] for r in (r1, r2)], axis=-1)
+    return np.cumsum(steps[..., 0, :], axis=-2)[..., -1, :]
+
+
+def _costs(spec: GameSpec, x: np.ndarray, u: np.ndarray, first: int = 1) -> np.ndarray:
+    """Both players' costs (..., 2) along paths of spec that start at stage `first`.
+
+    x (..., L+1, n) holds the states of stages first..first+L and u
+    (..., L, 2m) the controls of stages first..first+L-1.
+    """
+    c = spec.costs
+    steps = slice(first - 1, first - 1 + u.shape[-2])
+    return _path_costs(c.Q[steps], c.R1[steps], c.R2[steps], x, u)
 
 
 def _stage_theta(r1, r2, b1p1, b2p2, B1, B2) -> np.ndarray:
@@ -351,17 +395,19 @@ class _Batch(NamedTuple):
         return self
 
 
-def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
-              residuals: bool = False) -> _Batch:
+def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: bool = False,
+              costs: Sequence[CostSchedule] | None = None, schedule=None) -> _Batch:
     """Coupled Riccati pass for the padded games whose last revealed stages are `known`.
 
-    Game g sees the true schedule through stage known[g] and its last
-    revealed weights repeated after that: stage tau uses R_min(tau, known[g])
-    and the state weight of stage s is Q_min(s, known[g]+1).  Every product
-    is a stacked `@`, so each game's arithmetic is the same as if it were
-    solved alone.  With `residuals` the pass also keeps each game's running
-    maxima of the two alignment residuals (see _Batch) and keeps no gain
-    stack.  Weights are read by index from the schedule's stacks.
+    Game g plays spec's system under the schedule costs[schedule[g]]
+    (spec.costs for every game when costs is omitted).  It sees that
+    schedule through stage known[g] and its last revealed weights repeated
+    after that: stage tau uses R_min(tau, known[g]) and the state weight of
+    stage s is Q_min(s, known[g]+1).  Every product is a stacked `@`, so
+    each game's arithmetic is the same as if it were solved alone.  With
+    `residuals` the pass also keeps each game's running maxima of the two
+    alignment residuals (see _Batch) and keeps no gain stack.  Weights are
+    read by index from the schedules' stacks.
 
     A failed certificate is reported, not raised: failures[g] is the error
     game g raises alone (its highest failing stage, with the pivot
@@ -374,9 +420,12 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
     G = known.shape[0]
     a, b1, b2 = spec.A, spec.B1, spec.B2
     b = spec.joint_b()
-    qs, r1s, r2s = spec.costs.Q, spec.costs.R1, spec.costs.R2
+    costs = (spec.costs,) if costs is None else costs
+    # the schedules' stacks end to end; game g reads schedule[g]'s from row base[g]
+    qs, r1s, r2s = (np.concatenate([getattr(c, f) for c in costs]) for f in ("Q", "R1", "R2"))
+    base = 0 if schedule is None else np.asarray(schedule, dtype=np.intp) * (T - 1)
 
-    p1 = p2 = qs[np.minimum(T, known + 1) - 2]
+    p1 = p2 = qs[base + np.minimum(T, known + 1) - 2]
     keep_values = G == 1
     p1_hist, p2_hist = [p1[0]], [p2[0]]
     gains = None if residuals else np.empty((G, T - 1, 2 * m, n))
@@ -386,18 +435,18 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
     failed = np.zeros(G, dtype=bool)
 
     for t in range(T - 1, 0, -1):
-        r_idx = np.minimum(t, known) - 1
+        r_idx = base + np.minimum(t, known) - 1
         r1t, r2t = r1s[r_idx], r2s[r_idx]
         b1p1 = b1.T @ p1
         b2p2 = b2.T @ p2
         theta = _stage_theta(r1t, r2t, b1p1, b2p2, b1, b2)
         theta[failed] = np.eye(2 * m)
         sym = (theta + theta.transpose(0, 2, 1)) / 2.0
-        if not linalg._all_pd(sym, tol.pd_pivot):
-            for g in range(G):
-                if not linalg._all_pd(sym[g], tol.pd_pivot):
-                    failures[g] = ThetaNotPDError(t, linalg.cholesky_pd(theta[g], tol.pd_pivot).min_pivot)
-                    failed[g] = True
+        bad = linalg._not_pd(sym, tol.pd_pivot)
+        if bad:
+            for g in bad:
+                failures[g] = ThetaNotPDError(t, linalg.cholesky_pd(theta[g], tol.pd_pivot).min_pivot)
+            failed[bad] = True
             theta[failed] = sym[failed] = np.eye(2 * m)
         theta_min[:, t - 1] = np.linalg.eigvalsh(sym)[:, 0]
         if residuals:
@@ -414,7 +463,7 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
             closed = a + b @ kt
             closed_t = closed.transpose(0, 2, 1)
             kt_t = kt.transpose(0, 2, 1)
-            qt = qs[np.minimum(t, known + 1) - 2]
+            qt = qs[base + np.minimum(t, known + 1) - 2]
             p1 = qt + kt_t @ r1t @ kt + closed_t @ p1 @ closed
             p2 = qt + kt_t @ r2t @ kt + closed_t @ p2 @ closed
             p1 = (p1 + p1.transpose(0, 2, 1)) / 2.0
@@ -505,8 +554,9 @@ def verify_nash_by_deviation(spec: GameSpec, nash: NashSolution, stage: int,
     From the next stage on, BOTH equilibrium feedback policies act on the
     realized, perturbed states.  The deviating step and the ones after it
     are one `_rollout` of the equilibrium gains, with the deviation as the
-    control reference of its first step.  When the solution is a genuine equilibrium the
-    deviated cost can only be higher.
+    control reference of its first step, and the equilibrium and deviated
+    trajectories are priced in one stacked cost sum.  When the solution is
+    a genuine equilibrium the deviated cost can only be higher.
     """
     T, m = spec.T, spec.m
     if not 1 <= stage <= T - 1:
@@ -515,17 +565,15 @@ def verify_nash_by_deviation(spec: GameSpec, nash: NashSolution, stage: int,
         raise ValueError(f"player must be 1 or 2, got {player}")
     dev = linalg.as_vector(deviation, length=m, name="deviation")
 
+    x_star, u_star = _trajectory(spec, nash.x_star, nash.u_star)
     shift = np.zeros((1, T - stage, 2 * m))
     shift[0, 0, (player - 1) * m:player * m] = dev
-    tail_x, tail_u = _rollout(spec, np.asarray(nash.K)[None, stage - 1:],
-                              nash.x_star[stage - 1], u_ref=shift)
-    x = np.concatenate((nash.x_star[:stage - 1], tail_x[0]))
-    u = np.concatenate((nash.u_star[:stage - 1], tail_u[0]))
-
-    return DeviationCheck(
-        cost_at_nash=evaluate_cost(spec, player, nash.x_star, nash.u_star),
-        cost_deviated=evaluate_cost(spec, player, x, u),
-    )
+    tail_x, tail_u = _rollout(spec, np.asarray(nash.K)[None, stage - 1:], x_star[stage - 1],
+                              u_ref=shift)
+    x = np.stack((x_star, np.concatenate((x_star[:stage - 1], tail_x[0]))))
+    u = np.stack((u_star, np.concatenate((u_star[:stage - 1], tail_u[0]))))
+    at_nash, deviated = _costs(spec, x, u)[:, player - 1].tolist()
+    return DeviationCheck(cost_at_nash=at_nash, cost_deviated=deviated)
 
 
 class CostDifference(NamedTuple):
@@ -533,21 +581,15 @@ class CostDifference(NamedTuple):
     rhs: float
 
 
-def _stage_cost(spec: GameSpec, player: int, t: int, x_next: np.ndarray, u: np.ndarray) -> float:
-    """Stage-t cost x_next' Q_{t+1} x_next + u' R_t u of the control u leading to x_next."""
-    return float(x_next @ spec.costs.q(t + 1) @ x_next) + float(u @ spec.costs.r(player, t) @ u)
-
-
 def _value_under(spec: GameSpec, player: int, gains: np.ndarray, t: int, x: np.ndarray) -> float:
     """Cost-to-go from stage t, state x, playing the (T-1, 2m, n) gains to the end.
 
     Stage T has no control and no remaining cost, so the value there is 0.
     """
+    if t == spec.T:
+        return 0.0
     xs, us = _rollout(spec, gains[None, t - 1:], x)
-    total = 0.0
-    for s, x_next, u_s in zip(range(t, spec.T), xs[0, 1:], us[0]):
-        total += _stage_cost(spec, player, s, x_next, u_s)
-    return total
+    return float(_costs(spec, xs[0], us[0], first=t)[player - 1])
 
 
 def cost_difference_check(spec: GameSpec, policies_a, policies_b, player: int) -> CostDifference:
@@ -561,17 +603,20 @@ def cost_difference_check(spec: GameSpec, policies_a, policies_b, player: int) -
     """
     ka = [linalg.as_matrix(g, 2 * spec.m, spec.n, name="policy_a gain") for g in policies_a]
     kb = [linalg.as_matrix(g, 2 * spec.m, spec.n, name="policy_b gain") for g in policies_b]
+    if player not in (1, 2):
+        raise ValueError(f"player must be 1 or 2, got {player}")
     if len(ka) != spec.T - 1 or len(kb) != spec.T - 1:
         raise DimensionMismatchError(f"need {spec.T - 1} gains per policy")
 
     gains = np.stack((ka, kb))
     x, u = _rollout(spec, gains, spec.x1)
     xa, ua = x[0], u[0]
-    lhs = evaluate_cost(spec, player, xa, ua) - evaluate_cost(spec, player, x[1], u[1])
+    j_a, j_b = _costs(spec, x, u)[:, player - 1].tolist()
+    lhs = j_a - j_b
 
     rhs = 0.0
     for t in range(1, spec.T):
-        q_val = (_stage_cost(spec, player, t, xa[t], ua[t - 1])
+        q_val = (float(_costs(spec, xa[t - 1:t + 1], ua[t - 1:t], first=t)[player - 1])
                  + _value_under(spec, player, gains[1], t + 1, xa[t]))
         v_val = _value_under(spec, player, gains[1], t, xa[t - 1])
         rhs += q_val - v_val
@@ -607,12 +652,16 @@ def spec_from_dict(data: dict, tol: Tolerances | None = None) -> GameSpec:
     try:
         costs = cost_schedule(data["Q"], data["R1"], data["R2"], tol=tol)
         spec = game_spec(data["A"], data["B1"], data["B2"], data["x1"], costs, tol=tol)
-        declared = {field: int(data[field]) for field in ("n", "m", "T") if field in data}
+        declared = {field: data[field] for field in ("n", "m", "T") if field in data}
     except KeyError as exc:
         raise DimensionMismatchError(f"game description is missing field {exc}") from exc
     except TypeError as exc:
         raise DimensionMismatchError(f"game description has a mistyped field: {exc}") from exc
     for field, value in declared.items():
+        try:
+            value = _integral(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DimensionMismatchError(f"declared {field}={data[field]!r} is not an integer") from exc
         if value != getattr(spec, field):
             raise DimensionMismatchError(
                 f"declared {field}={data[field]} disagrees with matrix shapes ({getattr(spec, field)})"

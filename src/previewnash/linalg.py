@@ -164,6 +164,20 @@ def _all_pd(sym: np.ndarray, tol: float) -> bool:
     return bool(np.all(pivots > tol))
 
 
+def _not_pd(sym: np.ndarray, tol: float) -> list:
+    """Indices of the matrices of a symmetric (G, k, k) stack that `_all_pd` rejects.
+
+    The stack is halved until each half passes or is one matrix, so a pass
+    costs one factorization and a few failures cost O(log G) more each.
+    """
+    if _all_pd(sym, tol):
+        return []
+    if len(sym) == 1:
+        return [0]
+    half = len(sym) // 2
+    return _not_pd(sym[:half], tol) + [half + g for g in _not_pd(sym[half:], tol)]
+
+
 def _asymmetry(stack: np.ndarray) -> np.ndarray:
     """||M - M'||_2 of each matrix of a (..., k, k) stack."""
     return np.linalg.norm(stack - np.swapaxes(stack, -1, -2), 2, axis=(-2, -1))

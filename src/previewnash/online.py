@@ -6,10 +6,10 @@ the padded game is solved from the original start state.  Step t's padded
 game depends on t and W only through the last revealed stage min(t+W, T-1),
 so the T-1 zero-preview padded games, solved together in one stacked
 backward pass, hold the predictions of every preview length; a sweep plays
-all its preview lengths from that one pass.  The realized control tracks
-each step's prediction through a fixed stabilizing gain.  The gap between
-the realized costs and the full-information equilibrium costs is the price
-of uncertainty.
+all its preview lengths from that one pass, stacked over its seeds.  The
+realized control tracks each step's prediction through a fixed stabilizing
+gain.  The gap between the realized costs and the full-information
+equilibrium costs is the price of uncertainty.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def compute_pou(spec: GameSpec, run_states, run_controls,
 
 def _costs(spec: GameSpec, states, controls) -> tuple[float, float]:
     """Both players' costs (J_1, J_2) along one trajectory."""
-    return tuple(game_mod.evaluate_cost(spec, player, states, controls) for player in (1, 2))
+    return tuple(game_mod._costs(spec, *game_mod._trajectory(spec, states, controls)).tolist())
 
 
 def _price(run_costs, nash_costs) -> PouResult:
@@ -255,14 +255,14 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
     first = min(1 + W, T - 1)  # the game step 1 tracks; every later step's is revealed further
     pred = game_mod._backward(spec, np.arange(first, T), tol).certified()
     x_games, u_games = game_mod._equilibrium_paths(spec, pred.K)
-    x, u = _play(spec, x_games, u_games, [W], k_bar)
-    x, u = x[0], u[0]
-    steps = np.minimum(np.arange(1, T) + W, T - 1) - first
-    x_pred = game_mod._freeze(x_games[steps])
-    u_pred = game_mod._freeze(u_games[steps])
+    steps = _preview_steps(T, [W], first)
+    x, u = (run[0] for run in _play(spec, x_games, u_games, steps, k_bar))
+    x_pred = game_mod._freeze(x_games[steps[0]])
+    u_pred = game_mod._freeze(u_games[steps[0]])
     err = np.array([linalg.two_norm(x[k] - x_pred[k, k]) for k in range(T - 1)])
 
-    pou, social = _price(_costs(spec, x, u), _costs(spec, x_games[-1], u_games[-1]))
+    costs = game_mod._costs(spec, np.stack((x, x_games[-1])), np.stack((u, u_games[-1])))
+    pou, social = _price(*costs.tolist())
     return OnlineRun(
         x=x,
         u=u,
@@ -276,23 +276,31 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
     )
 
 
-def _play(spec: GameSpec, x_pred: np.ndarray, u_pred: np.ndarray, Ws,
-          k_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Realized runs of the tracking law under each preview length in Ws.
+def _preview_steps(T: int, Ws, first: int) -> np.ndarray:
+    """(len(Ws), T-1) index of the game each step tracks under each preview length.
 
-    x_pred (L, T, n) and u_pred (L, T-1, 2m) are the equilibrium paths of
-    the last L padded games, revealed through stages T-L..T-1.  Under
-    preview W, step t tracks the game revealed through min(t+W, T-1), which
-    must be one of them.  The tracking law is `game._rollout` with k_bar as
-    every gain and the gathered predictions as its references, so all runs
-    step together and each is bitwise the run it would be alone.  Returns
-    states (G, T, n) and controls (G, T-1, 2m).
+    Under preview W, step t tracks the game revealed through
+    min(t+W, T-1); games are counted from the one revealed through `first`.
+    """
+    return np.minimum(np.arange(1, T) + np.asarray(Ws)[:, None], T - 1) - first
+
+
+def _play(spec: GameSpec, x_games: np.ndarray, u_games: np.ndarray, steps: np.ndarray,
+          k_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Realized runs of the tracking law, one per row of steps.
+
+    x_games (L, T, n) and u_games (L, T-1, 2m) are the equilibrium paths of
+    solved games, and at step k+1 run r tracks game steps[r, k].  k_bar is
+    one gain for every run, or a (R, 1, 2m, n) stack of one per run.  The
+    tracking law is `game._rollout` with k_bar as every gain and the
+    gathered predictions as its references, so all runs step together and
+    each is bitwise the run it would be alone.  Returns states (R, T, n)
+    and controls (R, T-1, 2m).
     """
     T = spec.T
-    steps = np.minimum(np.arange(1, T) + np.asarray(Ws)[:, None], T - 1) - (T - len(x_pred))
     stages = np.arange(T - 1)
-    gains = np.broadcast_to(k_bar, (steps.shape[0], T - 1, *k_bar.shape))
-    return game_mod._rollout(spec, gains, spec.x1, x_pred[steps, stages], u_pred[steps, stages])
+    gains = np.broadcast_to(k_bar, (steps.shape[0], T - 1, 2 * spec.m, spec.n))
+    return game_mod._rollout(spec, gains, spec.x1, x_games[steps, stages], u_games[steps, stages])
 
 
 def gain_decay_diagnostic(spec: GameSpec, W: int,

@@ -315,6 +315,23 @@ def test_mistyped_config_is_input_error(doc, tmp_path, capsys):
     assert err["code"] == "input"
 
 
+@pytest.mark.parametrize("doc", [{"runs": 1.5}, {"seed": 2.9}, {"T_range": [20.7]}])
+def test_non_integral_config_is_input_error(doc, tmp_path, capsys):
+    cfg = _write_config(tmp_path, **doc)
+    assert cli.main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    _, err = _stderr_json(capsys)
+    assert err["code"] == "input"
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_integral_declared_size_is_input_error(scalar_spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec_to_dict(scalar_spec), "T": 2.9}))
+    assert cli.main(["validate", "--spec", str(path)]) == 1
+    _, err = _stderr_json(capsys)
+    assert err["code"] == "input"
+
+
 def test_tolerance_overrides(scalar_spec_file, capsys):
     assert cli.main(["validate", "--spec", str(scalar_spec_file),
                      "--tol", "mat_eq=1e-6", "--tol", "pd_pivot=1e-12"]) == 0

@@ -22,6 +22,7 @@ from previewnash import (
     check_assumptions,
     check_sufficient_structure,
     compute_tracking_gain,
+    cost_schedule,
     emit_csv,
     emit_plot,
     generate_game,
@@ -73,6 +74,26 @@ def test_config_defaults():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"runs": 1.5},
+    {"seed": 2.9},
+    {"T_range": (20.7,)},
+    {"W_range": (0, 1.5)},
+    {"runs": math.inf},
+    {"T_range": (math.inf,)},
+], ids=["runs", "seed", "T_range", "W_range", "runs_inf", "T_inf"])
+def test_config_rejects_non_integral_integers(kwargs):
+    # int() would truncate these silently
+    with pytest.raises(InvalidConfigError):
+        ExperimentConfig(**kwargs)
+
+
+def test_config_accepts_integral_floats():
+    cfg = ExperimentConfig(runs=10.0, seed=3.0, T_range=(20.0,), W_range=(0.0, 2.0))
+    assert (cfg.runs, cfg.seed, cfg.T_range, cfg.W_range) == (10, 3, (20,), (0, 2))
+    assert all(type(v) is int for v in (cfg.runs, cfg.seed, *cfg.T_range, *cfg.W_range))
 
 
 def test_config_dict_lists_every_field_in_declaration_order():
@@ -201,6 +222,39 @@ def test_sweep_is_deterministic():
     b = sweep(_tiny_config())
     assert a.rows == b.rows
     assert a.aggregates == b.aggregates
+
+
+def test_two_jobs_equal_one_job():
+    # with jobs=2 each T's runs are split into two blocks of seeds
+    config = ExperimentConfig(T_range=(5, 12), W_range=(0, 1, 3, 12), runs=5)
+    assert sweep(config, jobs=2) == sweep(config, jobs=1)
+
+
+def test_one_seed_blocks_equal_the_uncapped_sweep(monkeypatch):
+    config = ExperimentConfig(T_range=(5, 10), W_range=(0, 1, 3, 12), runs=5)
+    uncapped = sweep(config)
+    backward = game_mod._backward
+    passes = []
+
+    def counted_backward(*args, **kwargs):
+        passes.append(len(kwargs["costs"]))
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(game_mod, "_backward", counted_backward)
+    monkeypatch.setattr(experiments, "_BLOCK_FLOATS", 1)
+    assert sweep(config) == uncapped
+    assert passes == [1] * (config.runs * len(config.T_range))
+
+
+def test_blocks_split_each_horizon_into_jobs_contiguous_runs(monkeypatch):
+    config = ExperimentConfig(T_range=(20, 200), runs=5)
+    assert experiments._blocks(config, 1) == [(20, range(0, 5)), (200, range(0, 5))]
+    assert experiments._blocks(config, 2) == [(20, range(0, 3)), (20, range(3, 5)),
+                                              (200, range(0, 3)), (200, range(3, 5))]
+    # the gain-stack cap: at T=200 a seed holds 4 * 199^2 floats
+    monkeypatch.setattr(experiments, "_BLOCK_FLOATS", 2 * 4 * 199 ** 2)
+    assert experiments._blocks(config, 1) == [(20, range(0, 5)), (200, range(0, 2)),
+                                              (200, range(2, 4)), (200, range(4, 5))]
 
 
 def test_parallel_sweep_matches_serial():
@@ -398,8 +452,23 @@ def test_failing_padded_game_fails_only_the_previews_that_meet_it(monkeypatch, w
     monkeypatch.setattr(game_mod, "_backward", counted_backward)
     config = ExperimentConfig(T_range=(6,), W_range=w_range, runs=2)
     res = sweep(config)
-    assert len(passes) == config.runs
+    assert len(passes) == len(config.T_range)
     assert [(r.W, r.error) for r in res.rows if r.seed == 0] == list(zip(w_range, tags))
+    assert list(res.rows) == _reference_sweep(config)
+
+
+@pytest.mark.parametrize("w_range", [(0, 2), (0, 2, 5)])
+def test_block_mixing_failing_and_clean_seeds_equals_per_cell_runs(monkeypatch, w_range):
+    # even seeds draw the padded failure game, which fails W = 0 and 2
+    # (and so plays nothing under (0, 2)); odd seeds draw a clean game
+    failing = make_padded_failure_game()
+    clean = dataclasses.replace(failing, costs=cost_schedule(
+        [[[v]] for v in (1.9, 0.4, 0.3, 1.0, 2.0)], failing.costs.R1, failing.costs.R2))
+    monkeypatch.setattr(experiments, "generate_game",
+                        lambda config, T, seed: clean if seed % 2 else failing)
+    config = ExperimentConfig(T_range=(6,), W_range=w_range, runs=5)
+    res = sweep(config)
+    assert {r.error for r in res.rows if r.seed % 2} == {None}
     assert list(res.rows) == _reference_sweep(config)
 
 
@@ -429,10 +498,10 @@ def test_solver_failure_is_tagged_in_its_own_rows(monkeypatch):
     backward = game_mod._backward
     failing_game = experiments.generate_game(config, 4, 3)
 
-    def failing(spec, *args, **kwargs):
-        if np.array_equal(spec.costs.Q, failing_game.costs.Q):
+    def failing(spec, *args, costs=None, **kwargs):
+        if any(np.array_equal(c.Q, failing_game.costs.Q) for c in costs or [spec.costs]):
             raise np.linalg.LinAlgError("Singular matrix")
-        return backward(spec, *args, **kwargs)
+        return backward(spec, *args, costs=costs, **kwargs)
 
     monkeypatch.setattr(game_mod, "_backward", failing)
     res = sweep(config)
@@ -446,9 +515,12 @@ def test_sweep_solves_once_per_game_whatever_the_previews(monkeypatch, w_range):
     draw = experiments.generate_game
     passes, draws = [], []
 
-    def counted_backward(spec, known, *args, **kwargs):
-        passes.append((spec.T, list(known)))
-        return backward(spec, known, *args, **kwargs)
+    def counted_backward(spec, known, *args, costs=None, schedule=None, **kwargs):
+        # one pass per block of seeds; every seed of it solves the same padded games
+        per_seed = {tuple(np.asarray(known)[np.asarray(schedule) == s]) for s in range(len(costs))}
+        assert len(per_seed) == 1
+        passes.append((spec.T, list(*per_seed)))
+        return backward(spec, known, *args, costs=costs, schedule=schedule, **kwargs)
 
     def counted_draw(config, T, seed):
         draws.append((T, seed))
@@ -459,6 +531,6 @@ def test_sweep_solves_once_per_game_whatever_the_previews(monkeypatch, w_range):
     config = ExperimentConfig(T_range=(5, 8), W_range=w_range, runs=3)
     res = sweep(config)
     assert all(r.error is None for r in res.rows)
-    assert len(passes) == config.runs * len(config.T_range)
+    assert len(passes) == len(config.T_range)
     assert all(known == list(range(1, T)) for T, known in passes)
     assert len(draws) == config.runs * len(config.T_range) + 1

@@ -484,6 +484,17 @@ def test_spec_from_dict_rejects_mistyped_fields(scalar_spec, doc):
         spec_from_dict(data)
 
 
+@pytest.mark.parametrize("field, value", [("n", 1.5), ("m", 1.2), ("T", 2.9), ("n", float("inf"))])
+def test_spec_from_dict_rejects_non_integral_declared_sizes(scalar_spec, field, value):
+    # int() would truncate 2.9 to the matching 2
+    with pytest.raises(DimensionMismatchError, match=f"declared {field}="):
+        spec_from_dict({**spec_to_dict(scalar_spec), field: value})
+
+
+def test_spec_from_dict_accepts_integral_float_sizes(scalar_spec):
+    assert spec_from_dict({**spec_to_dict(scalar_spec), "n": 1.0, "m": 1.0, "T": 2.0}) == scalar_spec
+
+
 def test_nash_round_trip(scalar_spec):
     nash = solve_feedback_nash(scalar_spec)
     back = nash_from_dict(nash_to_dict(nash))

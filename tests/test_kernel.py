@@ -14,6 +14,7 @@ import pytest
 from previewnash import (
     ThetaNotPDError,
     check_assumptions,
+    cost_schedule,
     gain_decay_diagnostic,
     pad_schedule,
     predict_nash,
@@ -170,6 +171,55 @@ def test_one_pass_reports_each_failed_game(residuals):
     assert first.value is batch.failures[1]
 
 
+def _assert_stack_is_lone_passes(spec, schedules, known, residuals, rng):
+    # the games of every schedule, shuffled into one pass, against each
+    # schedule's pass alone
+    S, G = len(schedules), len(known)
+    order = rng.permutation(S * G)
+    which = np.repeat(np.arange(S), G)[order]
+    stacked = game_mod._backward(spec, np.tile(known, S)[order], residuals=residuals,
+                                 costs=schedules, schedule=which)
+    for s, costs in enumerate(schedules):
+        alone = game_mod._backward(with_costs(spec, costs), known, residuals=residuals)
+        games = np.argsort(order)[s * G:(s + 1) * G]
+        assert np.array_equal(stacked.theta_min[games], alone.theta_min)
+        if residuals:
+            assert np.array_equal(stacked.residuals[games], alone.residuals)
+        else:
+            assert np.array_equal(stacked.K[games], alone.K)
+        assert [repr(stacked.failures[g]) for g in games] == [repr(exc) for exc in alone.failures]
+
+
+@pytest.mark.parametrize("residuals", [False, True])
+@pytest.mark.parametrize("family", [make_aligned_game, make_loose_game])
+def test_stacked_schedules_are_their_lone_passes(family, residuals):
+    rng = np.random.default_rng(83)
+    for _ in range(8):
+        spec = family(rng)
+        # other draws of the same sizes lend their schedules to spec's system
+        schedules = [spec.costs] + [family(rng, n=spec.n, m=spec.m, T=spec.T).costs
+                                    for _ in range(3)]
+        _assert_stack_is_lone_passes(spec, schedules, np.arange(1, spec.T), residuals, rng)
+
+
+@pytest.mark.parametrize("residuals", [False, True])
+def test_stacked_failing_and_clean_schedules_are_their_lone_passes(residuals):
+    spec = make_padded_failure_game()
+    r = [0.7, 1.9, 1.0, 2.0, 1.8]
+    clean = cost_schedule([[[v]] for v in (1.9, 0.4, 0.3, 1.0, 2.0)],
+                          [np.diag([v, 0.0]) for v in r], [np.diag([0.0, v]) for v in r])
+    schedules = [spec.costs, clean, spec.costs, clean]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_stack_is_lone_passes(spec, schedules, np.arange(1, spec.T), residuals,
+                                     np.random.default_rng(89))
+    stacked = game_mod._backward(spec, np.tile(np.arange(1, spec.T), 4), costs=schedules,
+                                 schedule=np.repeat(np.arange(4), spec.T - 1))
+    failing = [k in (2, 3, 4) for k in range(1, spec.T)]
+    clean_games = [False] * (spec.T - 1)
+    assert [exc is not None for exc in stacked.failures] == (failing + clean_games) * 2
+
+
 def test_scoring_passes_roll_nothing_out(monkeypatch):
     # A1/A6 scoring and the gain-decay table read gains and curvatures only
     def no_rollout(*args, **kwargs):
@@ -251,7 +301,7 @@ def test_all_previews_play_from_the_zero_preview_pass(family):
             continue
         x_pred, u_pred = game_mod._equilibrium_paths(spec, batch.K)
         ws = (0, 1, 3, spec.T, 1)
-        xs, us = online._play(spec, x_pred, u_pred, ws, k_bar)
+        xs, us = online._play(spec, x_pred, u_pred, online._preview_steps(spec.T, ws, 1), k_bar)
         for W, x, u in zip(ws, xs, us):
             x_ref, u_ref = _reference_play(spec, W, k_bar)
             assert np.array_equal(x, x_ref) and np.array_equal(u, u_ref)

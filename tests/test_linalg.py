@@ -178,3 +178,15 @@ def test_stacked_pd_verdict_matches_cholesky_pd():
         assert linalg._all_pd(passing, 1e-10)
         # a pivot above zero but not above the tolerance still fails
         assert not linalg._all_pd(passing, 1e3)
+
+
+@pytest.mark.parametrize("failing", [0, 1, 7, 40])
+def test_halving_finds_every_matrix_the_stacked_verdict_rejects(failing):
+    rng = np.random.default_rng(13)
+    basis = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(40)]
+    bad = rng.permutation(40)[:failing]
+    low = np.where(np.isin(np.arange(40), bad), -0.3, 0.2)
+    mats = np.stack([q @ np.diag([lo, 1.0, 2.0]) @ q.T for q, lo in zip(basis, low)])
+    sym = (mats + mats.transpose(0, 2, 1)) / 2.0
+    assert linalg._not_pd(sym, 1e-10) == [g for g in range(40) if not linalg._all_pd(sym[g], 1e-10)]
+    assert sorted(linalg._not_pd(sym, 1e-10)) == sorted(bad.tolist())
