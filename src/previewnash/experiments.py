@@ -6,8 +6,9 @@ the same gain-to-price ratio at every stage; runs the preview-limited
 online algorithm across (T, W, seed) cells, and writes the results as
 CSV tables and a plain SVG chart.  The unit of work is a block of seeds
 at one horizon T: every game of the block is drawn and validated once,
-all of them are solved in one stacked backward pass, and every preview
-length of every seed is played and priced from that one pass.
+and the block is handed to `online._play_previews`, the solve, play and
+price path of `run_online`, which solves all its games in one stacked
+backward pass and plays every preview length of every seed from it.
 
 Random draws are counter-based: each scalar comes from its own generator
 keyed by (seed, stage, field), so raising T or adding cells never
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -265,13 +267,20 @@ def _error_tag(exc: Exception) -> str:
     return next(tag for cls, tag in _ERROR_TAGS if isinstance(exc, cls))
 
 
-def _row(T: int, W: int, seed: int, pou: float, social: float) -> SweepRow:
-    lrp = online.log_rel_pou(pou, social)
-    return SweepRow(T, W, seed, pou, social, lrp if math.isfinite(lrp) else None)
+def _row(T: int, W: int, seed: int, run) -> SweepRow:
+    """The row of one run of `online._play_previews`: its price, or the tag
+    of the error it carries (a zero equilibrium cost is one too)."""
+    if not isinstance(run, Exception):
+        try:
+            lrp = online.log_rel_pou(*run.price)
+            return SweepRow(T, W, seed, *run.price, lrp if math.isfinite(lrp) else None)
+        except ZeroNashCostError as exc:
+            run = exc
+    return SweepRow(T, W, seed, None, None, None, error=_error_tag(run))
 
 
-def _failed(T: int, Ws, seed: int, exc: Exception) -> list:
-    return [SweepRow(T, W, seed, None, None, None, error=_error_tag(exc)) for W in Ws]
+def _failed(T: int, Ws, seed: int, tag: str) -> list:
+    return [SweepRow(T, W, seed, None, None, None, error=tag) for W in Ws]
 
 
 # A block of S seeds at horizon T keeps a gain stack of S (T-1)^2 2m n
@@ -293,7 +302,9 @@ def _run_block(config: ExperimentConfig, T: int, runs: range, k_bar, tol: Tolera
     """The rows of a block of seeds at horizon T, one per (seed, W).
 
     Each game is drawn and validated alone, and a seed that fails there has
-    every row tagged and stays out of the stack.  The rest are played
+    every row tagged and stays out of the stack.  k_bar is the sweep's
+    tracking gain, or the tag of the error computing it raised, which then
+    tags every row the draw and validation left.  The rest are played
     together by `_play_block`.
     """
     rows, games = [], []
@@ -303,80 +314,34 @@ def _run_block(config: ExperimentConfig, T: int, runs: range, k_bar, tol: Tolera
             spec = generate_game(config, T, seed)
             if config.assumption_mode == "strict":
                 potential.check_assumptions(spec, mode="strict", tol=tol)
-            gain = online.compute_tracking_gain(spec, tol=tol) if k_bar is None else k_bar
         except _LOCAL_ERRORS as exc:
-            rows += _failed(T, config.W_range, seed, exc)
+            rows += _failed(T, config.W_range, seed, _error_tag(exc))
             continue
-        games.append((seed, spec, gain))
-    if games:
-        rows += _play_block(T, config.W_range, games, tol)
+        games.append((seed, spec))
+    if isinstance(k_bar, str):
+        rows += [r for seed, _ in games for r in _failed(T, config.W_range, seed, k_bar)]
+    elif games:
+        rows += _play_block(T, config.W_range, games, k_bar, tol)
     return rows
 
 
-def _play_block(T: int, w_range: tuple, games: list, tol: Tolerances) -> list:
-    """The rows of the drawn (seed, spec, tracking gain) games of a block.
+def _play_block(T: int, w_range: tuple, games: list, k_bar: np.ndarray, tol: Tolerances) -> list:
+    """The rows of the drawn (seed, spec) games of a block.
 
-    The games share their system and start, as every game of a config
-    does, and differ in their cost schedules.  The T-1 zero-preview padded games of every seed are solved in one pass
-    over the seeds' stacked schedules.  Under preview W, step t plays the
-    game revealed through min(t+W, T-1), so every W reads its predictions
-    off its seed's games; all the (seed, W) runs are tracked in one
-    `online._play` and priced, with each seed's true game, in one stacked
-    cost sum.  Only the W that play a game failing certification fail with
-    it.  If the stacked work raises, the block is replayed one seed at a
-    time, so the failure stays in the rows of the seed that raised it.
+    Every run is solved, played and priced by `online._play_previews`, the
+    path `run_online` takes for one run; a run that meets a game failing
+    certification gets that game's error as its tag.  If the stacked work
+    raises, the block is replayed one seed at a time, so the failure stays
+    in the rows of the seed that raised it.
     """
-    L = T - 1
-    specs = [spec for _, spec, _ in games]
     try:
-        pred = game_mod._backward(specs[0], np.tile(np.arange(1, T), len(games)), tol,
-                                  costs=[spec.costs for spec in specs],
-                                  schedule=np.repeat(np.arange(len(games)), L))
-        rows, plays, picked, steps = [], [], [], []
-        for s, (seed, _, _) in enumerate(games):
-            failures = pred.failures[s * L:(s + 1) * L]
-            played = []
-            for W in w_range:  # preview W plays the games revealed through min(1+W, T-1)..T-1
-                exc = next(filter(None, failures[min(W, T - 2):]), None)
-                if exc is None:
-                    played.append(W)
-                else:
-                    rows += _failed(T, [W], seed, exc)
-            if played:  # all the games they play are certified; roll out those only
-                first = min(min(played), T - 2)
-                steps.append(online._preview_steps(T, played, first + 1) + len(picked))
-                picked += range(s * L + first, (s + 1) * L)
-                plays.append((s, played, len(picked) - 1))  # the last is the true game
-        if not plays:
-            return rows
-        x_games, u_games = game_mod._equilibrium_paths(specs[0], pred.K[picked])
-        owner = [s for s, played, _ in plays for _ in played]
-        xs, us = online._play(specs[0], x_games, u_games, np.concatenate(steps),
-                              np.stack([games[s][2] for s in owner])[:, None])
-        # price the runs, then each seed's true game, that all its W are priced against
-        truth = [last for _, _, last in plays]
-        owner += [s for s, _, _ in plays]
-        weights = (np.stack([getattr(spec.costs, f) for spec in specs])[owner] for f in ("Q", "R1", "R2"))
-        costs = game_mod._path_costs(*weights, np.concatenate((xs, x_games[truth])),
-                                     np.concatenate((us, u_games[truth]))).tolist()
+        runs, _, _ = online._play_previews([spec for _, spec in games], w_range, k_bar, tol)
     except _LOCAL_ERRORS as exc:
         if len(games) == 1:
-            return _failed(T, w_range, games[0][0], exc)
-        return [r for game in games for r in _play_block(T, w_range, [game], tol)]
-    run = 0
-    for (s, played, _), nash_costs in zip(plays, costs[len(xs):]):
-        seed = games[s][0]
-        try:
-            rows += [_row(T, W, seed, *online._price(costs[run + j], nash_costs))
-                     for j, W in enumerate(played)]
-        except _LOCAL_ERRORS as exc:
-            rows += _failed(T, played, seed, exc)
-        run += len(played)
-    return rows
-
-
-def _block_task(args) -> list:
-    return _run_block(*args)
+            return _failed(T, w_range, games[0][0], _error_tag(exc))
+        return [r for game in games for r in _play_block(T, w_range, [game], k_bar, tol)]
+    return [_row(T, W, seed, run)
+            for (seed, _), seed_runs in zip(games, runs) for W, run in zip(w_range, seed_runs)]
 
 
 def _aggregate(rows) -> list:
@@ -410,11 +375,12 @@ def sweep(config: ExperimentConfig, jobs: int = 1, tol: Tolerances | None = None
     `_play_block`).  A failure stays in the rows of the game that raised
     it, tagged with a short code.  The tracking gain depends only on (A, B),
     which the whole sweep shares, so it is computed once up front from a
-    probe game; if that fails each game computes it again, and a game that
-    fails too has its rows flagged rather than aborting the sweep.  Every
-    game's arithmetic is the same whatever block it is in, and rows are
-    sorted by (T, W, seed) before aggregation, so jobs > 1 changes wall
-    time and nothing else.
+    probe game; if that fails, its error tags the rows of every game that
+    passes its own draw and validation, rather than aborting the sweep.
+    The pool runs at most min(jobs, blocks, CPUs) workers.  Every game's
+    arithmetic is the same whatever block it is in, and rows are sorted by
+    (T, W, seed) before aggregation, so jobs > 1 changes wall time and
+    nothing else.
     """
     tol = tol or DEFAULT_TOLERANCES
     jobs = int(jobs)
@@ -424,13 +390,14 @@ def sweep(config: ExperimentConfig, jobs: int = 1, tol: Tolerances | None = None
     try:
         probe = generate_game(config, min(config.T_range), config.seed)
         k_bar = online.compute_tracking_gain(probe, tol=tol)
-    except _LOCAL_ERRORS:
-        k_bar = None
+    except _LOCAL_ERRORS as exc:
+        k_bar = _error_tag(exc)  # a tag, not the error: some errors do not unpickle
 
     blocks = [(config, T, runs, k_bar, tol) for T, runs in _blocks(config, jobs)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [r for block in pool.map(_block_task, blocks) for r in block]
+        workers = min(jobs, len(blocks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = [r for block in pool.map(_run_block, *zip(*blocks)) for r in block]
     else:
         rows = [r for args in blocks for r in _run_block(*args)]
 

@@ -395,6 +395,7 @@ class _Batch(NamedTuple):
         return self
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite Theta fails its certificate
 def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: bool = False,
               costs: Sequence[CostSchedule] | None = None, schedule=None) -> _Batch:
     """Coupled Riccati pass for the padded games whose last revealed stages are `known`.
@@ -684,8 +685,11 @@ def nash_from_dict(data: dict) -> NashSolution:
     """Inverse of nash_to_dict; rejects mutually inconsistent shapes.
 
     x_star fixes T and n, u_star fixes 2m; there must be T-1 gains (2m x n),
-    value matrices (n x n) and curvature eigenvalues.
+    value matrices (n x n) and curvature eigenvalues, all finite.  Like
+    spec_from_dict, it raises DimensionMismatchError for any malformed input.
     """
+    if not isinstance(data, dict):
+        raise DimensionMismatchError(f"solution must be a JSON object, got {type(data).__name__}")
     try:
         x = np.asarray(data["x_star"], dtype=float)
         u = np.asarray(data["u_star"], dtype=float)
@@ -695,6 +699,8 @@ def nash_from_dict(data: dict) -> NashSolution:
         theta_min = tuple(float(v) for v in data["theta_min_eig"])
     except KeyError as exc:
         raise DimensionMismatchError(f"solution is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"solution has a mistyped or ragged field: {exc}") from exc
     if x.ndim != 2 or x.shape[0] < 2:
         raise DimensionMismatchError(f"x_star must be (T, n) with T >= 2, got shape {x.shape}")
     T, n = x.shape
@@ -711,4 +717,6 @@ def nash_from_dict(data: dict) -> NashSolution:
         raise DimensionMismatchError(
             f"theta_min_eig must hold {T - 1} entries, got {len(theta_min)}"
         )
+    if not all(np.all(np.isfinite(v)) for v in (x, u, *gains, *p1, *p2, theta_min)):
+        raise DimensionMismatchError("solution holds a non-finite entry")
     return NashSolution(K=gains, P1=p1, P2=p2, x_star=x, u_star=u, theta_min_eig=theta_min)

@@ -4,12 +4,13 @@ At step t the players know the cost matrices only W stages ahead.  The
 missing tail is padded by holding the last revealed matrices constant, and
 the padded game is solved from the original start state.  Step t's padded
 game depends on t and W only through the last revealed stage min(t+W, T-1),
-so the T-1 zero-preview padded games, solved together in one stacked
-backward pass, hold the predictions of every preview length; a sweep plays
-all its preview lengths from that one pass, stacked over its seeds.  The
-realized control tracks each step's prediction through a fixed stabilizing
-gain.  The gap between the realized costs and the full-information
-equilibrium costs is the price of uncertainty.
+so the zero-preview padded games, solved together in one stacked backward
+pass, hold the predictions of every preview length.  `_play_previews`
+solves, plays and prices a stack of games under a list of preview
+lengths; `run_online` is its one-game, one-preview case, and a sweep hands
+it a block of seeds.  The realized control tracks each step's prediction
+through a fixed stabilizing gain.  The gap between the realized costs and
+the full-information equilibrium costs is the price of uncertainty.
 """
 
 from __future__ import annotations
@@ -232,13 +233,13 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
     """Play the horizon with preview W: predict, track the prediction, step.
 
     Step t's prediction is the padded game revealed through stage
-    min(t+W, T-1); those games are solved in one stacked backward pass and
-    tracked by `_play`.  At step t the applied control is
+    min(t+W, T-1).  At step t the applied control is
     u_t = K_tracking (x_t - x_pred_t) + u_pred_t.  With full preview the
     prediction matches the equilibrium at every step, the tracking term
     stays exactly zero, and the price of uncertainty vanishes.  Step T-1's
     padded game is the true game, so its prediction is the full-information
     equilibrium the price is measured against (as `compute_pou` solves it).
+    Solving, playing and pricing are `_play_previews`, as in a sweep.
 
     If a padded game fails certification, the ThetaNotPDError raised is the
     one `predict_nash` raises at the lowest failing step t.
@@ -251,18 +252,14 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
     else:
         k_bar = linalg.as_matrix(K_tracking, 2 * spec.m, spec.n, name="K_tracking")
 
-    T = spec.T
-    first = min(1 + W, T - 1)  # the game step 1 tracks; every later step's is revealed further
-    pred = game_mod._backward(spec, np.arange(first, T), tol).certified()
-    x_games, u_games = game_mod._equilibrium_paths(spec, pred.K)
-    steps = _preview_steps(T, [W], first)
-    x, u = (run[0] for run in _play(spec, x_games, u_games, steps, k_bar))
-    x_pred = game_mod._freeze(x_games[steps[0]])
-    u_pred = game_mod._freeze(u_games[steps[0]])
-    err = np.array([linalg.two_norm(x[k] - x_pred[k, k]) for k in range(T - 1)])
-
-    costs = game_mod._costs(spec, np.stack((x, x_games[-1])), np.stack((u, u_games[-1])))
-    pou, social = _price(*costs.tolist())
+    runs, x_games, u_games = _play_previews([spec], [W], k_bar, tol)
+    run = runs[0][0]
+    if isinstance(run, Exception):
+        raise run
+    x, u, tracked, (pou, social) = run
+    x_pred = game_mod._freeze(x_games[tracked])
+    u_pred = game_mod._freeze(u_games[tracked])
+    err = np.array([linalg.two_norm(x[k] - x_pred[k, k]) for k in range(spec.T - 1)])
     return OnlineRun(
         x=x,
         u=u,
@@ -274,6 +271,57 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
         nash_cost_avg=social,
         tracking_error=err,
     )
+
+
+class _Run(NamedTuple):
+    """A run of `_play_previews`: states, controls, each step's game, price."""
+
+    x: np.ndarray
+    u: np.ndarray
+    tracked: np.ndarray
+    price: PouResult
+
+
+def _play_previews(specs, Ws, k_bar: np.ndarray, tol: Tolerances) -> tuple:
+    """Solve, play and price every spec, all sharing one system and start,
+    under every preview length in Ws.
+
+    Run (spec, W) tracks the padded games revealed through
+    min(1+W, T-1)..T-1; one `game._backward` solves those of the smallest W
+    for every spec.  A run that tracks a failed game is not played and
+    carries its first failed game's error, the one `predict_nash` raises at
+    its lowest failing step.  The played runs are rolled out in one `_play`
+    from the games they track and priced against their spec's true game
+    (their last step's) in one stacked cost sum.  Returns (runs, x_games,
+    u_games): runs[s][j] is the error or _Run of (specs[s], Ws[j]), whose
+    `tracked` indexes the equilibrium paths x_games, u_games.
+    """
+    T, S = specs[0].T, len(specs)
+    first = min(1 + min(Ws), T - 1)
+    L = T - first  # games per spec
+    pred = game_mod._backward(specs[0], np.tile(np.arange(first, T), S), tol,
+                              costs=[spec.costs for spec in specs],
+                              schedule=np.repeat(np.arange(S), L))
+    steps = _preview_steps(T, Ws, first)  # Ws[j] tracks a spec's games steps[j, 0]..L-1
+    runs = [[next(filter(None, pred.failures[s * L + row[0]:(s + 1) * L]), None) for row in steps]
+            for s in range(S)]
+    played = np.argwhere([[exc is None for exc in errors] for errors in runs])  # (s, j) rows
+    owner, ws = played.T
+    games = steps[ws] + L * owner[:, None]  # the games each played run tracks, in pred
+    used = np.zeros(S * L, dtype=bool)
+    used[games] = True
+    tracked = (np.cumsum(used) - 1)[games]  # the same games among those rolled out
+    # with every game tracked, roll out the gain stack itself, not a copy
+    x_games, u_games = game_mod._equilibrium_paths(specs[0], pred.K if used.all() else pred.K[used])
+    xs, us = _play(specs[0], x_games, u_games, tracked, k_bar)
+    truth = tracked[:, -1]  # a run's last step tracks its spec's true game
+    weights = (np.stack([getattr(spec.costs, f) for spec in specs])[owner, None]
+               for f in ("Q", "R1", "R2"))
+    costs = game_mod._path_costs(*weights, np.stack((xs, x_games[truth]), axis=1),
+                                 np.stack((us, u_games[truth]), axis=1)).tolist()
+    for r, (s, j) in enumerate(played):
+        runs[s][j] = _Run(xs[r], us[r], tracked[r], _price(*costs[r]))
+    return runs, x_games, u_games
 
 
 def _preview_steps(T: int, Ws, first: int) -> np.ndarray:
@@ -291,11 +339,10 @@ def _play(spec: GameSpec, x_games: np.ndarray, u_games: np.ndarray, steps: np.nd
 
     x_games (L, T, n) and u_games (L, T-1, 2m) are the equilibrium paths of
     solved games, and at step k+1 run r tracks game steps[r, k].  k_bar is
-    one gain for every run, or a (R, 1, 2m, n) stack of one per run.  The
-    tracking law is `game._rollout` with k_bar as every gain and the
-    gathered predictions as its references, so all runs step together and
-    each is bitwise the run it would be alone.  Returns states (R, T, n)
-    and controls (R, T-1, 2m).
+    the one gain of every run.  The tracking law is `game._rollout` with
+    k_bar as every gain and the gathered predictions as its references, so
+    all runs step together and each is bitwise the run it would be alone.
+    Returns states (R, T, n) and controls (R, T-1, 2m).
     """
     T = spec.T
     stages = np.arange(T - 1)

@@ -57,6 +57,17 @@ def test_validate_warn_mode_reports_but_passes(indefinite_spec_file, capsys):
     assert err is None
 
 
+def test_validate_overflowing_game_is_quiet(tmp_path, capsys):
+    # at a=1e60 the value recursion overflows; the non-finite curvature
+    # fails its certificate as data, with no numpy warning on the way
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(spec_to_dict(generate_game(ExperimentConfig(a=1e60), 5, 0))))
+    assert cli.main(["validate", "--spec", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["overall"] is False
+    assert captured.err == ""
+
+
 def test_validate_strict_mode_exits_2(indefinite_spec_file, capsys):
     code = cli.main(["validate", "--spec", str(indefinite_spec_file), "--strict"])
     assert code == 2

@@ -29,7 +29,7 @@ from previewnash import (
     run_online,
     sweep,
 )
-from previewnash import cli, experiments
+from previewnash import cli, experiments, online
 from previewnash import game as game_mod
 
 from conftest import make_padded_failure_game
@@ -246,6 +246,32 @@ def test_one_seed_blocks_equal_the_uncapped_sweep(monkeypatch):
     assert passes == [1] * (config.runs * len(config.T_range))
 
 
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (8, 3), (None, 1)])
+def test_worker_count_is_capped_by_blocks_and_cpus(monkeypatch, cpus, workers):
+    # jobs=64 over 3 runs makes 3 one-seed blocks; no real pool is started
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    config = ExperimentConfig(T_range=(5,), W_range=(0, 2), runs=3)
+    serial = sweep(config)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    assert sweep(config, jobs=64) == serial
+    assert started == [workers]
+
+
 def test_blocks_split_each_horizon_into_jobs_contiguous_runs(monkeypatch):
     config = ExperimentConfig(T_range=(20, 200), runs=5)
     assert experiments._blocks(config, 1) == [(20, range(0, 5)), (200, range(0, 5))]
@@ -274,6 +300,49 @@ def test_strict_mode_flags_rows_instead_of_aborting():
         assert agg.mean_pou is None and agg.log_rel_pou_of_means is None
     with pytest.raises(EmptyAggregateError):
         emit_plot(res.aggregates, "W", "/tmp/unused.svg")
+
+
+def test_overflowing_strict_sweep_flags_rows():
+    # at a=1e60 the padded games' values overflow; strict validation
+    # reports that as a failed A1 without a numpy warning
+    res = sweep(ExperimentConfig(a=1e60, T_range=(5,), runs=3, assumption_mode="strict"))
+    assert {r.error for r in res.rows} == {"assumption_A1"}
+
+
+def test_sweep_computes_the_tracking_gain_once(monkeypatch):
+    calls = []
+    gain = online.compute_tracking_gain
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gain(*args, **kwargs)
+
+    monkeypatch.setattr(online, "compute_tracking_gain", counted)
+    assert all(r.error is None for r in sweep(ExperimentConfig(T_range=(5, 8), runs=3)).rows)
+    assert len(calls) == 1
+    # (A, B) at a=1e60 is not stabilizable: the one failed gain tags every row
+    calls.clear()
+    config = ExperimentConfig(a=1e60, T_range=(5, 8), runs=3)
+    res = sweep(config)
+    assert len(calls) == 1
+    assert len(res.rows) == 2 * 7 * 3
+    assert {r.error for r in res.rows} == {"not_stabilizable"}
+    assert sweep(config, jobs=2) == res
+
+
+def test_failed_gain_tags_rows_after_the_draw(monkeypatch):
+    # a seed whose own draw fails keeps that tag; the failed gain tags the rest
+    draw = experiments.generate_game
+
+    def failing(config, T, seed):
+        if seed == 2:
+            raise DimensionMismatchError("schedule lengths must match")
+        return draw(config, T, seed)
+
+    monkeypatch.setattr(experiments, "generate_game", failing)
+    res = sweep(ExperimentConfig(a=1e60, T_range=(5,), W_range=(0, 1), runs=3))
+    assert [(r.seed, r.error) for r in res.rows] == [
+        (0, "not_stabilizable"), (1, "not_stabilizable"), (2, "dimension_mismatch")] * 2
 
 
 def test_zero_start_flags_rows_instead_of_aborting(tmp_path):

@@ -510,6 +510,34 @@ def test_round_trip_solution_still_verifies(scalar_spec):
     assert check.cost_deviated >= check.cost_at_nash - 1e-12
 
 
+@pytest.mark.parametrize("field, value", [
+    (None, None),
+    ("K", 5),
+    ("P1", None),
+    ("theta_min_eig", ["a"]),
+    ("x_star", [[1.0], [2.0, 3.0], [4.0]]),
+    ("K", [[[1.0], [2.0]], [[1.0, 2.0], [3.0]]]),
+    ("x_star", [[float("nan")], [1.0], [1.0]]),
+], ids=["top_level_list", "K_scalar", "P1_null", "theta_text", "ragged_x_star", "ragged_K",
+        "nan_x_star"])
+def test_nash_from_dict_raises_typed_errors(scalar_spec_t3, field, value):
+    data = nash_to_dict(solve_feedback_nash(scalar_spec_t3))
+    with pytest.raises(DimensionMismatchError):
+        nash_from_dict([data] if field is None else {**data, field: value})
+
+
+@pytest.mark.parametrize("family", [make_aligned_game, make_loose_game])
+def test_serialization_round_trips_through_json(family):
+    rng = np.random.default_rng(83)
+    for _ in range(10):
+        spec = family(rng)
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+        nash = solve_feedback_nash(spec)
+        back = nash_from_dict(json.loads(json.dumps(nash_to_dict(nash))))
+        for field in ("K", "P1", "P2", "x_star", "u_star", "theta_min_eig"):
+            assert np.array_equal(getattr(back, field), getattr(nash, field))
+
+
 def test_nash_from_dict_rejects_truncated_gains(scalar_spec_t3):
     data = nash_to_dict(solve_feedback_nash(scalar_spec_t3))
     data["K"] = data["K"][:-1]

@@ -9,6 +9,7 @@ from previewnash import (
     ExperimentConfig,
     IndexOutOfRangeError,
     NotStabilizableError,
+    ThetaNotPDError,
     ZeroNashCostError,
     compute_pou,
     compute_tracking_gain,
@@ -23,7 +24,7 @@ from previewnash import (
     solve_feedback_nash,
 )
 
-from conftest import make_aligned_game
+from conftest import make_aligned_game, make_padded_failure_game
 
 
 def _varied_costs(T):
@@ -193,6 +194,28 @@ def test_run_prices_against_the_full_information_equilibrium(W):
         res = compute_pou(spec, run.x, run.u)
         assert run.pou == res.pou
         assert run.nash_cost_avg == res.nash_social_cost
+
+def test_run_raises_the_first_failure_its_preview_meets():
+    # the zero-preview games revealed through stages 2, 3 and 4 fail
+    # certification; preview W tracks those revealed through
+    # min(1 + W, 5)..5, so W <= 3 meets a failed game and W = 4, 5 play
+    spec = make_padded_failure_game()
+    for W in range(6):
+        failures = []
+        for t in range(1, spec.T):
+            try:
+                predict_nash(spec, t, W)
+            except ThetaNotPDError as exc:
+                failures.append(exc)
+        if W <= 3:
+            with pytest.raises(ThetaNotPDError) as raised:
+                run_online(spec, W)
+            assert (raised.value.stage, raised.value.min_pivot) == (failures[0].stage,
+                                                                   failures[0].min_pivot)
+        else:
+            assert failures == []
+            assert math.isfinite(run_online(spec, W).pou)
+
 
 def test_limited_preview_costs_something_here():
     spec = _varied_spec(5)
