@@ -10,10 +10,14 @@ and the block is handed to `online._play_previews`, the solve, play and
 price path of `run_online`, which solves all its games in one stacked
 backward pass and plays every preview length of every seed from it.
 
-Random draws are counter-based: each scalar comes from its own generator
-keyed by (seed, stage, field), so raising T or adding cells never
-reshuffles the draws that earlier cells saw.  That keeps the comparison
-across preview lengths paired and makes every output byte-reproducible.
+Random draws are counter-based: each scalar is the uniform draw of
+numpy's `default_rng((seed, stage, field))`, so raising T or adding cells
+never reshuffles the draws that earlier cells saw.  That keeps the
+comparison across preview lengths paired and makes every output
+byte-reproducible.  `_draws` computes the draws of all a game's keys at
+once, bit for bit, by porting numpy's seed hashing and PCG64 step to array
+arithmetic, so no generator object is built and numpy's random package is
+never imported.
 """
 
 from __future__ import annotations
@@ -171,9 +175,97 @@ class ExperimentConfig:
         return cls(**data)
 
 
-def _draw(seed: int, t: int, tag: int, dist: tuple) -> float:
-    rng = np.random.default_rng((seed, t, tag))
-    return float(rng.uniform(dist[0], dist[1]))
+# numpy's SeedSequence hash constants and PCG64 multiplier (NEP 19 keeps
+# the streams they define stable).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)  # high and low 64 bits
+_M32 = 0xFFFFFFFF
+
+
+def _hash_consts(init: int, mult: int, count: int) -> tuple:
+    """The (xor, multiplier) constants of `count` successive hash calls."""
+    xors, h = [], init
+    for _ in range(count + 1):
+        xors.append(h)
+        h = h * mult & _M32
+    return np.array(xors[:-1], dtype=np.uint32), np.array(xors[1:], dtype=np.uint32)
+
+
+def _hashmix(value, xor, mul):
+    value = (value ^ xor) * mul
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return value ^ (value >> 16)
+
+
+def _mul_hi(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
+    a0, a1 = a & _M32, a >> 32
+    b0, b1 = np.uint64(b & _M32), np.uint64(b >> 32)
+    lo_lo, hi_lo, lo_hi = a0 * b0, a1 * b0, a0 * b1
+    mid = (lo_lo >> 32) + (hi_lo & _M32) + (lo_hi & _M32)
+    return a1 * b1 + (hi_lo >> 32) + (lo_hi >> 32) + (mid >> 32)
+
+
+def _add128(a: tuple, b: tuple) -> tuple:
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]), lo
+
+
+def _lcg(state: tuple, inc: tuple) -> tuple:
+    """One PCG64 step, state * multiplier + inc modulo 2^128."""
+    hi, lo = state
+    m_hi, m_lo = _PCG_MULT
+    product = (_mul_hi(lo, m_lo) + lo * np.uint64(m_hi) + hi * np.uint64(m_lo), lo * np.uint64(m_lo))
+    return _add128(product, inc)
+
+
+def _draws(seed: int, ts, tags, lows, highs) -> np.ndarray:
+    """`default_rng((seed, t, tag)).uniform(low, high)` for every key, bit for bit.
+
+    A port to numpy array arithmetic over all keys at once: SeedSequence
+    hashes the entropy words (seed's little-endian 32-bit words, then t and
+    tag) into a pool of four, and words past the pool are mixed in after
+    it; the pool gives PCG64's 128-bit state and increment; one step and
+    the XSL-RR output give 64 random bits, whose top 53 scale the range.
+    """
+    words = [0] if seed == 0 else []
+    while seed:
+        words.append(seed & _M32)
+        seed >>= 32
+    ts, tags = np.asarray(ts, dtype=np.uint32), np.asarray(tags, dtype=np.uint32)
+    lows, highs = np.asarray(lows, dtype=float), np.asarray(highs, dtype=float)
+    span = highs - lows
+    if not np.all(np.isfinite(span)):
+        raise OverflowError("high - low range exceeds valid bounds")
+    entropy = np.empty((ts.size, max(4, len(words) + 2)), dtype=np.uint32)
+    entropy[:] = words + [0] * (entropy.shape[1] - len(words))
+    entropy[:, len(words)], entropy[:, len(words) + 1] = ts, tags
+
+    xor, mul = _hash_consts(_INIT_A, _MULT_A, 4 * entropy.shape[1])
+    pool = _hashmix(entropy[:, :4], xor[:4], mul[:4])
+    for src in range(4):  # every pool word into every other one
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src]], xor[k:k + 3], mul[k:k + 3]))
+    for i in range(4, len(words) + 2):  # entropy past the pool
+        k = 4 * i
+        pool = _mix(pool, _hashmix(entropy[:, [i]], xor[k:k + 4], mul[k:k + 4]))
+
+    xor, mul = _hash_consts(_INIT_B, _MULT_B, 8)
+    state = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], xor, mul).astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = (state[:, 0::2] | state[:, 1::2] << 32).T
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    hi, lo = _lcg(_lcg(_add128(inc, (seed_hi, seed_lo)), inc), inc)
+    bits = hi ^ lo
+    turn = hi >> 58
+    bits = bits >> turn | bits << ((64 - turn) & 63)
+    return lows + span * ((bits >> 11).astype(float) * 2.0 ** -53)
 
 
 def generate_game(config: ExperimentConfig, T: int, seed: int) -> GameSpec:
@@ -198,21 +290,20 @@ def generate_game(config: ExperimentConfig, T: int, seed: int) -> GameSpec:
     b1 = np.array([[-config.b1], [0.0]])
     b2 = np.array([[-config.b2], [0.0]])
 
-    r1_list = []
-    r2_list = []
-    for t in range(1, T):
-        beta = _draw(seed, t, _BETA, config.beta_dist)
-        r1_list.append(np.array([[config.b1 ** 2 * beta, 0.0], [0.0, 0.0]]))
-        r2_list.append(np.array([[0.0, 0.0], [0.0, config.b2 ** 2 * beta]]))
-    q_list = []
-    for t in range(2, T + 1):
-        ell = _draw(seed, t, _ELL, config.l_dist)
-        dee = _draw(seed, t, _DEE, config.d_dist)
-        if config.d_convention == "magnitude":
-            dee = abs(dee)
-        q_list.append(np.array([[ell, -dee], [-dee, 0.0]]))
+    # beta_t (t = 1..T-1) prices stage t's controls; l_t and d_t (t = 2..T) weigh state x_t
+    stages = np.arange(1, T)
+    dists = np.repeat([config.beta_dist, config.l_dist, config.d_dist], T - 1, axis=0)
+    beta, ell, dee = _draws(seed, np.concatenate((stages, stages + 1, stages + 1)),
+                            np.repeat([_BETA, _ELL, _DEE], T - 1), *dists.T).reshape(3, T - 1)
+    if config.d_convention == "magnitude":
+        dee = np.abs(dee)
+    q, r1, r2 = np.zeros((3, T - 1, 2, 2))
+    r1[:, 0, 0] = config.b1 ** 2 * beta
+    r2[:, 1, 1] = config.b2 ** 2 * beta
+    q[:, 0, 0] = ell
+    q[:, 0, 1] = q[:, 1, 0] = -dee
 
-    costs = cost_schedule(q_list, r1_list, r2_list)
+    costs = cost_schedule(q, r1, r2)
     return game_spec(A=a_mat, B1=b1, B2=b2, x1=np.array(config.x1), costs=costs)
 
 

@@ -67,6 +67,10 @@ class ThetaNotPDError(RuntimeError):
             f"(min pivot {min_pivot:.3e})"
         )
 
+    def __reduce__(self):
+        # args hold only the message, so unpickling must call __init__ with these
+        return type(self), (self.stage, self.min_pivot)
+
 
 @dataclass(frozen=True)
 class CostSchedule:
@@ -187,7 +191,10 @@ def _checked_stack(entries: Sequence, size: int, name: str, first: int, tol: Tol
             except ValueError as exc:
                 shape_error, stack = exc, stack[:k]
                 break
-    asym = linalg._asymmetry(stack) > tol.symmetry
+    if np.array_equal(stack, np.swapaxes(stack, 1, 2)):  # exactly symmetric: asymmetry 0
+        asym = np.zeros(len(stack), dtype=bool)
+    else:
+        asym = linalg._asymmetry(stack) > tol.symmetry
     faulty = asym | (np.linalg.eigvalsh(linalg.symmetrize(stack))[:, 0] < -tol.pd_pivot) if psd else asym
     bad = np.flatnonzero(faulty)
     if bad.size:

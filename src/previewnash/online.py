@@ -93,11 +93,16 @@ def pad_schedule(costs: CostSchedule, t: int, W: int) -> PaddedSchedule:
 def compute_tracking_gain(spec: GameSpec, tol: Tolerances | None = None) -> np.ndarray:
     """A stabilizing joint feedback gain for (A, [B1 B2]).
 
-    Iterates the time-invariant Riccati map with identity weights until the
-    value matrix settles (1e-10, capped at 10^4 sweeps), forms the
-    corresponding gain, and certifies the closed-loop spectral radius is
-    below 1 by a clear margin.  Any stabilizing gain would do; this one is a
-    convenient deterministic default.
+    Solves the Riccati equation with identity weights,
+    X = I + A'XA - A'XB (I + B'XB)^-1 B'XA, by structure-preserving
+    doubling: from A_0 = A, G_0 = BB', H_0 = I, each step sets
+    W = I + G_k H_k, A_{k+1} = A_k W^-1 A_k, G_{k+1} = G_k + A_k W^-1 G_k A_k'
+    and H_{k+1} = H_k + A_k' H_k W^-1 A_k, so H_k is the value after 2^k
+    Riccati sweeps.  H settles (a step below 1e-15 of its norm, capped at
+    64 doublings) in about ten doublings.  Forms the corresponding gain,
+    and certifies the closed-loop spectral radius is below 1 by a clear
+    margin.  Any stabilizing gain would do; this one is a convenient
+    deterministic default.
     """
     tol = tol or DEFAULT_TOLERANCES
     a = spec.A
@@ -106,26 +111,22 @@ def compute_tracking_gain(spec: GameSpec, tol: Tolerances | None = None) -> np.n
     eye_n = np.eye(n)
     eye_u = np.eye(2 * spec.m)
 
-    p = eye_n
-    converged = False
-    for _ in range(10_000):
-        btp = b.T @ p
-        curv = eye_u + btp @ b
-        gain = -linalg.solve_linear(curv, btp @ a)
-        p_next = linalg.symmetrize(eye_n + a.T @ p @ a + (a.T @ btp.T) @ gain)
+    a_k, g_k, h_k = a, b @ b.T, eye_n
+    for _ in range(64):
+        w_inv = linalg.solve_linear(eye_n + g_k @ h_k, np.hstack((a_k, g_k)))  # W^-1 [A_k G_k]
+        h_next = h_k + a_k.T @ h_k @ w_inv[:, :n]
         # cap far below float overflow so divergence raises cleanly instead
         # of warning about inf in the next matmul
-        if not np.all(np.isfinite(p_next)) or np.abs(p_next).max() > 1e100:
+        if not np.all(np.isfinite(h_next)) or np.abs(h_next).max() > 1e100:
             raise NotStabilizableError("value iteration diverged; (A, B) is not stabilizable")
-        if linalg.two_norm(p_next - p) < 1e-10:
-            p = p_next
-            converged = True
+        if linalg.two_norm(h_next - h_k) <= 1e-15 * linalg.two_norm(h_next):
+            h_k = h_next
             break
-        p = p_next
-    if not converged:
+        a_k, g_k, h_k = a_k @ w_inv[:, :n], g_k + a_k @ w_inv[:, n:] @ a_k.T, h_next
+    else:
         raise NotStabilizableError("value iteration did not settle; (A, B) may not be stabilizable")
 
-    btp = b.T @ p
+    btp = b.T @ h_k
     k_bar = -linalg.solve_linear(eye_u + btp @ b, btp @ a)
     radius = linalg.spectral_radius_est(a + b @ k_bar)
     if not radius < 1.0 - tol.spectral_margin:

@@ -16,6 +16,9 @@ Two families of test games:
 
 `make_padded_failure_game` is one fixed scalar game whose true game is
 certified while three of its padded games are not.
+
+`scalar_draw` is the one-generator-per-scalar draw that
+`experiments._draws` ports to array arithmetic, kept as its reference.
 """
 
 import numpy as np
@@ -105,6 +108,12 @@ def make_loose_game(rng, n=None, m=None, T=None, n_max=3, m_max=2, T_max=8,
             continue
         return spec
     raise RuntimeError("no solvable instance after %d attempts" % attempts)
+
+
+def scalar_draw(seed, t, tag, dist):
+    """The random family's draw for key (seed, t, tag), from its own generator."""
+    rng = np.random.default_rng((seed, t, tag))
+    return float(rng.uniform(dist[0], dist[1]))
 
 
 def make_padded_failure_game():

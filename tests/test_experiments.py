@@ -4,6 +4,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from previewnash import (
 from previewnash import cli, experiments, online
 from previewnash import game as game_mod
 
-from conftest import make_padded_failure_game
+from conftest import make_padded_failure_game, scalar_draw
 
 ROWS_HEADER = ["T", "W", "seed", "pou", "nash_social_cost", "log_rel_pou"]
 AGG_HEADER = ["T", "W", "mean_pou", "mean_nash_cost", "log_rel_pou"]
@@ -182,6 +186,73 @@ def test_generate_game_argument_validation():
         generate_game(ExperimentConfig(), T=1, seed=0)
     with pytest.raises(InvalidConfigError):
         generate_game(ExperimentConfig(), T=5, seed=-1)
+
+
+def _scalar_schedule(config, T, seed):
+    """The Q, R1 and R2 stacks of generate_game, built one scalar draw at a time."""
+    q, r1, r2 = [], [], []
+    for t in range(1, T):
+        beta = scalar_draw(seed, t, 0, config.beta_dist)
+        r1.append([[config.b1 ** 2 * beta, 0.0], [0.0, 0.0]])
+        r2.append([[0.0, 0.0], [0.0, config.b2 ** 2 * beta]])
+    for t in range(2, T + 1):
+        ell = scalar_draw(seed, t, 1, config.l_dist)
+        dee = scalar_draw(seed, t, 2, config.d_dist)
+        if config.d_convention == "magnitude":
+            dee = abs(dee)
+        q.append([[ell, -dee], [-dee, 0.0]])
+    return np.array(q), np.array(r1), np.array(r2)
+
+
+@pytest.mark.parametrize("convention", ["literal", "magnitude"])
+@pytest.mark.parametrize("T", [2, 3, 20])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64 + 5, 2 ** 96 + 7])
+def test_generated_schedule_is_bitwise_the_scalar_draws(seed, T, convention):
+    # seeds of 2^32 and more enter the seed hash as two or more words, and
+    # from 2^64 on some words are mixed in after the four-word pool
+    config = ExperimentConfig(d_convention=convention)
+    costs = generate_game(config, T, seed).costs
+    for got, want in zip((costs.Q, costs.R1, costs.R2), _scalar_schedule(config, T, seed)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_vector_draw_is_bitwise_the_scalar_draw():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    reals = st.floats(allow_nan=False, allow_infinity=False)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 128 - 1),
+                      keys=st.lists(st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 2)),
+                                    min_size=1, max_size=6),
+                      bounds=st.tuples(reals, reals).filter(lambda b: b[0] < b[1]))
+    def check(seed, keys, bounds):
+        ts, tags = np.array(keys).T
+        try:
+            want = [scalar_draw(seed, t, tag, bounds) for t, tag in keys]
+        except OverflowError:  # high - low is not finite
+            with pytest.raises(OverflowError):
+                experiments._draws(seed, ts, tags, *bounds)
+            return
+        got = experiments._draws(seed, ts, tags, np.full(len(keys), bounds[0]),
+                                 np.full(len(keys), bounds[1]))
+        assert got.tobytes() == np.array(want).tobytes()
+
+    check()
+
+
+def test_sweep_leaves_numpy_random_unimported(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"T_range": [4], "W_range": [0, 2], "runs": 2}))
+    script = ("import sys\n"
+              "from previewnash import cli\n"
+              f"code = cli.main(['sweep', '--config', {str(config)!r}, '--out-dir', {str(tmp_path)!r}])\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120)
+    assert out.stdout.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "rows.csv").exists()
 
 
 # ------------------------------------------------------------------- sweeps

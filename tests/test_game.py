@@ -7,6 +7,8 @@ arithmetic.
 """
 
 import json
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +216,23 @@ def test_stacked_validation_matches_the_per_matrix_loop():
             "entries must be finite", "expected a 2-D array, got ndim=0"} <= raised
 
 
+@pytest.mark.parametrize("group", ["Q", "R1"])
+def test_symmetry_check_reports_the_first_asymmetric_entry(group):
+    # an exactly symmetric stack skips the asymmetry norms; the rest are measured
+    stacks = {"Q": [np.diag([1.0, 0.5]) + 0.3 for _ in range(5)],
+              "R1": [np.diag([2.0, 1.0]) + 0.2 for _ in range(5)],
+              "R2": [np.diag([1.0, 2.0]) for _ in range(5)]}
+    entries = stacks[group]
+    entries[1] = entries[1].copy()
+    entries[1][0, 1] = np.nextafter(entries[1][0, 1], 1.0)  # within tolerance
+    cost_schedule(stacks["Q"], stacks["R1"], stacks["R2"])
+    entries[3] = entries[3].copy()
+    entries[3][1, 0] += 10 * DEFAULT_TOLERANCES.symmetry
+    name = "Q_5" if group == "Q" else "R_4^1"
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(name)} is not symmetric within tolerance$"):
+        cost_schedule(stacks["Q"], stacks["R1"], stacks["R2"])
+
+
 def test_game_spec_validation(scalar_spec):
     costs = scalar_spec.costs
     with pytest.raises(DimensionMismatchError):
@@ -304,6 +323,13 @@ def test_singular_curvature_is_rejected():
         solve_feedback_nash(spec)
     assert exc.value.stage == 1
     assert exc.value.min_pivot < 1e-9
+
+
+def test_curvature_error_survives_pickling():
+    exc = ThetaNotPDError(2, 0.5)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is ThetaNotPDError
+    assert (back.stage, back.min_pivot, str(back)) == (2, 0.5, str(exc))
 
 
 def test_value_matrices_track_cost_to_go():

@@ -24,7 +24,9 @@ from previewnash import (
     solve_feedback_nash,
 )
 
-from conftest import make_aligned_game, make_padded_failure_game
+from previewnash import linalg
+
+from conftest import make_aligned_game, make_loose_game, make_padded_failure_game
 
 
 def _varied_costs(T):
@@ -111,6 +113,89 @@ def test_tracking_gain_rejects_unstabilizable_pair():
     spec = game_spec(a, b, b, [1.0, 1.0], costs)
     with pytest.raises(NotStabilizableError):
         compute_tracking_gain(spec)
+
+
+def _value_iteration_gain(spec, rel=None):
+    """The tracking gain by value iteration, the solver doubling replaced.
+
+    It stops once a sweep moves P by less than 1e-10, or, given rel, by at
+    most rel ||P||; the absolute stop is the replaced solver's.
+    """
+    a, b = spec.A, spec.joint_b()
+    eye_n, eye_u = np.eye(spec.n), np.eye(2 * spec.m)
+    p = eye_n
+    for _ in range(10_000):
+        btp = b.T @ p
+        gain = -linalg.solve_linear(eye_u + btp @ b, btp @ a)
+        p_next = linalg.symmetrize(eye_n + a.T @ p @ a + (a.T @ btp.T) @ gain)
+        if not np.all(np.isfinite(p_next)) or np.abs(p_next).max() > 1e100:
+            raise NotStabilizableError("value iteration diverged")
+        step = linalg.two_norm(p_next - p)
+        settled = step < 1e-10 if rel is None else step <= rel * linalg.two_norm(p_next)
+        p = p_next
+        if settled:
+            break
+    else:
+        raise NotStabilizableError("value iteration did not settle")
+    btp = b.T @ p
+    return -linalg.solve_linear(eye_u + btp @ b, btp @ a)
+
+
+def _drawn_grid():
+    """Drawn-family games over a grid of the dynamics a and the first input gain b1."""
+    for a in np.linspace(0.5, 2.5, 21):
+        for b1 in (0.3, 0.85, 1.7):
+            yield generate_game(ExperimentConfig(a=float(a), b1=b1), 3, 0)
+
+
+def _conftest_games():
+    for seed in range(12):
+        yield make_aligned_game(np.random.default_rng(seed), T_max=3)
+        yield make_loose_game(np.random.default_rng(seed), T_max=3)
+
+
+def _relative_gap(k, want):
+    return np.abs(k - want).max() / np.abs(want).max()
+
+
+def test_doubling_gain_is_bitwise_value_iteration_on_the_default_family():
+    spec = generate_game(ExperimentConfig(), 5, 0)
+    assert np.array_equal(compute_tracking_gain(spec), _value_iteration_gain(spec))
+
+
+@pytest.mark.parametrize("games, rel", [
+    (_drawn_grid, None),
+    # on these games the absolute 1e-10 stop leaves value iteration up to
+    # 1e-11 from the Riccati solution, so it runs to a relative stop
+    (_conftest_games, 1e-14),
+])
+def test_doubling_gain_matches_value_iteration(games, rel):
+    compared = 0
+    for spec in games():
+        try:
+            want = _value_iteration_gain(spec, rel)
+        except NotStabilizableError:
+            with pytest.raises(NotStabilizableError):
+                compute_tracking_gain(spec)
+            continue
+        assert _relative_gap(compute_tracking_gain(spec), want) <= 1e-12
+        compared += 1
+    assert compared >= 24
+
+
+def test_doubling_gain_solves_the_riccati_equation():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    compared = 0
+    for spec in (*_drawn_grid(), *_conftest_games()):
+        try:
+            k = compute_tracking_gain(spec)
+        except NotStabilizableError:
+            continue
+        a, b = spec.A, spec.joint_b()
+        btx = b.T @ scipy_linalg.solve_discrete_are(a, b, np.eye(spec.n), np.eye(2 * spec.m))
+        assert _relative_gap(k, -np.linalg.solve(np.eye(2 * spec.m) + btx @ b, btx @ a)) <= 1e-10
+        compared += 1
+    assert compared >= 80
 
 
 # --------------------------------------------------------------- prediction
