@@ -16,12 +16,8 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments, game, linalg, online, potential
-from .game import ThetaNotPDError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .online import NotStabilizableError, ZeroNashCostError
 from .potential import AssumptionViolatedError
 
 __all__ = ["main", "entry", "UsageError"]
@@ -202,11 +198,8 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         _error_out("input", f"invalid JSON: {exc}")
         return EXIT_USAGE
-    except ZeroNashCostError as exc:  # a ValueError, but numerical, not bad input
-        _error_out("zero_nash_cost", str(exc))
-        return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:  # likewise
-        _error_out("linalg_error", str(exc))
+    except experiments._NUMERICAL_ERRORS as exc:  # some are ValueErrors, but not bad input
+        _error_out(experiments._error_tag(exc), str(exc), stage=getattr(exc, "stage", None))
         return EXIT_NUMERICAL
     except (ValueError, KeyError, IndexError) as exc:
         _error_out("input", str(exc))
@@ -217,12 +210,6 @@ def main(argv=None) -> int:
     except AssumptionViolatedError as exc:
         _error_out("assumption", str(exc), stage=exc.assumption_id)
         return EXIT_VALIDATION
-    except ThetaNotPDError as exc:
-        _error_out("theta_not_pd", str(exc), stage=exc.stage)
-        return EXIT_NUMERICAL
-    except NotStabilizableError as exc:
-        _error_out("not_stabilizable", str(exc))
-        return EXIT_NUMERICAL
 
 
 def entry() -> None:

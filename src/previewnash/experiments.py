@@ -80,7 +80,7 @@ def _scalar(name: str, value, kind: type):
 def _check_dist(name: str, dist) -> tuple:
     try:
         lo, hi = (float(v) for v in dist)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfigError(f"{name} must be a (low, high) pair") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise InvalidConfigError(f"{name} must satisfy low < high, got ({lo}, {hi})")
@@ -154,7 +154,7 @@ class ExperimentConfig:
 
         try:
             x1 = tuple(float(v) for v in self.x1)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfigError("x1 must be a pair of reals") from exc
         if len(x1) != 2 or not all(math.isfinite(v) for v in x1):
             raise InvalidConfigError(f"x1 must be two finite reals, got {self.x1!r}")
@@ -350,6 +350,8 @@ _ERROR_TAGS = (
     (DimensionMismatchError, "dimension_mismatch"),
 )
 _LOCAL_ERRORS = (AssumptionViolatedError, *(cls for cls, _ in _ERROR_TAGS))
+# the numerical ones: a bad shape is an input error when it escapes to the CLI
+_NUMERICAL_ERRORS = tuple(cls for cls, _ in _ERROR_TAGS if cls is not DimensionMismatchError)
 
 
 def _error_tag(exc: Exception) -> str:

@@ -7,7 +7,9 @@ This module holds the data model, simulation and cost evaluation, the
 coupled-Riccati feedback Nash solver, and two oracles used to certify the
 equilibrium property (stage-wise deviations, and the policy cost-difference
 identity).  Every trajectory in the package, open loop, closed loop or
-tracking, is stepped by the one affine rollout `_rollout`.
+tracking, is stepped by the one affine rollout `_rollout`, and every
+backward pass, the reduced control problem's too, is the one Riccati
+recursion `_backward`.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ def cost_schedule(Q: Sequence, R1: Sequence, R2: Sequence, tol: Tolerances | Non
 
 def _rows(first, name: str) -> int:
     """Row count of a group's first entry; a scalar, which has none, is rejected by name."""
-    shape = np.asarray(first, dtype=float).shape
+    shape = linalg._floats(first, name).shape
     if not shape:
         linalg.as_matrix(first, name=name)  # raises
     return shape[0]
@@ -180,7 +182,7 @@ def _checked_stack(entries: Sequence, size: int, name: str, first: int, tol: Tol
     """
     try:
         stack = np.array(entries, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         stack = None
     shape_error = None
     if stack is None or stack.shape != (len(entries), size, size) or not np.all(np.isfinite(stack)):
@@ -650,8 +652,8 @@ def spec_to_dict(spec: GameSpec) -> dict:
 def spec_from_dict(data: dict, tol: Tolerances | None = None) -> GameSpec:
     """Inverse of spec_to_dict.
 
-    A non-object, a missing field or a mistyped one raises
-    DimensionMismatchError, like a matrix of the wrong shape.
+    A non-object, a missing field, a mistyped one, or a matrix that is
+    ragged, misshapen or not finite raises DimensionMismatchError.
     """
     if not isinstance(data, dict):
         raise DimensionMismatchError(
@@ -665,6 +667,10 @@ def spec_from_dict(data: dict, tol: Tolerances | None = None) -> GameSpec:
         raise DimensionMismatchError(f"game description is missing field {exc}") from exc
     except TypeError as exc:
         raise DimensionMismatchError(f"game description has a mistyped field: {exc}") from exc
+    except DimensionMismatchError:
+        raise
+    except ValueError as exc:  # as_matrix's, or numpy's for a ragged entry
+        raise DimensionMismatchError(str(exc)) from exc
     for field, value in declared.items():
         try:
             value = _integral(value)
@@ -706,7 +712,7 @@ def nash_from_dict(data: dict) -> NashSolution:
         theta_min = tuple(float(v) for v in data["theta_min_eig"])
     except KeyError as exc:
         raise DimensionMismatchError(f"solution is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatchError(f"solution has a mistyped or ragged field: {exc}") from exc
     if x.ndim != 2 or x.shape[0] < 2:
         raise DimensionMismatchError(f"x_star must be (T, n) with T >= 2, got shape {x.shape}")

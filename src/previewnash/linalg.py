@@ -79,9 +79,17 @@ class SingularExtremes(NamedTuple):
     sigma_min_pos: float
 
 
+def _floats(a, name: str) -> np.ndarray:
+    """np.array(a, dtype=float); an integer too large for a float is a ValueError."""
+    try:
+        return np.array(a, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"{name}: entries must be finite") from exc
+
+
 def as_matrix(a, rows: int | None = None, cols: int | None = None, *, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite float64 2-D array, optionally pinning the shape."""
-    m = np.array(a, dtype=float)
+    m = _floats(a, name)
     if m.ndim != 2:
         raise ValueError(f"{name}: expected a 2-D array, got ndim={m.ndim}")
     if rows is not None and m.shape[0] != rows:
@@ -94,7 +102,7 @@ def as_matrix(a, rows: int | None = None, cols: int | None = None, *, name: str 
 
 
 def as_vector(a, length: int | None = None, *, name: str = "vector") -> np.ndarray:
-    v = np.array(a, dtype=float).reshape(-1)
+    v = _floats(a, name).reshape(-1)
     if length is not None and v.shape[0] != length:
         raise ValueError(f"{name}: expected length {length}, got {v.shape[0]}")
     if not np.all(np.isfinite(v)):

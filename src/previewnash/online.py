@@ -90,6 +90,7 @@ def pad_schedule(costs: CostSchedule, t: int, W: int) -> PaddedSchedule:
     return PaddedSchedule(base=costs, t=t, W=W, costs=padded)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the finiteness guard
 def compute_tracking_gain(spec: GameSpec, tol: Tolerances | None = None) -> np.ndarray:
     """A stabilizing joint feedback gain for (A, [B1 B2]).
 
@@ -115,8 +116,7 @@ def compute_tracking_gain(spec: GameSpec, tol: Tolerances | None = None) -> np.n
     for _ in range(64):
         w_inv = linalg.solve_linear(eye_n + g_k @ h_k, np.hstack((a_k, g_k)))  # W^-1 [A_k G_k]
         h_next = h_k + a_k.T @ h_k @ w_inv[:, :n]
-        # cap far below float overflow so divergence raises cleanly instead
-        # of warning about inf in the next matmul
+        # refuse a diverging H: not finite, or far beyond any stabilizing value
         if not np.all(np.isfinite(h_next)) or np.abs(h_next).max() > 1e100:
             raise NotStabilizableError("value iteration diverged; (A, B) is not stabilizable")
         if linalg.two_norm(h_next - h_k) <= 1e-15 * linalg.two_norm(h_next):

@@ -5,9 +5,10 @@ when the players' cost structure lines up: the cross control-weight blocks
 agree after transposition and both value recursions act identically through
 the input channel.  This module scores those conditions (plus definiteness
 and stabilizability side conditions) with numerical margins, builds the
-equivalent single-agent problem, and exposes oracles that certify the
-equivalence and the special single-input structure used by the random
-experiments.
+equivalent single-agent problem, solves it on the game's own backward pass
+as the game in which both players pay its weights, and exposes oracles
+that certify the equivalence and the special single-input structure used
+by the random experiments.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import numpy as np
 from . import game as game_mod
 from . import linalg, online
 from .game import (
+    CostSchedule,
     DimensionMismatchError,
     GameSpec,
     NashSolution,
     ThetaNotPDError,
-    with_costs,  # noqa: F401 - kept importable here; benches/test_bench.py rebinds it
+    with_costs,
 )
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 
@@ -50,11 +52,16 @@ ASSUMPTION_IDS = ("A1", "A2", "A3", "A4", "A5", "A6")
 class AssumptionViolatedError(RuntimeError):
     def __init__(self, assumption_id: str, detail: str = "", report: "AssumptionReport | None" = None):
         self.assumption_id = assumption_id
+        self.detail = detail
         self.report = report
         msg = f"assumption {assumption_id} violated"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # args hold only the message, so unpickling must call __init__ with these
+        return type(self), (self.assumption_id, self.detail, self.report)
 
 
 class ReductionMismatchError(RuntimeError):
@@ -295,7 +302,9 @@ def reduce_to_ocp(spec: GameSpec, tol: Tolerances | None = None) -> OcpReduction
     stage curvature minus the input-channel value term; disagreement beyond
     tolerance raises ReductionMismatchError.  The state weight absorbs the
     gap between player 1's control cost and the joint one through the game's
-    own gains; the terminal weight is taken as Q_T itself.
+    own gains; the terminal weight is taken as Q_T itself.  The reduced
+    problem is the game whose two players both pay (Q_bar, R_bar), and it
+    is solved by the same backward pass as the game.
     """
     tol = tol or DEFAULT_TOLERANCES
     try:
@@ -306,14 +315,18 @@ def reduce_to_ocp(spec: GameSpec, tol: Tolerances | None = None) -> OcpReduction
 
 
 def _reduce(spec: GameSpec, nash: NashSolution, tol: Tolerances) -> OcpReduction:
-    """reduce_to_ocp on the game's solved equilibrium `nash`."""
+    """reduce_to_ocp on the game's solved equilibrium `nash`.
+
+    `game._backward` solves the reduced game: both players' values are
+    P_bar and its joint gains are K_bar_ocp.  The shortcut check then runs
+    on all stages at once.  The error raised is the one a descent from
+    stage T-1 would meet first, a stage's curvature before its shortcut.
+    """
     T = spec.T
     costs = spec.costs
-    # one LAPACK factorization per check; cholesky_pd names the first failing matrix
-    if not linalg._all_pd(linalg.symmetrize(costs.Q), tol.pd_pivot):
-        for t in range(2, T + 1):
-            if not linalg.cholesky_pd(costs.q(t), tol.pd_pivot).is_pd:
-                raise AssumptionViolatedError("A1", f"state weight at stage {t} is not positive definite")
+    bad = linalg._not_pd(linalg.symmetrize(costs.Q), tol.pd_pivot)
+    if bad:
+        raise AssumptionViolatedError("A1", f"state weight at stage {bad[0] + 2} is not positive definite")
 
     b1, b2, b = spec.B1, spec.B2, spec.joint_b()
     m = spec.m
@@ -327,59 +340,39 @@ def _reduce(spec: GameSpec, nash: NashSolution, tol: Tolerances) -> OcpReduction
         raise AssumptionViolatedError("A1", f"cross-weight blocks disagree at stage {bad[0] + 1}")
 
     rps = _joint_weights(costs.R1, costs.R2)
+    r_bar = linalg.symmetrize(rps)
     asym = linalg._asymmetry(rps) > tol.symmetry
-    r_sym = linalg.symmetrize(rps)
-    indefinite = np.zeros(T - 1, dtype=bool)
-    if not linalg._all_pd(r_sym, tol.pd_pivot):
-        indefinite = np.array([not linalg.cholesky_pd(rp, tol.pd_pivot).is_pd for rp in rps])
-    bad = np.flatnonzero(asym | indefinite)
-    if bad.size:
-        fault = "symmetric" if asym[bad[0]] else "positive definite"
-        raise AssumptionViolatedError("A4", f"joint control weight at stage {bad[0] + 1} is not {fault}")
-    r_pot = [None, *r_sym]
+    bad = min(np.flatnonzero(asym).tolist() + linalg._not_pd(r_bar, tol.pd_pivot), default=None)
+    if bad is not None:
+        fault = "symmetric" if asym[bad] else "positive definite"
+        raise AssumptionViolatedError("A4", f"joint control weight at stage {bad + 1} is not {fault}")
 
-    a = spec.A
-    p_bar = [None] * (T + 1)
-    q_bar = [None] * (T + 1)
-    k_bar = [None] * T
-    q_bar[T] = costs.q(T)
-    p_bar[T] = costs.q(T)
-    for t in range(T - 1, 0, -1):
-        theta_bar = r_pot[t] + b.T @ p_bar[t + 1] @ b
-        if not linalg._all_pd(linalg.symmetrize(theta_bar), tol.pd_pivot):
-            check = linalg.cholesky_pd(theta_bar, tol.pd_pivot)
-            if not check.is_pd:
-                raise ReductionMismatchError(
-                    f"reduced curvature at stage {t} is not positive definite (pivot {check.min_pivot:.3e})"
-                )
-        k_bar[t] = -linalg.solve_linear(theta_bar, b.T @ p_bar[t + 1] @ a)
-        resid = linalg.two_norm(r_pot[t] - (thetas[t - 1] - b.T @ p_bar[t + 1] @ b))
-        if resid > tol.mat_eq:
-            raise ReductionMismatchError(
-                f"shortcut control weight off by {resid:.3e} at stage {t}"
-            )
-        if t >= 2:
-            kg = nash.gain(t)
-            q_bar[t] = linalg.symmetrize(
-                costs.q(t) + kg.T @ (costs.r(1, t) - r_pot[t]) @ kg
-            )
-            closed = a + b @ k_bar[t]
-            p_bar[t] = linalg.symmetrize(
-                q_bar[t] + k_bar[t].T @ r_pot[t] @ k_bar[t] + closed.T @ p_bar[t + 1] @ closed
-            )
-
-    return OcpReduction(
-        R_bar=tuple(r_pot[1:]),
-        Q_bar=tuple(q_bar[2:]),
-        P_bar=tuple(p_bar[2:]),
-        K_bar_ocp=tuple(k_bar[1:]),
-    )
+    # stages 2..T-1 absorb K_t' (R1_t - R_bar_t) K_t through the game's gains
+    gains = np.stack(nash.K)[1:]
+    q_bar = np.concatenate((
+        linalg.symmetrize(costs.Q[:-1] + gains.transpose(0, 2, 1) @ (costs.R1[1:] - r_bar[1:]) @ gains),
+        costs.Q[-1:]))
+    batch = game_mod._backward(with_costs(spec, CostSchedule(q_bar, r_bar, r_bar)), [T - 1], tol)
+    failure = batch.failures[0]
+    floor = 0 if failure is None else failure.stage
+    # resid[t - 1] is stage t's; a descent stops at a curvature failure, below which P_bar is void
+    resid = np.linalg.norm(r_bar - (thetas - b.T @ np.stack(batch.P1) @ b), 2, axis=(-2, -1))
+    off = np.flatnonzero(resid[floor:] > tol.mat_eq)
+    if off.size:
+        t = floor + off[-1] + 1
+        raise ReductionMismatchError(f"shortcut control weight off by {resid[t - 1]:.3e} at stage {t}")
+    if failure is not None:
+        raise ReductionMismatchError(f"reduced curvature at stage {failure.stage} is not positive definite "
+                                     f"(pivot {failure.min_pivot:.3e})")
+    return OcpReduction(R_bar=tuple(r_bar), Q_bar=tuple(q_bar), P_bar=batch.P1,
+                        K_bar_ocp=tuple(batch.K[0]))
 
 
 def verify_equivalence(spec: GameSpec, tol: Tolerances | None = None) -> float:
     """Largest stage-wise gain gap between the game and its reduction.
 
-    The game is solved once and reduced from that solution.  An uncertified
+    The game is solved once and reduced from that solution, which takes
+    one more backward pass, on the reduced problem.  An uncertified
     game raises ThetaNotPDError; a game that does not reduce raises what
     reduce_to_ocp raises.
     """

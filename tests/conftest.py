@@ -19,6 +19,9 @@ certified while three of its padded games are not.
 
 `scalar_draw` is the one-generator-per-scalar draw that
 `experiments._draws` ports to array arithmetic, kept as its reference.
+
+`malformed_docs` is the `hypothesis` strategy that the input-contract
+property tests draw bad JSON documents from.
 """
 
 import numpy as np
@@ -114,6 +117,34 @@ def scalar_draw(seed, t, tag, dist):
     """The random family's draw for key (seed, t, tag), from its own generator."""
     rng = np.random.default_rng((seed, t, tag))
     return float(rng.uniform(dist[0], dist[1]))
+
+
+def _json_trees(st):
+    """JSON-like trees whose leaves include NaN, inf, huge integers and text."""
+    leaves = (st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from([10 ** 400, -10 ** 400])
+              | st.floats() | st.text(max_size=3))
+    return st.recursive(leaves, lambda kids: st.lists(kids, max_size=3)
+                        | st.dictionaries(st.text(max_size=2), kids, max_size=2), max_leaves=8)
+
+
+def _malformed(st, value, trees):
+    """A stand-in for the JSON value `value`: any of `trees`, the value wrapped
+    in a list, or, for a list, the list with its last entry dropped, its
+    first entry repeated, or one entry replaced by a stand-in of its own.
+    Nested lists so turn ragged, mismatched, mistyped or non-finite."""
+    options = [trees, st.just([value])]
+    if isinstance(value, list) and value:
+        options += [st.just(value[:-1]), st.just(value + value[:1])]
+        options += [_malformed(st, entry, trees).map(lambda v, k=k: value[:k] + [v] + value[k + 1:])
+                    for k, entry in enumerate(value)]
+    return st.one_of(options)
+
+
+def malformed_docs(st, doc):
+    """The JSON object `doc` with one field replaced by a malformed stand-in."""
+    trees = _json_trees(st)
+    return st.one_of([_malformed(st, value, trees).map(lambda bad, field=field: {**doc, field: bad})
+                      for field, value in doc.items()])
 
 
 def make_padded_failure_game():

@@ -308,7 +308,8 @@ def test_truncated_spec_is_input_error(tmp_path, capsys):
     assert err["code"] == "input"
 
 
-@pytest.mark.parametrize("doc", [[1, 2], {"n": None}, {"Q": 5}])
+@pytest.mark.parametrize("doc", [[1, 2], {"n": None}, {"Q": 5}, {"A": [[10 ** 400]]}, {"Q": [[[10 ** 400]]]},
+                                 {"R1": [[[10 ** 400, 0.0], [0.0, 0.0]]]}, {"x1": [10 ** 400]}])
 def test_mistyped_spec_is_input_error(scalar_spec, doc, tmp_path, capsys):
     data = doc if isinstance(doc, list) else {**spec_to_dict(scalar_spec), **doc}
     path = tmp_path / "spec.json"
@@ -318,7 +319,8 @@ def test_mistyped_spec_is_input_error(scalar_spec, doc, tmp_path, capsys):
     assert err["code"] == "input"
 
 
-@pytest.mark.parametrize("doc", [{"runs": None}, {"a": None}, {"seed": [1]}])
+@pytest.mark.parametrize("doc", [{"runs": None}, {"a": None}, {"seed": [1]}, {"beta_dist": [1, 10 ** 400]},
+                                 {"x1": [1, 10 ** 400]}])
 def test_mistyped_config_is_input_error(doc, tmp_path, capsys):
     cfg = _write_config(tmp_path, **doc)
     assert cli.main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1

@@ -36,7 +36,7 @@ from previewnash import (
 from previewnash import cli, experiments, online
 from previewnash import game as game_mod
 
-from conftest import make_padded_failure_game, scalar_draw
+from conftest import make_padded_failure_game, malformed_docs, scalar_draw
 
 ROWS_HEADER = ["T", "W", "seed", "pou", "nash_social_cost", "log_rel_pou"]
 AGG_HEADER = ["T", "W", "mean_pou", "mean_nash_cost", "log_rel_pou"]
@@ -117,6 +117,23 @@ def test_config_round_trip_and_unknown_keys():
         ExperimentConfig.from_dict({"runs": 3, "horizon": 20})
     with pytest.raises(InvalidConfigError):
         ExperimentConfig.from_dict([1, 2])
+
+
+def test_config_from_dict_ends_malformed_input_in_its_typed_error():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    doc = ExperimentConfig(T_range=(5, 10), W_range=(0, 2)).to_dict()
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(bad=malformed_docs(st, doc))
+    @hypothesis.example(bad={**doc, "x1": [1, 10 ** 400]})
+    @hypothesis.example(bad={**doc, "beta_dist": [1, 10 ** 400]})
+    def check(bad):
+        try:
+            ExperimentConfig.from_dict(bad)
+        except InvalidConfigError:
+            pass
+
+    check()
 
 
 # ----------------------------------------------------------------- drawing
@@ -399,6 +416,13 @@ def test_sweep_computes_the_tracking_gain_once(monkeypatch):
     assert len(res.rows) == 2 * 7 * 3
     assert {r.error for r in res.rows} == {"not_stabilizable"}
     assert sweep(config, jobs=2) == res
+
+
+def test_overflowing_gain_tags_rows_without_a_warning():
+    # at a=1e200 the doubling step overflows; pytest turns that warning into
+    # an error, so the rows are tagged only if the finiteness guard sees it
+    res = sweep(ExperimentConfig(a=1e200, T_range=(4,), W_range=(0, 1), runs=2))
+    assert [r.error for r in res.rows] == ["not_stabilizable"] * 4
 
 
 def test_failed_gain_tags_rows_after_the_draw(monkeypatch):

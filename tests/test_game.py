@@ -39,7 +39,7 @@ from previewnash import game as game_mod
 from previewnash import linalg
 from previewnash.linalg import DEFAULT_TOLERANCES
 
-from conftest import make_aligned_game, make_loose_game, spd
+from conftest import make_aligned_game, make_loose_game, malformed_docs, spd
 
 
 # ---------------------------------------------------------------- schedules
@@ -577,3 +577,25 @@ def test_nash_from_dict_rejects_mismatched_state_width(scalar_spec_t3):
     # the gains and value matrices are still 1-state wide
     with pytest.raises(DimensionMismatchError, match=r"K\[0\] must be \(2, 2\)"):
         nash_from_dict(data)
+
+
+@pytest.mark.parametrize("target", ["spec", "nash"])
+def test_deserialisers_end_malformed_input_in_their_typed_error(target):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    spec = make_aligned_game(np.random.default_rng(5), n=2, m=1, T=3)
+    if target == "spec":
+        doc, load, matrix = spec_to_dict(spec), spec_from_dict, "A"
+    else:
+        doc, load, matrix = nash_to_dict(solve_feedback_nash(spec)), nash_from_dict, "x_star"
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(bad=malformed_docs(st, doc))
+    @hypothesis.example(bad={**doc, matrix: [[10 ** 400, 0.0], [0.0, 1.0]]})
+    def check(bad):
+        try:
+            load(bad)
+        except DimensionMismatchError:
+            pass
+
+    check()

@@ -1,6 +1,7 @@
 """Structural checks, the single-agent reduction, and their invariants."""
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +109,21 @@ def test_indefinite_state_weight_fails_strict():
         check_assumptions(spec, mode="strict")
     assert exc.value.assumption_id == "A1"
     assert exc.value.report is not None and not exc.value.report.overall
+
+
+def test_assumption_error_pickles_intact():
+    spec = game_spec([[1.0]], [[1.0]], [[1.0]], [1.0],
+                     cost_schedule([[[-1.0]]], [np.diag([1.0, 0.0])], [np.diag([0.0, 1.0])]))
+    with pytest.raises(AssumptionViolatedError) as info:
+        check_assumptions(spec, mode="strict")
+    for exc in (AssumptionViolatedError("A1", "detail x"), info.value):
+        back = pickle.loads(pickle.dumps(exc))
+        assert str(back) == str(exc)
+        assert back.assumption_id == exc.assumption_id
+        assert back.report == exc.report
+    assert back.report is not None and not back.report.overall
+    assert str(pickle.loads(pickle.dumps(AssumptionViolatedError("A1", "detail x")))) == (
+        "assumption A1 violated: detail x")
 
 
 def test_aligned_family_passes_everything():
@@ -295,6 +311,122 @@ def test_uncertified_padded_games_are_scored_from_one_pass(monkeypatch):
 
 # ---------------------------------------------------------------- reduction
 
+def _reference_reduce(spec, nash, tol):
+    """The reduction stage by stage, with its own Riccati recursion: the
+    reference that `potential._reduce` is pinned to."""
+    T = spec.T
+    costs = spec.costs
+    for t in range(2, T + 1):
+        if not linalg.cholesky_pd(costs.q(t), tol.pd_pivot).is_pd:
+            raise AssumptionViolatedError("A1", f"state weight at stage {t} is not positive definite")
+    b1, b2, b = spec.B1, spec.B2, spec.joint_b()
+    m = spec.m
+    thetas = [game_mod._stage_theta(costs.r(1, t), costs.r(2, t), b1.T @ nash.value(1, t + 1),
+                                    b2.T @ nash.value(2, t + 1), b1, b2) for t in range(1, T)]
+    for t in range(1, T):
+        if linalg.two_norm(thetas[t - 1][:m, m:] - thetas[t - 1][m:, :m].T) > tol.mat_eq:
+            raise AssumptionViolatedError("A1", f"cross-weight blocks disagree at stage {t}")
+    r_pot = [None]
+    for t in range(1, T):
+        rp = build_r_potential(costs.r(1, t), costs.r(2, t))
+        fault = ("symmetric" if linalg.two_norm(rp - rp.T) > tol.symmetry
+                 else None if linalg.cholesky_pd(rp, tol.pd_pivot).is_pd else "positive definite")
+        if fault:
+            raise AssumptionViolatedError("A4", f"joint control weight at stage {t} is not {fault}")
+        r_pot.append(linalg.symmetrize(rp))
+
+    a = spec.A
+    p_bar = [None] * (T + 1)
+    q_bar = [None] * (T + 1)
+    k_bar = [None] * T
+    q_bar[T] = p_bar[T] = costs.q(T)
+    for t in range(T - 1, 0, -1):
+        theta_bar = r_pot[t] + b.T @ p_bar[t + 1] @ b
+        check = linalg.cholesky_pd(theta_bar, tol.pd_pivot)
+        if not check.is_pd:
+            raise ReductionMismatchError(
+                f"reduced curvature at stage {t} is not positive definite (pivot {check.min_pivot:.3e})"
+            )
+        k_bar[t] = -linalg.solve_linear(theta_bar, b.T @ p_bar[t + 1] @ a)
+        resid = linalg.two_norm(r_pot[t] - (thetas[t - 1] - b.T @ p_bar[t + 1] @ b))
+        if resid > tol.mat_eq:
+            raise ReductionMismatchError(f"shortcut control weight off by {resid:.3e} at stage {t}")
+        if t >= 2:
+            kg = nash.gain(t)
+            q_bar[t] = linalg.symmetrize(costs.q(t) + kg.T @ (costs.r(1, t) - r_pot[t]) @ kg)
+            closed = a + b @ k_bar[t]
+            p_bar[t] = linalg.symmetrize(
+                q_bar[t] + k_bar[t].T @ r_pot[t] @ k_bar[t] + closed.T @ p_bar[t + 1] @ closed
+            )
+    return potential.OcpReduction(R_bar=tuple(r_pot[1:]), Q_bar=tuple(q_bar[2:]),
+                                  P_bar=tuple(p_bar[2:]), K_bar_ocp=tuple(k_bar[1:]))
+
+
+def _identical_players_game():
+    q = [[1.0]]
+    r = np.eye(2)
+    costs = cost_schedule([q, q], [r, r], [r, r])
+    return game_spec([[1.0]], [[1.0]], [[1.0]], [1.0], costs)
+
+
+def test_reduction_matches_the_stage_by_stage_reference(scalar_spec_t3):
+    rng = np.random.default_rng(61)
+    specs = [make_aligned_game(rng) for _ in range(12)] + [scalar_spec_t3, _identical_players_game()]
+    tol = linalg.DEFAULT_TOLERANCES
+    for spec in specs:
+        red = reduce_to_ocp(spec)
+        ref = _reference_reduce(spec, solve_feedback_nash(spec), tol)
+        for field in ("R_bar", "Q_bar", "P_bar", "K_bar_ocp"):
+            got, want = np.stack(getattr(red, field)), np.stack(getattr(ref, field))
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300), field
+
+
+def _forged_solutions():
+    """A T=4 scalar game with own-slot weights, and a forgery of its solution.
+
+    forge(gain_stage, value_stage) replaces the stage's gain by [[0], [10]],
+    which drives the reduced state weight there, and with it the reduced
+    curvature one stage down, negative; it shifts both players' values at
+    value_stage by 5, which puts the shortcut weight one stage down off by
+    10.  Either may be None.
+    """
+    r1, r2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    spec = game_spec([[1.0]], [[1.0]], [[1.0]], [1.0],
+                     cost_schedule([[[1.0]]] * 3, [r1] * 3, [r2] * 3))
+    nash = solve_feedback_nash(spec)
+
+    def forge(gain_stage, value_stage):
+        gains, p1, p2 = list(nash.K), list(nash.P1), list(nash.P2)
+        if gain_stage is not None:
+            gains[gain_stage - 1] = np.array([[0.0], [10.0]])
+        if value_stage is not None:
+            p1[value_stage - 2] = p1[value_stage - 2] + 5.0
+            p2[value_stage - 2] = p2[value_stage - 2] + 5.0
+        return replace(nash, K=tuple(gains), P1=tuple(p1), P2=tuple(p2))
+
+    return spec, forge
+
+
+@pytest.mark.parametrize("gain_stage, value_stage, message", [
+    (2, 4, "shortcut control weight off by 1.000e+01 at stage 3"),
+    (2, None, "reduced curvature at stage 1 is not positive definite (pivot -9.765e+01)"),
+    (None, 4, "shortcut control weight off by 1.000e+01 at stage 3"),
+    # the shortcut fault at stage 1 lies below the curvature failure at stage 2
+    (3, 2, "reduced curvature at stage 2 is not positive definite (pivot -9.767e+01)"),
+    (None, 2, "shortcut control weight off by 1.000e+01 at stage 1"),
+], ids=["shortcut_above_curvature", "curvature", "shortcut", "shortcut_below_curvature",
+        "shortcut_at_stage_1"])
+def test_reduction_reports_the_first_fault_from_the_top(gain_stage, value_stage, message):
+    spec, forge = _forged_solutions()
+    forged = forge(gain_stage, value_stage)
+    tol = linalg.DEFAULT_TOLERANCES
+    for reduce in (potential._reduce, _reference_reduce):
+        with pytest.raises(ReductionMismatchError) as info:
+            reduce(spec, forged, tol)
+        assert str(info.value) == message
+
+
 def test_scalar_reduction_closed_form(scalar_spec_t3):
     red = reduce_to_ocp(scalar_spec_t3)
     assert len(red.R_bar) == 2 and len(red.Q_bar) == 2
@@ -322,10 +454,7 @@ def test_reduction_refuses_invalid_games():
 def test_identical_players_reduce_to_their_own_problem():
     # R1 = R2 makes the joint weight equal to either and the state
     # correction vanish, so the reduction returns the game's own costs
-    q = [[1.0]]
-    r = np.eye(2)
-    costs = cost_schedule([q, q], [r, r], [r, r])
-    spec = game_spec([[1.0]], [[1.0]], [[1.0]], [1.0], costs)
+    spec = _identical_players_game()
     red = reduce_to_ocp(spec)
     for rb in red.R_bar:
         assert np.array_equal(rb, np.eye(2))
@@ -353,7 +482,8 @@ def test_verify_equivalence_solves_the_game_once(monkeypatch):
 
     monkeypatch.setattr(game_mod, "_backward", counted)
     assert verify_equivalence(spec) <= 1e-9
-    assert len(calls) == 1
+    # one pass on the game itself, then one on the reduced problem
+    assert [args[0] is spec for args in calls] == [True, False]
 
 
 def test_verify_equivalence_rejects_an_uncertified_game():
