@@ -376,17 +376,17 @@ def _failed(T: int, Ws, seed: int, tag: str) -> list:
     return [SweepRow(T, W, seed, None, None, None, error=tag) for W in Ws]
 
 
-# A block of S seeds at horizon T keeps a gain stack of S (T-1)^2 2m n
-# floats (2m n = 4 in this family); a block holds at most about 16 MB of it.
+# A block of S seeds at horizon T keeps gain and curvature stacks of
+# S (T-1)^2 (2m n + 4m^2) floats (8 in this family), at most about 16 MB.
 _BLOCK_FLOATS = 2 ** 21
 
 
 def _blocks(config: ExperimentConfig, jobs: int) -> list:
     """The (T, run indices) work units: each T's runs in `jobs` contiguous
-    blocks, cut smaller where a block's gain stack would pass _BLOCK_FLOATS."""
+    blocks, cut smaller where a block's stacks would pass _BLOCK_FLOATS."""
     blocks = []
     for T in config.T_range:
-        size = min(-(-config.runs // jobs), max(1, _BLOCK_FLOATS // (4 * (T - 1) ** 2)))
+        size = min(-(-config.runs // jobs), max(1, _BLOCK_FLOATS // (8 * (T - 1) ** 2)))
         blocks += [(T, range(k, min(k + size, config.runs))) for k in range(0, config.runs, size)]
     return blocks
 

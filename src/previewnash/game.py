@@ -193,10 +193,7 @@ def _checked_stack(entries: Sequence, size: int, name: str, first: int, tol: Tol
             except ValueError as exc:
                 shape_error, stack = exc, stack[:k]
                 break
-    if np.array_equal(stack, np.swapaxes(stack, 1, 2)):  # exactly symmetric: asymmetry 0
-        asym = np.zeros(len(stack), dtype=bool)
-    else:
-        asym = linalg._asymmetry(stack) > tol.symmetry
+    asym = linalg._asymmetry(stack) > tol.symmetry
     faulty = asym | (np.linalg.eigvalsh(linalg.symmetrize(stack))[:, 0] < -tol.pd_pivot) if psd else asym
     bad = np.flatnonzero(faulty)
     if bad.size:
@@ -231,7 +228,7 @@ class GameSpec:
         return np.hstack((self.B1, self.B2))
 
 
-def game_spec(A, B1, B2, x1, costs: CostSchedule, tol: Tolerances | None = None) -> GameSpec:
+def game_spec(A, B1, B2, x1, costs: CostSchedule) -> GameSpec:
     """Validate dimensions and assemble a GameSpec."""
     a = linalg.as_matrix(A, name="A")
     n = a.shape[0]
@@ -334,6 +331,7 @@ def _trajectory(spec: GameSpec, states, controls) -> tuple[np.ndarray, np.ndarra
     return x, u
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a cost past the float range is inf
 def _path_costs(q: np.ndarray, r1: np.ndarray, r2: np.ndarray, x: np.ndarray,
                 u: np.ndarray) -> np.ndarray:
     """Both players' costs along stacked paths of L steps, as a (..., 2) array.
@@ -380,22 +378,27 @@ def _stage_theta(r1, r2, b1p1, b2p2, B1, B2) -> np.ndarray:
 class _Batch(NamedTuple):
     """Solutions of G padded games from one stacked backward pass.
 
-    K is (G, T-1, 2m, n), or None when the pass scored residuals, and
-    theta_min (G, T-1).  P1, P2 are per-stage (n, n) value matrices for
-    stages 2..T, kept only when G == 1.  residuals is None unless the pass
-    was asked to score them; then it is (G, 2), each game's largest
-    cross-weight residual ||Theta_t[:m, m:] - Theta_t[m:, :m]'||_2 over
-    stages 1..T-1 and largest value-coupling residual
-    ||B'(P1_t - P2_t) A||_2 over stages 2..T.  failures[g] is None or the
-    ThetaNotPDError game g raises alone; its other entries are then void.
+    K is (G, T-1, 2m, n), or None when the pass scored residuals; theta is
+    (G, T-1, 2m, 2m), the stage curvatures the pass certified and solved
+    with.  P1, P2 are per-stage (n, n) value matrices for stages 2..T,
+    kept only when G == 1.  residuals is None unless the pass was asked to
+    score them; then it is (G,), each game's largest value-coupling
+    residual ||B'(P1_t - P2_t) A||_2 over stages 2..T.  failures[g] is None
+    or the ThetaNotPDError game g raises alone; its other entries are then
+    void, and its curvature is the identity from the failing stage down.
     """
 
     K: np.ndarray | None
-    theta_min: np.ndarray
+    theta: np.ndarray
     P1: tuple | None
     P2: tuple | None
     residuals: np.ndarray | None
     failures: tuple
+
+    @property
+    def theta_min(self) -> np.ndarray:
+        """(G, T-1) smallest eigenvalue of each stage curvature's symmetric part."""
+        return np.linalg.eigvalsh(linalg.symmetrize(self.theta))[..., 0]
 
     def certified(self) -> "_Batch":
         """The batch itself, or the first failed game's error, raised."""
@@ -414,10 +417,10 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     schedule through stage known[g] and its last revealed weights repeated
     after that: stage tau uses R_min(tau, known[g]) and the state weight of
     stage s is Q_min(s, known[g]+1).  Every product is a stacked `@`, so
-    each game's arithmetic is the same as if it were solved alone.  With
-    `residuals` the pass also keeps each game's running maxima of the two
-    alignment residuals (see _Batch) and keeps no gain stack.  Weights are
-    read by index from the schedules' stacks.
+    each game's arithmetic is the same as if it were solved alone.  The
+    pass keeps every stage's curvature; with `residuals` it keeps each
+    game's value-coupling residual (see _Batch) instead of its gains.
+    Weights are read by index from the schedules' stacks.
 
     A failed certificate is reported, not raised: failures[g] is the error
     game g raises alone (its highest failing stage, with the pivot
@@ -439,8 +442,8 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     keep_values = G == 1
     p1_hist, p2_hist = [p1[0]], [p2[0]]
     gains = None if residuals else np.empty((G, T - 1, 2 * m, n))
-    theta_min = np.empty((G, T - 1))
-    res = np.zeros((G, 2)) if residuals else None
+    thetas = np.empty((G, T - 1, 2 * m, 2 * m))
+    res = np.zeros(G) if residuals else None
     failures = [None] * G
     failed = np.zeros(G, dtype=bool)
 
@@ -455,16 +458,14 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
         bad = linalg._not_pd(sym, tol.pd_pivot)
         if bad:
             for g in bad:
-                failures[g] = ThetaNotPDError(t, linalg.cholesky_pd(theta[g], tol.pd_pivot).min_pivot)
+                failures[g] = ThetaNotPDError(t, linalg.cholesky_pd(sym[g], tol.pd_pivot).min_pivot)
             failed[bad] = True
-            theta[failed] = sym[failed] = np.eye(2 * m)
-        theta_min[:, t - 1] = np.linalg.eigvalsh(sym)[:, 0]
+            theta[failed] = np.eye(2 * m)
+        thetas[:, t - 1] = theta
         if residuals:
-            # fmax, like max(), passes over a NaN norm
-            cross = theta[:, :m, m:] - theta[:, m:, :m].transpose(0, 2, 1)
             gap = b.T @ (p1 - p2) @ a  # stage t+1 values
-            res[:, 0] = np.fmax(res[:, 0], np.linalg.norm(cross, 2, axis=(-2, -1)))
-            res[:, 1] = np.fmax(res[:, 1], np.linalg.norm(gap, 2, axis=(-2, -1)))
+            gap[failed] = 0.0  # void, and maybe not finite, which the norm's SVD refuses
+            res = np.fmax(res, np.linalg.norm(gap, 2, axis=(-2, -1)))
         rhs = np.concatenate((b1p1, b2p2), axis=1) @ a
         kt = -np.linalg.solve(theta, rhs)
         if gains is not None:
@@ -484,7 +485,7 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
                 p2_hist.append(p2[0])
 
     values = (tuple(p1_hist[::-1]), tuple(p2_hist[::-1])) if keep_values else (None, None)
-    return _Batch(gains, theta_min, *values, res, tuple(failures))
+    return _Batch(gains, thetas, *values, res, tuple(failures))
 
 
 def _rollout(spec: GameSpec, gains: np.ndarray, x_start, x_ref: np.ndarray | None = None,
@@ -661,7 +662,7 @@ def spec_from_dict(data: dict, tol: Tolerances | None = None) -> GameSpec:
         )
     try:
         costs = cost_schedule(data["Q"], data["R1"], data["R2"], tol=tol)
-        spec = game_spec(data["A"], data["B1"], data["B2"], data["x1"], costs, tol=tol)
+        spec = game_spec(data["A"], data["B1"], data["B2"], data["x1"], costs)
         declared = {field: data[field] for field in ("n", "m", "T") if field in data}
     except KeyError as exc:
         raise DimensionMismatchError(f"game description is missing field {exc}") from exc

@@ -118,9 +118,11 @@ def _require_square(m, name: str) -> np.ndarray:
 
 
 def symmetrize(m) -> np.ndarray:
-    """(M + M') / 2, of one matrix or of each matrix of a (..., k, k) stack."""
+    """(M + M') / 2, of one matrix or of each matrix of a (..., k, k) stack; an
+    exactly symmetric input comes back as a copy, which cannot overflow."""
     m = np.asarray(m, dtype=float)
-    return (m + np.swapaxes(m, -1, -2)) / 2.0
+    mt = np.swapaxes(m, -1, -2)
+    return m.copy() if np.array_equal(m, mt) else (m + mt) / 2.0
 
 
 def two_norm(m) -> float:
@@ -131,6 +133,7 @@ def two_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a pivot past the float range fails
 def cholesky_pd(m, tol: float | None = None) -> CholeskyCheck:
     """Positive-definiteness check with the smallest pivot as a margin.
 
@@ -161,15 +164,15 @@ def cholesky_pd(m, tol: float | None = None) -> CholeskyCheck:
 def _all_pd(sym: np.ndarray, tol: float) -> bool:
     """Whether every matrix of a symmetric (..., k, k) stack has all Cholesky pivots above tol.
 
-    One LAPACK factorization of the whole stack, with pivots diag(L)^2.
-    It certifies what `cholesky_pd` certifies; on a failure, callers that
-    report which matrix failed, and its pivot, ask `cholesky_pd`.
-    """
+    One LAPACK factorization of the whole stack, with pivots diag(L)^2; a
+    non-finite one fails (LAPACK factors a matrix of infinities).  A pivot
+    that cancels to noise, about eps ||M||, can differ in sign from
+    `cholesky_pd`'s, which callers ask for the failing matrix and pivot."""
     try:
         pivots = np.diagonal(np.linalg.cholesky(sym), axis1=-2, axis2=-1) ** 2
     except np.linalg.LinAlgError:
         return False
-    return bool(np.all(pivots > tol))
+    return bool(np.all((tol < pivots) & (pivots < np.inf)))
 
 
 def _not_pd(sym: np.ndarray, tol: float) -> list:
@@ -187,8 +190,13 @@ def _not_pd(sym: np.ndarray, tol: float) -> list:
 
 
 def _asymmetry(stack: np.ndarray) -> np.ndarray:
-    """||M - M'||_2 of each matrix of a (..., k, k) stack."""
-    return np.linalg.norm(stack - np.swapaxes(stack, -1, -2), 2, axis=(-2, -1))
+    """||M - M'||_2 of each matrix of a finite (..., k, k) stack; inf where M - M' overflows."""
+    with np.errstate(over="ignore"):
+        diff = stack - np.swapaxes(stack, -1, -2)
+    if not diff.any():  # exactly symmetric: no SVD
+        return np.zeros(diff.shape[:-2])
+    norms = np.linalg.norm(np.nan_to_num(diff), 2, axis=(-2, -1))
+    return np.where(np.isfinite(diff).all(axis=(-2, -1)), norms, np.inf)
 
 
 def sym_eig(m) -> np.ndarray:

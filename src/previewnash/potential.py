@@ -21,14 +21,7 @@ import numpy as np
 
 from . import game as game_mod
 from . import linalg, online
-from .game import (
-    CostSchedule,
-    DimensionMismatchError,
-    GameSpec,
-    NashSolution,
-    ThetaNotPDError,
-    with_costs,
-)
+from .game import CostSchedule, DimensionMismatchError, GameSpec, ThetaNotPDError, with_costs
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -135,26 +128,25 @@ def _a1_core(spec: GameSpec, known, tol: Tolerances) -> list:
     per game.
 
     All games are solved in one stacked backward pass that also keeps their
-    alignment residuals.  Padded game k weighs states by Q_2..Q_{k+1} only,
-    so its state-weight pivot is a prefix minimum of the true ones.  A game
-    that fails its curvature certificate is scored from the pass's
+    value-coupling residuals; their cross-weight residuals are read off the
+    curvatures the pass keeps.  Padded game k weighs states by Q_2..Q_{k+1}
+    only, so its state-weight pivot is a prefix minimum of the true ones.
+    A game that fails its curvature certificate is scored from the pass's
     failure report: its margin is its failing pivot."""
     q_pivots = list(itertools.accumulate(
         (linalg.cholesky_pd(q, tol.pd_pivot).min_pivot for q in spec.costs.Q), min))
     batch = game_mod._backward(spec, known, tol, residuals=True)
+    cross = np.fmax.reduce(_cross_residuals(batch.theta, spec.m), axis=1, initial=0.0)  # like max()
     scores = []
-    for k, exc, theta_row, (cross_res, value_res) in zip(
-            np.asarray(known).tolist(), batch.failures, batch.theta_min, batch.residuals.tolist()):
+    for k, exc, theta_row, cross_res, value_res in zip(np.asarray(known).tolist(), batch.failures,
+                                                       batch.theta_min, cross.tolist(),
+                                                       batch.residuals.tolist()):
         if exc is not None:
             scores.append((False, float(exc.min_pivot) if np.isfinite(exc.min_pivot) else None, str(exc)))
             continue
         q_pivot = q_pivots[k - 1]
         theta_min = min(theta_row.tolist())
-        passed = (
-            q_pivot > tol.pd_pivot
-            and cross_res <= tol.mat_eq
-            and value_res <= tol.mat_eq
-        )
+        passed = q_pivot > tol.pd_pivot and cross_res <= tol.mat_eq and value_res <= tol.mat_eq
         margin = min(q_pivot, theta_min, tol.mat_eq - cross_res, tol.mat_eq - value_res)
         detail = (
             f"min state-weight pivot {q_pivot:.3e}; min curvature eig {theta_min:.3e}; "
@@ -162,6 +154,11 @@ def _a1_core(spec: GameSpec, known, tol: Tolerances) -> list:
         )
         scores.append((passed, float(margin), detail))
     return scores
+
+
+def _cross_residuals(thetas: np.ndarray, m: int) -> np.ndarray:
+    """||Theta[:m, m:] - Theta[m:, :m]'||_2, the cross-weight gap, of each matrix of a (..., 2m, 2m) stack."""
+    return np.linalg.norm(thetas[..., :m, m:] - np.swapaxes(thetas[..., m:, :m], -1, -2), 2, axis=(-2, -1))
 
 
 def _a2_check(spec: GameSpec, q_eigs: np.ndarray, tol: Tolerances) -> AssumptionCheck:
@@ -243,6 +240,7 @@ def _a6_check(spec: GameSpec, padded: list) -> AssumptionCheck:
     return AssumptionCheck("A6", passed, margin, detail)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a weight near the end of the float range fails its check
 def check_assumptions(spec: GameSpec, mode: str = "strict",
                       tol: Tolerances | None = None) -> AssumptionReport:
     """Score all six validity conditions with numerical margins.
@@ -308,34 +306,29 @@ def reduce_to_ocp(spec: GameSpec, tol: Tolerances | None = None) -> OcpReduction
     """
     tol = tol or DEFAULT_TOLERANCES
     try:
-        nash = game_mod.solve_feedback_nash(spec, tol=tol)
+        batch = game_mod._backward(spec, [spec.T - 1], tol).certified()
     except ThetaNotPDError as exc:
         raise AssumptionViolatedError("A1", str(exc)) from exc
-    return _reduce(spec, nash, tol)
+    return _reduce(spec, batch, tol)
 
 
-def _reduce(spec: GameSpec, nash: NashSolution, tol: Tolerances) -> OcpReduction:
-    """reduce_to_ocp on the game's solved equilibrium `nash`.
+def _reduce(spec: GameSpec, batch: game_mod._Batch, tol: Tolerances) -> OcpReduction:
+    """reduce_to_ocp on the game's certified one-game `game._backward` batch.
 
-    `game._backward` solves the reduced game: both players' values are
-    P_bar and its joint gains are K_bar_ocp.  The shortcut check then runs
-    on all stages at once.  The error raised is the one a descent from
-    stage T-1 would meet first, a stage's curvature before its shortcut.
+    The game's curvatures and gains are read off the batch.  A second pass
+    solves the reduced game: both players' values are P_bar and its joint
+    gains are K_bar_ocp.  The shortcut check then runs on all stages at
+    once.  The error raised is the one a descent from stage T-1 would meet
+    first, a stage's curvature before its shortcut.
     """
-    T = spec.T
     costs = spec.costs
     bad = linalg._not_pd(linalg.symmetrize(costs.Q), tol.pd_pivot)
     if bad:
         raise AssumptionViolatedError("A1", f"state weight at stage {bad[0] + 2} is not positive definite")
 
-    b1, b2, b = spec.B1, spec.B2, spec.joint_b()
-    m = spec.m
-    # the game's stage-t curvature is thetas[t - 1]
-    thetas = game_mod._stage_theta(costs.R1, costs.R2,
-                                   b1.T @ np.stack(nash.P1), b2.T @ np.stack(nash.P2), b1, b2)
-    cross = np.linalg.norm(thetas[:, :m, m:] - thetas[:, m:, :m].transpose(0, 2, 1), 2,
-                           axis=(-2, -1))
-    bad = np.flatnonzero(cross > tol.mat_eq)
+    b = spec.joint_b()
+    thetas = batch.theta[0]  # the game's stage-t curvature is thetas[t - 1]
+    bad = np.flatnonzero(_cross_residuals(thetas, spec.m) > tol.mat_eq)
     if bad.size:
         raise AssumptionViolatedError("A1", f"cross-weight blocks disagree at stage {bad[0] + 1}")
 
@@ -348,15 +341,15 @@ def _reduce(spec: GameSpec, nash: NashSolution, tol: Tolerances) -> OcpReduction
         raise AssumptionViolatedError("A4", f"joint control weight at stage {bad + 1} is not {fault}")
 
     # stages 2..T-1 absorb K_t' (R1_t - R_bar_t) K_t through the game's gains
-    gains = np.stack(nash.K)[1:]
+    gains = batch.K[0, 1:]
     q_bar = np.concatenate((
         linalg.symmetrize(costs.Q[:-1] + gains.transpose(0, 2, 1) @ (costs.R1[1:] - r_bar[1:]) @ gains),
         costs.Q[-1:]))
-    batch = game_mod._backward(with_costs(spec, CostSchedule(q_bar, r_bar, r_bar)), [T - 1], tol)
-    failure = batch.failures[0]
+    reduced = game_mod._backward(with_costs(spec, CostSchedule(q_bar, r_bar, r_bar)), [spec.T - 1], tol)
+    failure = reduced.failures[0]
     floor = 0 if failure is None else failure.stage
     # resid[t - 1] is stage t's; a descent stops at a curvature failure, below which P_bar is void
-    resid = np.linalg.norm(r_bar - (thetas - b.T @ np.stack(batch.P1) @ b), 2, axis=(-2, -1))
+    resid = np.linalg.norm(r_bar - (thetas - b.T @ np.stack(reduced.P1) @ b), 2, axis=(-2, -1))
     off = np.flatnonzero(resid[floor:] > tol.mat_eq)
     if off.size:
         t = floor + off[-1] + 1
@@ -364,24 +357,21 @@ def _reduce(spec: GameSpec, nash: NashSolution, tol: Tolerances) -> OcpReduction
     if failure is not None:
         raise ReductionMismatchError(f"reduced curvature at stage {failure.stage} is not positive definite "
                                      f"(pivot {failure.min_pivot:.3e})")
-    return OcpReduction(R_bar=tuple(r_bar), Q_bar=tuple(q_bar), P_bar=batch.P1,
-                        K_bar_ocp=tuple(batch.K[0]))
+    return OcpReduction(R_bar=tuple(r_bar), Q_bar=tuple(q_bar), P_bar=reduced.P1,
+                        K_bar_ocp=tuple(reduced.K[0]))
 
 
 def verify_equivalence(spec: GameSpec, tol: Tolerances | None = None) -> float:
     """Largest stage-wise gain gap between the game and its reduction.
 
-    The game is solved once and reduced from that solution, which takes
-    one more backward pass, on the reduced problem.  An uncertified
-    game raises ThetaNotPDError; a game that does not reduce raises what
-    reduce_to_ocp raises.
+    The game takes one backward pass and is reduced from it, which takes
+    one more, on the reduced problem.  An uncertified game raises
+    ThetaNotPDError; a game that does not reduce raises what reduce_to_ocp
+    raises.
     """
     tol = tol or DEFAULT_TOLERANCES
-    nash = game_mod.solve_feedback_nash(spec, tol=tol)
-    reduction = _reduce(spec, nash, tol)
-    return max(
-        linalg.two_norm(kg - kb) for kg, kb in zip(nash.K, reduction.K_bar_ocp)
-    )
+    batch = game_mod._backward(spec, [spec.T - 1], tol).certified()
+    return max(linalg.two_norm(kg - kb) for kg, kb in zip(batch.K[0], _reduce(spec, batch, tol).K_bar_ocp))
 
 
 class StructureCheck(NamedTuple):
@@ -426,6 +416,6 @@ def check_sufficient_structure(spec: GameSpec, tol: Tolerances | None = None) ->
     rho2 = b2 * b2 / r2_val
     ratio_ok = not np.any(np.abs(rho1 - rho2) > 1e-10 * np.maximum(np.abs(rho1), np.abs(rho2)))
 
-    nash = game_mod.solve_feedback_nash(spec, tol=tol)
-    gap = max(linalg.two_norm(p1 - p2) for p1, p2 in zip(nash.P1, nash.P2))
+    batch = game_mod._backward(spec, [spec.T - 1], tol).certified()
+    gap = max(linalg.two_norm(p1 - p2) for p1, p2 in zip(batch.P1, batch.P2))
     return StructureCheck(ratio_ok=ratio_ok, max_p_gap=float(gap))

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from previewnash import (
     verify_nash_by_deviation,
 )
 from previewnash.game import spec_from_dict
+
+from conftest import make_aligned_game, malformed_docs
 
 
 @pytest.fixture()
@@ -345,6 +351,42 @@ def test_non_integral_declared_size_is_input_error(scalar_spec, tmp_path, capsys
     assert err["code"] == "input"
 
 
+@pytest.mark.parametrize("command", ["validate", "solve", "run"])
+def test_malformed_spec_ends_in_an_exit_code_and_one_json_error(command, tmp_path, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    doc = spec_to_dict(make_aligned_game(np.random.default_rng(5), n=2, m=1, T=3))
+    path = tmp_path / "spec.json"
+    out = tmp_path / "out.json"
+    argv = {"validate": ["validate", "--spec", str(path), "--strict"],
+            "solve": ["solve", "--spec", str(path), "--out", str(out)],
+            "run": ["run", "--spec", str(path), "--preview", "1", "--out", str(out)]}[command]
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(bad=malformed_docs(st, doc))
+    @hypothesis.example(bad=doc)
+    @hypothesis.example(bad={**doc, "Q": [[[1e308, 0.0], [0.0, 1e308]]] * 2})
+    @hypothesis.example(bad={**doc, "Q": [[[1e308, 1e308], [-1e308, 1e308]]] * 2})
+    @hypothesis.example(bad={**doc, "Q": [[[1e308, 1.7e308], [1.7e308, 1e308]]] * 2})
+    @hypothesis.example(bad={**doc, "R1": [[[1e308, 1e308], [1e308, 1e308]]] * 2,
+                             "R2": [[[1e308, -1e308], [-1e308, 1e308]]] * 2})
+    @hypothesis.example(bad={**doc, "x1": [1e300, -1e300]})
+    @hypothesis.example(bad={**doc, "A": [[1e200, 0.0], [0.0, 1e200]]})
+    def check(bad):
+        path.write_text(json.dumps(bad))
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2, 3)
+        if code:
+            lines = captured.err.splitlines()
+            assert len(lines) == 1
+            assert "code" in json.loads(lines[0])
+        else:
+            assert captured.err == ""
+
+    check()
+
+
 def test_tolerance_overrides(scalar_spec_file, capsys):
     assert cli.main(["validate", "--spec", str(scalar_spec_file),
                      "--tol", "mat_eq=1e-6", "--tol", "pd_pivot=1e-12"]) == 0
@@ -366,6 +408,24 @@ def test_usage_errors(capsys):
     assert cli.main(["solve", "--spec"]) == 1
     _, err = _stderr_json(capsys)
     assert err["code"] == "usage"
+
+
+def _run_module(*args):
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-W", "error", "-m", "previewnash.cli", *args],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=120)
+
+
+def test_module_entry_point_runs_main(scalar_spec_file, indefinite_spec_file):
+    ok = _run_module("validate", "--spec", str(scalar_spec_file))
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert json.loads(ok.stdout)["overall"] is True
+    strict = _run_module("validate", "--spec", str(indefinite_spec_file), "--strict")
+    assert strict.returncode == 2
+    assert json.loads(strict.stdout)["overall"] is False
+    err = json.loads(strict.stderr)
+    assert (err["code"], err["stage"]) == ("assumption", "A1")
 
 
 def test_exit_code_constants():

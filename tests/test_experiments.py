@@ -365,8 +365,8 @@ def test_blocks_split_each_horizon_into_jobs_contiguous_runs(monkeypatch):
     assert experiments._blocks(config, 1) == [(20, range(0, 5)), (200, range(0, 5))]
     assert experiments._blocks(config, 2) == [(20, range(0, 3)), (20, range(3, 5)),
                                               (200, range(0, 3)), (200, range(3, 5))]
-    # the gain-stack cap: at T=200 a seed holds 4 * 199^2 floats
-    monkeypatch.setattr(experiments, "_BLOCK_FLOATS", 2 * 4 * 199 ** 2)
+    # the stack cap: at T=200 a seed's gains and curvatures hold 8 * 199^2 floats
+    monkeypatch.setattr(experiments, "_BLOCK_FLOATS", 2 * 8 * 199 ** 2)
     assert experiments._blocks(config, 1) == [(20, range(0, 5)), (200, range(0, 2)),
                                               (200, range(2, 4)), (200, range(4, 5))]
 

@@ -9,6 +9,7 @@ arithmetic.
 import json
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,29 @@ def test_symmetry_check_reports_the_first_asymmetric_entry(group):
     name = "Q_5" if group == "Q" else "R_4^1"
     with pytest.raises(DimensionMismatchError, match=f"^{re.escape(name)} is not symmetric within tolerance$"):
         cost_schedule(stacks["Q"], stacks["R1"], stacks["R2"])
+
+
+def test_non_finite_curvature_fails_its_certificate():
+    # Theta_1 = I + 1e308 [[1, 1], [1, 1]] is finite, but Theta + Theta' is not
+    spec = game_spec([[0.5]], [[1.0]], [[1.0]], [1.0],
+                     cost_schedule([[[1e308]]], [np.eye(2)], [np.eye(2)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ThetaNotPDError) as exc:
+            solve_feedback_nash(spec)
+        batch = game_mod._backward(spec, [1])
+    assert exc.value.stage == 1
+    assert [f is not None for f in batch.failures] == [True]
+    assert np.array_equal(batch.theta[0, 0], np.eye(2))
+
+
+def test_spec_with_asymmetry_past_the_float_range_is_rejected_quietly(scalar_spec):
+    doc = {**spec_to_dict(scalar_spec), "n": 2, "A": np.eye(2).tolist(), "B1": [[1.0], [0.0]],
+           "B2": [[0.0], [1.0]], "x1": [1.0, 0.0], "Q": [[[1e308, 1e308], [-1e308, 1e308]]]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError, match="^Q_2 is not symmetric within tolerance$"):
+            spec_from_dict(doc)
 
 
 def test_game_spec_validation(scalar_spec):

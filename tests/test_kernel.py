@@ -157,7 +157,7 @@ def test_one_pass_reports_each_failed_game(residuals):
     for g, (k, exc) in enumerate(zip(known, batch.failures)):
         if exc is None:
             alone = game_mod._backward(spec, [k], residuals=residuals)
-            assert np.array_equal(batch.theta_min[g], alone.theta_min[0])
+            assert np.array_equal(batch.theta[g], alone.theta[0])
             if residuals:
                 assert np.array_equal(batch.residuals[g], alone.residuals[0])
             else:
@@ -182,7 +182,7 @@ def _assert_stack_is_lone_passes(spec, schedules, known, residuals, rng):
     for s, costs in enumerate(schedules):
         alone = game_mod._backward(with_costs(spec, costs), known, residuals=residuals)
         games = np.argsort(order)[s * G:(s + 1) * G]
-        assert np.array_equal(stacked.theta_min[games], alone.theta_min)
+        assert np.array_equal(stacked.theta[games], alone.theta)
         if residuals:
             assert np.array_equal(stacked.residuals[games], alone.residuals)
         else:
@@ -236,15 +236,36 @@ def test_scoring_passes_roll_nothing_out(monkeypatch):
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
 def test_scoring_pass_keeps_no_gain_stack(seed):
-    # the A1/A6 pass reads curvatures and residuals only; the report itself
-    # is pinned to the per-step reference in test_potential.py
+    # the A1/A6 pass reads curvatures and value-coupling residuals only; the
+    # report itself is pinned to the per-step reference in test_potential.py
     spec = make_aligned_game(np.random.default_rng(seed), T_max=9)
     known = np.arange(1, spec.T)
     scored = game_mod._backward(spec, known, residuals=True)
     plain = game_mod._backward(spec, known)
     assert scored.K is None and plain.K is not None
-    assert scored.residuals.shape == (spec.T - 1, 2)
-    assert np.array_equal(scored.theta_min, plain.theta_min)
+    assert scored.residuals.shape == (spec.T - 1,)
+    assert np.array_equal(scored.theta, plain.theta)
+
+
+def test_curvature_eigenvalues_cost_one_stacked_call_per_solve(monkeypatch):
+    # the pass keeps its curvatures; only theta_min, which a NashSolution
+    # reports, takes their eigenvalues
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    spec = make_aligned_game(np.random.default_rng(37), T_max=8)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    game_mod._backward(spec, np.arange(1, spec.T))
+    game_mod._backward(spec, np.arange(1, spec.T), residuals=True)
+    run_online(spec, 1)
+    assert calls == []
+    nash = solve_feedback_nash(spec)
+    assert calls == [(1, spec.T - 1, 2 * spec.m, 2 * spec.m)]
+    assert len(nash.theta_min_eig) == spec.T - 1
 
 
 def test_run_predictions_equal_single_predictions():

@@ -60,6 +60,27 @@ def test_symmetrize():
     assert np.array_equal(s, [[1.0, 3.0], [3.0, 1.0]])
 
 
+def test_symmetrize_keeps_an_exactly_symmetric_input_past_half_the_float_range():
+    big = np.array([[1e308, -1e308], [-1e308, 1e308]])
+    with np.errstate(over="raise"):
+        assert np.array_equal(symmetrize(big), big)
+        assert symmetrize(big) is not big
+    assert np.array_equal(symmetrize(np.stack([big, -big])), np.stack([big, -big]))
+
+
+def test_non_finite_pivots_fail_the_stacked_certificate():
+    # LAPACK factors a matrix of infinities to an infinite diagonal
+    stack = np.stack([np.eye(2), np.full((2, 2), np.inf), np.diag([np.inf, 1.0])])
+    assert not linalg._all_pd(stack, 1e-10)
+    assert linalg._not_pd(stack, 1e-10) == [1, 2]
+
+
+def test_asymmetry_past_the_float_range_is_infinite():
+    stack = np.stack([np.array([[1.0, 1e308], [-1e308, 1.0]]), np.array([[1.0, 2.0], [0.0, 1.0]])])
+    with np.errstate(over="raise"):
+        assert linalg._asymmetry(stack).tolist() == [np.inf, 2.0]
+
+
 def test_two_norm_vector_and_matrix():
     assert two_norm([3.0, 4.0]) == 5.0
     assert two_norm([[3.0, 0.0], [0.0, 4.0]]) == 4.0

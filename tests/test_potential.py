@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +110,36 @@ def test_indefinite_state_weight_fails_strict():
         check_assumptions(spec, mode="strict")
     assert exc.value.assumption_id == "A1"
     assert exc.value.report is not None and not exc.value.report.overall
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_state_weight_past_half_the_float_range_ends_in_a_quiet_report(n):
+    # Q_2 = 1e308 I is a valid weight, but the symmetric part of the stage
+    # curvature it makes overflows, which fails the curvature certificate
+    eye = np.eye(n)
+    spec = game_spec(0.5 * eye, eye[:, :1], eye[:, -1:], eye[0],
+                     cost_schedule([1e308 * eye], [np.eye(2)], [np.eye(2)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_assumptions(spec, "warn")
+    assert not report.overall
+    a1 = report.check("A1")
+    assert not a1.passed and a1.margin is None
+    assert a1.detail.startswith("stage 1: joint curvature matrix is not positive definite")
+    assert report.check("A2").passed and report.check("A2").margin == 1.0 + 1e-10
+
+
+def test_overflowing_value_recursion_fails_a1_in_the_report():
+    # at A = 1e200 I the values overflow; the failed games' void residuals
+    # are not measured, so the report says why instead of an SVD error
+    spec = game_spec(1e200 * np.eye(2), [[1.0], [0.0]], [[0.0], [1.0]], [1.0, 0.0],
+                     cost_schedule([np.eye(2)] * 3, [np.eye(2)] * 3, [np.eye(2)] * 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_assumptions(spec, "warn")
+    a1 = report.check("A1")
+    assert not a1.passed and a1.margin is None
+    assert a1.detail == "stage 2: joint curvature matrix is not positive definite (min pivot inf)"
 
 
 def test_assumption_error_pickles_intact():
@@ -382,6 +413,15 @@ def test_reduction_matches_the_stage_by_stage_reference(scalar_spec_t3):
             assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300), field
 
 
+def _batch_of(spec, nash):
+    """The one-game `game._backward` batch whose gains and values are nash's,
+    with the curvatures those values give."""
+    b1, b2, costs = spec.B1, spec.B2, spec.costs
+    thetas = game_mod._stage_theta(costs.R1, costs.R2, b1.T @ np.stack(nash.P1),
+                                   b2.T @ np.stack(nash.P2), b1, b2)
+    return game_mod._Batch(np.stack(nash.K)[None], thetas[None], nash.P1, nash.P2, None, (None,))
+
+
 def _forged_solutions():
     """A T=4 scalar game with own-slot weights, and a forgery of its solution.
 
@@ -389,7 +429,7 @@ def _forged_solutions():
     which drives the reduced state weight there, and with it the reduced
     curvature one stage down, negative; it shifts both players' values at
     value_stage by 5, which puts the shortcut weight one stage down off by
-    10.  Either may be None.
+    10.  Either may be None.  It returns the forged solution and its batch.
     """
     r1, r2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     spec = game_spec([[1.0]], [[1.0]], [[1.0]], [1.0],
@@ -403,7 +443,8 @@ def _forged_solutions():
         if value_stage is not None:
             p1[value_stage - 2] = p1[value_stage - 2] + 5.0
             p2[value_stage - 2] = p2[value_stage - 2] + 5.0
-        return replace(nash, K=tuple(gains), P1=tuple(p1), P2=tuple(p2))
+        forged = replace(nash, K=tuple(gains), P1=tuple(p1), P2=tuple(p2))
+        return forged, _batch_of(spec, forged)
 
     return spec, forge
 
@@ -419,11 +460,11 @@ def _forged_solutions():
         "shortcut_at_stage_1"])
 def test_reduction_reports_the_first_fault_from_the_top(gain_stage, value_stage, message):
     spec, forge = _forged_solutions()
-    forged = forge(gain_stage, value_stage)
+    forged, batch = forge(gain_stage, value_stage)
     tol = linalg.DEFAULT_TOLERANCES
-    for reduce in (potential._reduce, _reference_reduce):
+    for reduce, solved in ((potential._reduce, batch), (_reference_reduce, forged)):
         with pytest.raises(ReductionMismatchError) as info:
-            reduce(spec, forged, tol)
+            reduce(spec, solved, tol)
         assert str(info.value) == message
 
 
@@ -573,7 +614,7 @@ def test_reduction_failures_name_their_stage():
     spec = game_spec([[1.0]], [[1.0]], [[1.0]], [1.0],
                      cost_schedule([[[1.0]]] * 2, [r1] * 2, [r2] * 2))
     nash = solve_feedback_nash(spec)
-    forged = replace(nash, K=(nash.K[0], np.array([[0.0], [10.0]])))
+    forged = _batch_of(spec, replace(nash, K=(nash.K[0], np.array([[0.0], [10.0]]))))
     assert _failure_text(lambda: potential._reduce(spec, forged, linalg.DEFAULT_TOLERANCES)) == (
         "ReductionMismatchError: reduced curvature at stage 1 is not positive definite "
         "(pivot -9.767e+01)")
