@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import experiments, game, linalg, online, potential
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .potential import AssumptionViolatedError
 
 __all__ = ["main", "entry", "UsageError"]
 
@@ -59,7 +58,10 @@ def _tolerances(ns) -> Tolerances:
             updates[name] = float(value)
         except ValueError:
             raise UsageError(f"tolerance {name!r} needs a real value, got {value!r}") from None
-    return replace(tol, **updates)
+    try:
+        return replace(tol, **updates)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_json(path):
@@ -118,27 +120,20 @@ def _cmd_sweep(ns) -> int:
     return EXIT_OK
 
 
-_AGG_HEADER = ["T", "W", "mean_pou", "mean_nash_cost", "log_rel_pou"]
-
-
 def _cmd_plot(ns) -> int:
+    header = experiments._AGG_HEADER
     rows = []
     with open(ns.infile, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _AGG_HEADER:
-            raise UsageError(
-                f"expected aggregate CSV with header {','.join(_AGG_HEADER)}, "
-                f"got {reader.fieldnames}"
-            )
-        for rec in reader:
-            def opt(field):
-                value = rec[field]
-                return None if value == "" else float(value)
+        reader = csv.reader(fh)
+        fieldnames = next(reader, None)
+        if fieldnames != header:
+            raise UsageError(f"expected aggregate CSV with header {','.join(header)}, got {fieldnames}")
+        for rec in filter(None, reader):  # blank lines hold no row
+            if len(rec) != len(header):
+                raise ValueError(f"line {reader.line_num} has {len(rec)} fields, expected {len(header)}")
+            T, W, *metrics = rec
             rows.append(experiments.AggregateRow(
-                T=int(rec["T"]), W=int(rec["W"]),
-                mean_pou=opt("mean_pou"), mean_nash_cost=opt("mean_nash_cost"),
-                log_rel_pou_of_means=opt("log_rel_pou"),
-            ))
+                int(T), int(W), *(None if value == "" else float(value) for value in metrics)))
     experiments.emit_plot(rows, ns.x, ns.out)
     return EXIT_OK
 
@@ -201,15 +196,12 @@ def main(argv=None) -> int:
     except experiments._NUMERICAL_ERRORS as exc:  # some are ValueErrors, but not bad input
         _error_out(experiments._error_tag(exc), str(exc), stage=getattr(exc, "stage", None))
         return EXIT_NUMERICAL
-    except (ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError, IndexError, csv.Error) as exc:
         _error_out("input", str(exc))
         return EXIT_USAGE
     except OSError as exc:
         _error_out("io", str(exc))
         return EXIT_USAGE
-    except AssumptionViolatedError as exc:
-        _error_out("assumption", str(exc), stage=exc.assumption_id)
-        return EXIT_VALIDATION
 
 
 def entry() -> None:

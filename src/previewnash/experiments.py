@@ -5,10 +5,10 @@ per-stage control prices r_i,t = b_i^2 * beta_t, so both players share
 the same gain-to-price ratio at every stage; runs the preview-limited
 online algorithm across (T, W, seed) cells, and writes the results as
 CSV tables and a plain SVG chart.  The unit of work is a block of seeds
-at one horizon T: every game of the block is drawn and validated once,
-and the block is handed to `online._play_previews`, the solve, play and
-price path of `run_online`, which solves all its games in one stacked
-backward pass and plays every preview length of every seed from it.
+at one horizon T: every game of the block is drawn once, and the block
+is handed to `online._play_previews`, the solve, play and price path of
+`run_online`, which solves all its games in one stacked backward pass
+and plays every preview length of every seed from it.
 
 Random draws are counter-based: each scalar is the uniform draw of
 numpy's `default_rng((seed, stage, field))`, so raising T or adding cells
@@ -32,11 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from . import game as game_mod
-from . import online, potential
+from . import online
 from .game import DimensionMismatchError, GameSpec, ThetaNotPDError, cost_schedule, game_spec
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .online import NotStabilizableError, ZeroNashCostError
-from .potential import AssumptionViolatedError
 
 __all__ = [
     "InvalidConfigError",
@@ -84,6 +83,8 @@ def _check_dist(name: str, dist) -> tuple:
         raise InvalidConfigError(f"{name} must be a (low, high) pair") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise InvalidConfigError(f"{name} must satisfy low < high, got ({lo}, {hi})")
+    if not math.isfinite(hi - lo):
+        raise InvalidConfigError(f"{name} must have a finite width, got ({lo}, {hi})")
     return (lo, hi)
 
 
@@ -104,7 +105,6 @@ class ExperimentConfig:
     l_dist: tuple = (10.0, 110.0)
     d_dist: tuple = (-110.0, -10.0)
     d_convention: str = "literal"
-    assumption_mode: str = "warn"
     x1: tuple = (1.0, 1.0)
 
     def __post_init__(self):
@@ -146,11 +146,13 @@ class ExperimentConfig:
             raise InvalidConfigError(
                 f"beta_dist must be positive (it prices the controls), got {self.beta_dist}"
             )
+        for name in ("b1", "b2"):  # the largest control price b_i^2 * beta
+            b = getattr(self, name)
+            if not math.isfinite(b * b * self.beta_dist[1]):
+                raise InvalidConfigError(f"{name}^2 * max(beta_dist) must be finite, got {name}={b}")
 
         if self.d_convention not in ("literal", "magnitude"):
             raise InvalidConfigError(f"d_convention must be 'literal' or 'magnitude', got {self.d_convention!r}")
-        if self.assumption_mode not in ("warn", "strict"):
-            raise InvalidConfigError(f"assumption_mode must be 'warn' or 'strict', got {self.assumption_mode!r}")
 
         try:
             x1 = tuple(float(v) for v in self.x1)
@@ -349,14 +351,12 @@ _ERROR_TAGS = (
     (np.linalg.LinAlgError, "linalg_error"),
     (DimensionMismatchError, "dimension_mismatch"),
 )
-_LOCAL_ERRORS = (AssumptionViolatedError, *(cls for cls, _ in _ERROR_TAGS))
+_LOCAL_ERRORS = tuple(cls for cls, _ in _ERROR_TAGS)
 # the numerical ones: a bad shape is an input error when it escapes to the CLI
 _NUMERICAL_ERRORS = tuple(cls for cls, _ in _ERROR_TAGS if cls is not DimensionMismatchError)
 
 
 def _error_tag(exc: Exception) -> str:
-    if isinstance(exc, AssumptionViolatedError):
-        return f"assumption_{exc.assumption_id}"
     return next(tag for cls, tag in _ERROR_TAGS if isinstance(exc, cls))
 
 
@@ -394,19 +394,16 @@ def _blocks(config: ExperimentConfig, jobs: int) -> list:
 def _run_block(config: ExperimentConfig, T: int, runs: range, k_bar, tol: Tolerances) -> list:
     """The rows of a block of seeds at horizon T, one per (seed, W).
 
-    Each game is drawn and validated alone, and a seed that fails there has
-    every row tagged and stays out of the stack.  k_bar is the sweep's
-    tracking gain, or the tag of the error computing it raised, which then
-    tags every row the draw and validation left.  The rest are played
-    together by `_play_block`.
+    Each game is drawn alone, and a seed whose draw fails has every row
+    tagged and stays out of the stack.  k_bar is the sweep's tracking gain,
+    or the tag of the error computing it raised, which then tags every row
+    the draw left.  The rest are played together by `_play_block`.
     """
     rows, games = [], []
     for k in runs:
         seed = config.seed + k
         try:
             spec = generate_game(config, T, seed)
-            if config.assumption_mode == "strict":
-                potential.check_assumptions(spec, mode="strict", tol=tol)
         except _LOCAL_ERRORS as exc:
             rows += _failed(T, config.W_range, seed, _error_tag(exc))
             continue
@@ -469,7 +466,7 @@ def sweep(config: ExperimentConfig, jobs: int = 1, tol: Tolerances | None = None
     it, tagged with a short code.  The tracking gain depends only on (A, B),
     which the whole sweep shares, so it is computed once up front from a
     probe game; if that fails, its error tags the rows of every game that
-    passes its own draw and validation, rather than aborting the sweep.
+    passes its own draw, rather than aborting the sweep.
     The pool runs at most min(jobs, blocks, CPUs) workers.  Every game's
     arithmetic is the same whatever block it is in, and rows are sorted by
     (T, W, seed) before aggregation, so jobs > 1 changes wall time and
@@ -498,6 +495,9 @@ def sweep(config: ExperimentConfig, jobs: int = 1, tol: Tolerances | None = None
     return SweepResult(config=config, rows=tuple(rows), aggregates=tuple(_aggregate(rows)))
 
 
+_AGG_HEADER = ["T", "W", "mean_pou", "mean_nash_cost", "log_rel_pou"]
+
+
 def _fmt(v) -> str:
     # repr of a Python float is the shortest decimal that round-trips.
     return "" if v is None else repr(float(v))
@@ -523,7 +523,7 @@ def emit_csv(result: SweepResult, out_dir) -> tuple:
 
     with open(agg_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["T", "W", "mean_pou", "mean_nash_cost", "log_rel_pou"])
+        writer.writerow(_AGG_HEADER)
         for r in result.aggregates:
             writer.writerow([r.T, r.W, _fmt(r.mean_pou), _fmt(r.mean_nash_cost),
                              _fmt(r.log_rel_pou_of_means)])
@@ -550,16 +550,19 @@ def emit_plot(aggregates, x_axis: str, path) -> Path:
     """
     if x_axis not in ("T", "W"):
         raise ValueError(f"x_axis must be 'T' or 'W', got {x_axis!r}")
-    pts = [r for r in aggregates if r.log_rel_pou_of_means is not None]
+    pts = [r for r in aggregates
+           if r.log_rel_pou_of_means is not None and math.isfinite(r.log_rel_pou_of_means)]
     if not pts:
         raise EmptyAggregateError("no aggregate rows with a finite log relative PoU")
 
     other_name = "W" if x_axis == "T" else "T"
     series: dict = {}
-    for r in pts:
-        x = r.T if x_axis == "T" else r.W
-        key = r.W if x_axis == "T" else r.T
-        series.setdefault(key, []).append((float(x), float(r.log_rel_pou_of_means)))
+    try:
+        for r in pts:
+            x, key = (float(r.T), float(r.W)) if x_axis == "T" else (float(r.W), float(r.T))
+            series.setdefault(key, []).append((x, float(r.log_rel_pou_of_means)))
+    except OverflowError:
+        raise ValueError("T and W must fit a float") from None
     for key in series:
         series[key].sort()
 
@@ -574,6 +577,8 @@ def emit_plot(aggregates, x_axis: str, path) -> Path:
     else:
         pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not (0.0 < x_hi - x_lo < math.inf and 0.0 < y_hi - y_lo < math.inf):
+        raise ValueError(f"cannot scale x in [{x_lo}, {x_hi}] and y in [{y_lo}, {y_hi}] to a chart")
 
     plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
     plot_h = _SVG_H - _MARGIN_T - _MARGIN_B

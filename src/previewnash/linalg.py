@@ -8,7 +8,7 @@ are pure functions of immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +48,12 @@ class Tolerances:
     symmetry: float = 1e-8
     mat_eq: float = 1e-8
     spectral_margin: float = 1e-6
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"tolerance {f.name} must be finite and non-negative, got {value!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

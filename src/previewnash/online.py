@@ -102,8 +102,8 @@ def compute_tracking_gain(spec: GameSpec, tol: Tolerances | None = None) -> np.n
     Riccati sweeps.  H settles (a step below 1e-15 of its norm, capped at
     64 doublings) in about ten doublings.  Forms the corresponding gain,
     and certifies the closed-loop spectral radius is below 1 by a clear
-    margin.  Any stabilizing gain would do; this one is a convenient
-    deterministic default.
+    margin; a singular step certifies nothing.  Any stabilizing gain would
+    do; this one is a convenient deterministic default.
     """
     tol = tol or DEFAULT_TOLERANCES
     a = spec.A
@@ -112,9 +112,16 @@ def compute_tracking_gain(spec: GameSpec, tol: Tolerances | None = None) -> np.n
     eye_n = np.eye(n)
     eye_u = np.eye(2 * spec.m)
 
+    def solve(lhs, rhs):
+        try:
+            return linalg.solve_linear(lhs, rhs)
+        except np.linalg.LinAlgError:
+            raise NotStabilizableError("a Riccati step is singular; a stabilizing gain "
+                                       "could not be certified") from None
+
     a_k, g_k, h_k = a, b @ b.T, eye_n
     for _ in range(64):
-        w_inv = linalg.solve_linear(eye_n + g_k @ h_k, np.hstack((a_k, g_k)))  # W^-1 [A_k G_k]
+        w_inv = solve(eye_n + g_k @ h_k, np.hstack((a_k, g_k)))  # W^-1 [A_k G_k]
         h_next = h_k + a_k.T @ h_k @ w_inv[:, :n]
         # refuse a diverging H: not finite, or far beyond any stabilizing value
         if not np.all(np.isfinite(h_next)) or np.abs(h_next).max() > 1e100:
@@ -127,7 +134,7 @@ def compute_tracking_gain(spec: GameSpec, tol: Tolerances | None = None) -> np.n
         raise NotStabilizableError("value iteration did not settle; (A, B) may not be stabilizable")
 
     btp = b.T @ h_k
-    k_bar = -linalg.solve_linear(eye_u + btp @ b, btp @ a)
+    k_bar = -solve(eye_u + btp @ b, btp @ a)
     radius = linalg.spectral_radius_est(a + b @ k_bar)
     if not radius < 1.0 - tol.spectral_margin:
         raise NotStabilizableError(
@@ -149,7 +156,8 @@ def predict_nash(spec: GameSpec, t: int, W: int, tol: Tolerances | None = None) 
         raise IndexOutOfRangeError(f"t must be in 1..{spec.T - 1}, got {t}")
     if W < 0:
         raise IndexOutOfRangeError(f"preview length must be >= 0, got {W}")
-    return game_mod._nash_solution(spec, game_mod._backward(spec, [t + W], tol).certified())
+    known = min(t + W, spec.T - 1)  # a preview past the last stage reveals nothing more
+    return game_mod._nash_solution(spec, game_mod._backward(spec, [known], tol).certified())
 
 
 class PouResult(NamedTuple):
@@ -298,6 +306,7 @@ def _play_previews(specs, Ws, k_bar: np.ndarray, tol: Tolerances) -> tuple:
     `tracked` indexes the equilibrium paths x_games, u_games.
     """
     T, S = specs[0].T, len(specs)
+    Ws = [min(W, T - 1) for W in Ws]  # a preview past the last stage reveals nothing more
     first = min(1 + min(Ws), T - 1)
     L = T - first  # games per spec
     pred = game_mod._backward(specs[0], np.tile(np.arange(first, T), S), tol,
@@ -365,5 +374,6 @@ def gain_decay_diagnostic(spec: GameSpec, W: int,
     if W < 0:
         raise IndexOutOfRangeError(f"preview length must be >= 0, got {W}")
     T = spec.T
-    gains = game_mod._backward(spec, np.r_[T - 1, np.arange(1, T) + W], tol).certified().K
+    known = np.minimum(np.arange(1, T) + min(W, T - 1), T - 1)
+    gains = game_mod._backward(spec, np.r_[T - 1, known], tol).certified().K
     return [(t, linalg.two_norm(gains[t, t - 1] - gains[0, t - 1])) for t in range(1, T)]

@@ -14,6 +14,7 @@ by the random experiments.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -207,14 +208,14 @@ def _a5_check(spec: GameSpec, q_eigs: np.ndarray, rps: np.ndarray,
         return AssumptionCheck("A5", False, None, "input map is numerically zero")
     ratio = a_norm / b_min
     diff_tops = np.linalg.eigvalsh(linalg.symmetrize(rps - spec.costs.R1))[:, -1]
-    q_shift = max(0.0, *np.abs(ratio * diff_tops).tolist())
+    q_shift = float(np.max(np.abs(ratio * diff_tops), initial=0.0))  # an undefined (NaN) excess fails
     q_lo = min(q_eigs[:, 0].tolist())
     margin = q_lo - q_shift
     detail = (
         f"min state-weight eigenvalue {q_lo:.4g} vs required excess {q_shift:.4g} "
         f"(gain ratio {ratio:.4g})"
     )
-    return AssumptionCheck("A5", margin > 0.0, float(margin), detail)
+    return AssumptionCheck("A5", margin > 0.0, None if math.isnan(margin) else margin, detail)
 
 
 def _a6_check(spec: GameSpec, padded: list) -> AssumptionCheck:

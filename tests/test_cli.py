@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -247,6 +248,46 @@ def test_sweep_flag_overrides(tmp_path, capsys):
     assert rows[1][2] == "5"  # reseeded
 
 
+@pytest.mark.parametrize("doc", [{"b1": 1e200}, {"l_dist": [-1.7e308, 1.7e308]},
+                                 {"W_range": [0, 10 ** 31]}, {"W_range": [0, 2 ** 63]}],
+                         ids=["b1", "l_dist", "W_1e31", "W_2e63"])
+def test_overflowing_sweep_configs_end_in_an_exit_code(doc, tmp_path, capsys):
+    cfg = _write_config(tmp_path, T_range=[4], runs=1, **doc)
+    code = cli.main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    if code:
+        assert json.loads(captured.err)["code"] == "input"
+        assert len(captured.err.splitlines()) == 1
+    else:
+        assert captured.err == ""
+
+
+def test_sweep_with_a_preview_past_the_horizon_writes_the_full_information_rows(tmp_path, capsys):
+    out = {}
+    for W in (3, 10 ** 31):
+        cfg = _write_config(tmp_path, T_range=[4], W_range=[W], runs=2)
+        assert cli.main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / str(W))]) == 0
+        out[W] = (tmp_path / str(W) / "rows.csv").read_text()
+    assert out[10 ** 31] == out[3].replace("\n4,3,", f"\n4,{10 ** 31},")
+
+
+def test_run_with_a_preview_past_the_horizon_is_the_full_preview(scalar_spec_file, tmp_path, capsys):
+    for W in ("100", str(10 ** 31)):
+        assert cli.main(["run", "--spec", str(scalar_spec_file), "--preview", W,
+                         "--out", str(tmp_path / f"{W}.json")]) == 0
+    assert (tmp_path / "100.json").read_bytes() == (tmp_path / f"{10 ** 31}.json").read_bytes()
+
+
+def test_run_with_a_singular_tracking_step_exits_3(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_to_dict(generate_game(ExperimentConfig(a=1e10), 6, 0))))
+    assert cli.main(["run", "--spec", str(path), "--preview", "1", "--out", str(tmp_path / "r.json")]) == 3
+    _, err = _stderr_json(capsys)
+    assert err["code"] == "not_stabilizable"
+    assert "could not be certified" in err["detail"]
+
+
 def test_sweep_rejects_unknown_config_key(tmp_path, capsys):
     cfg = _write_config(tmp_path, horizon=20)
     code = cli.main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
@@ -277,6 +318,67 @@ def test_plot_rejects_wrong_header(tmp_path, capsys):
     assert code == 1
     _, err = _stderr_json(capsys)
     assert err["code"] == "usage"
+
+
+_AGG_HEADER_LINE = "T,W,mean_pou,mean_nash_cost,log_rel_pou\n"
+
+
+@pytest.mark.parametrize("body", ["20,0\n", "20,0,1.0,2.0,-1.0,5\n", "20,0,1.0,2.0\n"],
+                         ids=["short", "extra_field", "four_fields"])
+def test_plot_rejects_ragged_rows(body, tmp_path, capsys):
+    path = tmp_path / "agg.csv"
+    path.write_text(_AGG_HEADER_LINE + "20,1,1.0,2.0,-2.0\n" + body)
+    assert cli.main(["plot", "--in", str(path), "--x", "W", "--out", str(tmp_path / "p.svg")]) == 1
+    _, err = _stderr_json(capsys)
+    assert err["code"] == "input" and "line 3" in err["detail"]
+    assert not (tmp_path / "p.svg").exists()
+
+
+def test_plot_skips_non_finite_log_ratios(tmp_path, capsys):
+    # emit_csv writes inf for a cell whose mean price is infinite
+    path = tmp_path / "agg.csv"
+    path.write_text(_AGG_HEADER_LINE + "20,0,inf,2.0,inf\n20,1,1.0,2.0,-2.0\n"
+                    "20,2,1.0,2.0,nan\n20,3,1.0,2.0,-3.0\n")
+    svg = tmp_path / "p.svg"
+    assert cli.main(["plot", "--in", str(path), "--x", "W", "--out", str(svg)]) == 0
+    text = svg.read_text()
+    assert text.count("<circle") == 2
+    assert not re.search(r"(?<![a-z])(nan|inf)", text)
+
+
+def test_plot_ends_every_csv_body_in_an_exit_code_and_one_json_error(tmp_path, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    field = st.one_of(st.integers(-10 ** 400, 10 ** 400).map(str), st.floats().map(repr),
+                      st.sampled_from(["inf", "-inf", "nan", "", "1e400", "-0.0", "20", "0"]),
+                      st.text(max_size=6))
+    rows = st.lists(st.lists(field, min_size=0, max_size=7), max_size=6)
+    path = tmp_path / "agg.csv"
+    svg = tmp_path / "p.svg"
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(body=rows)
+    @hypothesis.example(body=[["20", "0"]])
+    @hypothesis.example(body=[["20", "0", "inf", "1.0", "inf"]])
+    @hypothesis.example(body=[["20", "0", "1", "1", "-1", "x"]])
+    @hypothesis.example(body=[["20", "0", "1", "1", "1e308"], ["20", "1", "1", "1", "-1e308"]])
+    @hypothesis.example(body=[["20", "0", "1", "1", "1"], ["20", str(10 ** 400), "1", "1", "2"]])
+    @hypothesis.example(body=[[str(10 ** 17), "0", "1", "1", "1"]])
+    def check(body):
+        path.write_text(_AGG_HEADER_LINE + "".join(",".join(r) + "\n" for r in body))
+        svg.unlink(missing_ok=True)
+        code = cli.main(["plot", "--in", str(path), "--x", "W", "--out", str(svg)])
+        captured = capsys.readouterr()
+        assert code in (0, 1)
+        if code:
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and "code" in json.loads(lines[0])
+            assert not svg.exists()
+        else:
+            assert captured.err == ""
+            assert not re.search(r"(?<![a-z])(nan|inf)", svg.read_text())
+
+    check()
 
 
 def test_plot_rejects_invalid_axis(tmp_path, capsys):
@@ -396,6 +498,16 @@ def test_tolerance_overrides(scalar_spec_file, capsys):
         assert code == 1
         _, err = _stderr_json(capsys)
         assert err["code"] == "usage"
+
+
+@pytest.mark.parametrize("override", ["pd_pivot=-1", "symmetry=-1", "pd_pivot=nan",
+                                      "spectral_margin=inf", "mat_eq=-inf"])
+def test_invalid_tolerances_are_usage_errors(override, scalar_spec_file, capsys):
+    assert cli.main(["validate", "--spec", str(scalar_spec_file), "--tol", override]) == 1
+    out, err = _stderr_json(capsys)
+    assert out == ""
+    assert err["code"] == "usage"
+    assert f"tolerance {override.partition('=')[0]} must be finite and non-negative" in err["detail"]
 
 
 def test_usage_errors(capsys):

@@ -14,7 +14,6 @@ import pytest
 
 from previewnash import (
     AggregateRow,
-    AssumptionViolatedError,
     DimensionMismatchError,
     EmptyAggregateError,
     ExperimentConfig,
@@ -67,8 +66,12 @@ def test_config_defaults():
     {"beta_dist": (0.0, 5.0)},
     {"beta_dist": (5.0, 5.0)},
     {"l_dist": (2.0, 1.0)},
+    {"l_dist": (-1.7e308, 1.7e308)},
+    {"d_dist": (-1e308, 1e308)},
+    {"b1": 1e200},
+    {"b2": 1e154},
+    {"b1": 1e150, "beta_dist": (10.0, 1e10)},
     {"d_convention": "absolute"},
-    {"assumption_mode": "loose"},
     {"x1": (1.0,)},
     {"x1": (1.0, math.nan)},
     {"runs": None},
@@ -105,7 +108,7 @@ def test_config_dict_lists_every_field_in_declaration_order():
         '{"T_range": [20], "W_range": [0, 1, 2, 3, 4, 5, 6], "a": 1.6, "b1": 0.85, '
         '"b2": 0.89, "runs": 100, "seed": 0, "beta_dist": [10.0, 110.0], '
         '"l_dist": [10.0, 110.0], "d_dist": [-110.0, -10.0], "d_convention": "literal", '
-        '"assumption_mode": "warn", "x1": [1.0, 1.0]}')
+        '"x1": [1.0, 1.0]}')
 
 
 def test_config_round_trip_and_unknown_keys():
@@ -117,6 +120,13 @@ def test_config_round_trip_and_unknown_keys():
         ExperimentConfig.from_dict({"runs": 3, "horizon": 20})
     with pytest.raises(InvalidConfigError):
         ExperimentConfig.from_dict([1, 2])
+
+
+def test_config_rejects_the_removed_assumption_mode():
+    # sweeps only play; a game is checked with check_assumptions or validate
+    doc = {**ExperimentConfig().to_dict(), "assumption_mode": "warn"}
+    with pytest.raises(InvalidConfigError, match=r"unknown config keys: \['assumption_mode'\]"):
+        ExperimentConfig.from_dict(doc)
 
 
 def test_config_from_dict_ends_malformed_input_in_its_typed_error():
@@ -378,23 +388,12 @@ def test_parallel_sweep_matches_serial():
         sweep(cfg, jobs=0)
 
 
-def test_strict_mode_flags_rows_instead_of_aborting():
-    # the drawn state weights are indefinite, so strict validation fails
-    # every cell; the sweep must keep the keys and flag each row
-    res = sweep(_tiny_config(assumption_mode="strict"))
-    assert all(r.error is not None and r.error.startswith("assumption_") for r in res.rows)
-    assert all(r.pou is None for r in res.rows)
-    for agg in res.aggregates:
-        assert agg.mean_pou is None and agg.log_rel_pou_of_means is None
-    with pytest.raises(EmptyAggregateError):
-        emit_plot(res.aggregates, "W", "/tmp/unused.svg")
-
-
-def test_overflowing_strict_sweep_flags_rows():
-    # at a=1e60 the padded games' values overflow; strict validation
-    # reports that as a failed A1 without a numpy warning
-    res = sweep(ExperimentConfig(a=1e60, T_range=(5,), runs=3, assumption_mode="strict"))
-    assert {r.error for r in res.rows} == {"assumption_A1"}
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_overflowing_draw_fails_a1_without_a_warning(seed):
+    # at a=1e60 the padded games' values overflow; check_assumptions reports
+    # that as a failed A1, and pytest turns any numpy warning into an error
+    report = check_assumptions(generate_game(ExperimentConfig(a=1e60), 5, seed), "warn")
+    assert not report.check("A1").passed
 
 
 def test_sweep_computes_the_tracking_gain_once(monkeypatch):
@@ -425,6 +424,21 @@ def test_overflowing_gain_tags_rows_without_a_warning():
     assert [r.error for r in res.rows] == ["not_stabilizable"] * 4
 
 
+def test_singular_gain_step_tags_every_row_not_stabilizable():
+    # at a=1e10 a step of the tracking-gain solve is singular; the probe's
+    # NotStabilizableError tags every row, none is linalg_error
+    res = sweep(ExperimentConfig(a=1e10, T_range=(8, 20), W_range=(0, 1, 3), runs=20))
+    assert [r.error for r in res.rows] == ["not_stabilizable"] * 120
+
+
+def test_previews_past_the_horizon_play_the_full_information_run():
+    config = _tiny_config(W_range=(0, 3, 2 ** 63, 10 ** 31))
+    rows = sweep(config).rows
+    full = [r for r in rows if r.W == 3]
+    for W in (2 ** 63, 10 ** 31):
+        assert [dataclasses.replace(r, W=3) for r in rows if r.W == W] == full
+
+
 def test_failed_gain_tags_rows_after_the_draw(monkeypatch):
     # a seed whose own draw fails keeps that tag; the failed gain tags the rest
     draw = experiments.generate_game
@@ -446,6 +460,13 @@ def test_zero_start_flags_rows_instead_of_aborting(tmp_path):
     cfg = _tiny_config(x1=(0.0, 0.0))
     res = sweep(cfg)
     assert [r.error for r in res.rows] == ["zero_nash_cost"] * 4
+    assert all(r.pou is None for r in res.rows)
+    # every row failed, so every aggregate is empty and there is nothing to plot
+    for agg in res.aggregates:
+        assert agg.mean_pou is None and agg.log_rel_pou_of_means is None
+    with pytest.raises(EmptyAggregateError):
+        emit_plot(res.aggregates, "W", tmp_path / "unused.svg")
+    assert not (tmp_path / "unused.svg").exists()
     rows_path, _ = emit_csv(res, tmp_path / "lib")
     with open(rows_path, newline="") as fh:
         lines = list(csv.reader(fh))[1:]
@@ -552,14 +573,10 @@ _REFERENCE_TAGS = (
 
 
 def _reference_cell(config, T, W, seed, k_bar):
-    """One (T, W, seed) cell on its own: draw, validate, run_online."""
+    """One (T, W, seed) cell on its own: draw, run_online."""
     try:
         spec = experiments.generate_game(config, T, seed)
-        if config.assumption_mode == "strict":
-            check_assumptions(spec, mode="strict")
         run = run_online(spec, W, K_tracking=k_bar)
-    except AssumptionViolatedError as exc:
-        return SweepRow(T, W, seed, None, None, None, error=f"assumption_{exc.assumption_id}")
     except tuple(cls for cls, _ in _REFERENCE_TAGS) as exc:
         tag = next(tag for cls, tag in _REFERENCE_TAGS if isinstance(exc, cls))
         return SweepRow(T, W, seed, None, None, None, error=tag)
@@ -582,10 +599,9 @@ def _reference_sweep(config):
 @pytest.mark.parametrize("kwargs, jobs", [
     ({"runs": 10}, 1),
     ({"T_range": (5, 10), "W_range": (0, 1, 3, 12), "runs": 5}, 1),
-    ({"runs": 3, "assumption_mode": "strict"}, 1),
     ({"runs": 3, "x1": (0.0, 0.0)}, 1),
     ({"T_range": (5, 10), "W_range": (0, 1, 3, 12), "runs": 3}, 2),
-], ids=["defaults", "T_and_W", "strict", "zero_start", "jobs2"])
+], ids=["defaults", "T_and_W", "zero_start", "jobs2"])
 def test_grouped_sweep_equals_per_cell_runs(kwargs, jobs):
     config = ExperimentConfig(**kwargs)
     res = sweep(config, jobs=jobs)

@@ -185,6 +185,17 @@ def test_tolerance_override_object():
     assert not cholesky_pd([[1e-7]], tol=t.pd_pivot).is_pd
 
 
+@pytest.mark.parametrize("name", ["pd_pivot", "symmetry", "mat_eq", "spectral_margin"])
+@pytest.mark.parametrize("value", [-1.0, -1e9, math.nan, math.inf, -math.inf])
+def test_tolerances_must_be_finite_and_non_negative(name, value):
+    with pytest.raises(ValueError, match=f"tolerance {name} must be finite and non-negative"):
+        Tolerances(**{name: value})
+
+
+def test_zero_tolerances_are_accepted():
+    assert Tolerances(pd_pivot=0.0, symmetry=0.0, mat_eq=0.0, spectral_margin=0.0).pd_pivot == 0.0
+
+
 def test_stacked_pd_verdict_matches_cholesky_pd():
     rng = np.random.default_rng(12)
     for k in (1, 2, 3, 5):

@@ -369,6 +369,27 @@ def test_gain_decay_diagnostic_axes():
     assert table[0][1] > 0.0
 
 
+@pytest.mark.parametrize("huge", [2 ** 63, 10 ** 31])
+def test_a_preview_past_the_last_stage_is_full_information(huge):
+    # W = T-1 already reveals everything; a larger W reveals nothing more,
+    # however far past 2^63 it reaches
+    spec = generate_game(ExperimentConfig(), 6, 0)
+    full = run_online(spec, spec.T - 1).to_dict()
+    assert run_online(spec, huge).to_dict() == full
+    assert gain_decay_diagnostic(spec, huge) == gain_decay_diagnostic(spec, spec.T - 1)
+    for t in (1, spec.T - 1):
+        assert np.array_equal(predict_nash(spec, t, huge).K, predict_nash(spec, t, spec.T - 1 - t).K)
+
+
+def test_singular_tracking_step_is_not_stabilizable():
+    # at a = 1e10 a step of the tracking-gain solve is singular
+    spec = generate_game(ExperimentConfig(a=1e10), 6, 0)
+    with pytest.raises(NotStabilizableError, match="could not be certified"):
+        compute_tracking_gain(spec)
+    with pytest.raises(NotStabilizableError, match="could not be certified"):
+        run_online(spec, 1)
+
+
 def test_gain_decay_diagnostic_rejects_negative_preview():
     # a negative W would read the weights of wrapped stage indices
     spec = generate_game(ExperimentConfig(), 6, 0)

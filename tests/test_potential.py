@@ -1,5 +1,6 @@
 """Structural checks, the single-agent reduction, and their invariants."""
 
+import json
 import math
 import pickle
 import warnings
@@ -12,6 +13,7 @@ from previewnash import (
     ASSUMPTION_IDS,
     AssumptionViolatedError,
     DimensionMismatchError,
+    ExperimentConfig,
     ReductionMismatchError,
     ThetaNotPDError,
     WrongStructureError,
@@ -20,6 +22,7 @@ from previewnash import (
     check_sufficient_structure,
     cost_schedule,
     game_spec,
+    generate_game,
     pad_schedule,
     predict_nash,
     reduce_to_ocp,
@@ -127,6 +130,29 @@ def test_state_weight_past_half_the_float_range_ends_in_a_quiet_report(n):
     assert not a1.passed and a1.margin is None
     assert a1.detail.startswith("stage 1: joint curvature matrix is not positive definite")
     assert report.check("A2").passed and report.check("A2").margin == 1.0 + 1e-10
+
+
+def test_a5_fails_an_undefined_excess():
+    # the joint-minus-own weight difference overflows to an undefined (NaN)
+    # eigenvalue; A5 must fail it rather than read the excess as 0
+    ones = np.array([[1.0, 1.0], [1.0, 1.0]])
+    flip = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    spec = game_spec([[0.5]], [[1.0]], [[1.0]], [1.0],
+                     cost_schedule([[[1.0]]], [1e308 * ones], [1e308 * flip]))
+    report = check_assumptions(spec, "warn")
+    a5 = report.check("A5")
+    assert not a5.passed and a5.margin is None
+    assert "required excess nan" in a5.detail
+    json.dumps(report.to_dict()["assumptions"][4], allow_nan=False)
+
+
+def test_a3_reports_a_singular_tracking_step():
+    # at a = 1e10 a step of the tracking-gain solve is singular, which
+    # certifies no gain: A3 fails with the reason instead of raising
+    spec = generate_game(ExperimentConfig(a=1e10), 6, 0)
+    a3 = potential._a3_check(spec, linalg.DEFAULT_TOLERANCES)
+    assert not a3.passed and a3.margin is None
+    assert "could not be certified" in a3.detail
 
 
 def test_overflowing_value_recursion_fails_a1_in_the_report():
