@@ -454,19 +454,24 @@ def test_failed_gain_tags_rows_after_the_draw(monkeypatch):
         (0, "not_stabilizable"), (1, "not_stabilizable"), (2, "dimension_mismatch")] * 2
 
 
+def test_failing_sweep_flags_every_row_and_has_nothing_to_plot(tmp_path):
+    # from x1 = 0 every cell fails, so no row has a price, every aggregate
+    # is empty and there is nothing to plot
+    res = sweep(_tiny_config(x1=(0.0, 0.0)))
+    assert all(r.error is not None and r.pou is None for r in res.rows)
+    for agg in res.aggregates:
+        assert agg.mean_pou is None and agg.log_rel_pou_of_means is None
+    with pytest.raises(EmptyAggregateError):
+        emit_plot(res.aggregates, "W", tmp_path / "unused.svg")
+    assert not (tmp_path / "unused.svg").exists()
+
+
 def test_zero_start_flags_rows_instead_of_aborting(tmp_path):
     # from x1 = 0 every trajectory stays at zero, so the equilibrium cost is
     # zero and the relative price is undefined in every cell
     cfg = _tiny_config(x1=(0.0, 0.0))
     res = sweep(cfg)
     assert [r.error for r in res.rows] == ["zero_nash_cost"] * 4
-    assert all(r.pou is None for r in res.rows)
-    # every row failed, so every aggregate is empty and there is nothing to plot
-    for agg in res.aggregates:
-        assert agg.mean_pou is None and agg.log_rel_pou_of_means is None
-    with pytest.raises(EmptyAggregateError):
-        emit_plot(res.aggregates, "W", tmp_path / "unused.svg")
-    assert not (tmp_path / "unused.svg").exists()
     rows_path, _ = emit_csv(res, tmp_path / "lib")
     with open(rows_path, newline="") as fh:
         lines = list(csv.reader(fh))[1:]
