@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from . import game as game_mod
 from . import online
 from .game import DimensionMismatchError, GameSpec, ThetaNotPDError, cost_schedule, game_spec
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .online import NotStabilizableError, ZeroNashCostError
+from .online import NonFiniteCostError, NotStabilizableError, ZeroNashCostError
 
 __all__ = [
     "InvalidConfigError",
@@ -348,6 +347,7 @@ _ERROR_TAGS = (
     (ThetaNotPDError, "theta_not_pd"),
     (NotStabilizableError, "not_stabilizable"),
     (ZeroNashCostError, "zero_nash_cost"),
+    (NonFiniteCostError, "non_finite_cost"),
     (np.linalg.LinAlgError, "linalg_error"),
     (DimensionMismatchError, "dimension_mismatch"),
 )
@@ -362,12 +362,12 @@ def _error_tag(exc: Exception) -> str:
 
 def _row(T: int, W: int, seed: int, run) -> SweepRow:
     """The row of one run of `online._play_previews`: its price, or the tag
-    of the error it carries (a zero equilibrium cost is one too)."""
+    of the error it carries (a zero or non-finite cost is one too)."""
     if not isinstance(run, Exception):
         try:
             lrp = online.log_rel_pou(*run.price)
             return SweepRow(T, W, seed, *run.price, lrp if math.isfinite(lrp) else None)
-        except ZeroNashCostError as exc:
+        except (ZeroNashCostError, NonFiniteCostError) as exc:
             run = exc
     return SweepRow(T, W, seed, None, None, None, error=_error_tag(run))
 
@@ -485,6 +485,8 @@ def sweep(config: ExperimentConfig, jobs: int = 1, tol: Tolerances | None = None
 
     blocks = [(config, T, runs, k_bar, tol) for T, runs in _blocks(config, jobs)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
+
         workers = min(jobs, len(blocks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [r for block in pool.map(_run_block, *zip(*blocks)) for r in block]

@@ -439,6 +439,8 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     base = 0 if schedule is None else np.asarray(schedule, dtype=np.intp) * (T - 1)
 
     p1 = p2 = qs[base + np.minimum(T, known + 1) - 2]
+    # both players pay the same weights (the reduced problem): P2 is P1 bit for bit
+    same_values = all(np.array_equal(c.R1, c.R2) for c in costs)
     keep_values = G == 1
     p1_hist, p2_hist = [p1[0]], [p2[0]]
     gains = None if residuals else np.empty((G, T - 1, 2 * m, n))
@@ -465,7 +467,7 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
         if residuals:
             gap = b.T @ (p1 - p2) @ a  # stage t+1 values
             gap[failed] = 0.0  # void, and maybe not finite, which the norm's SVD refuses
-            res = np.fmax(res, np.linalg.norm(gap, 2, axis=(-2, -1)))
+            res = np.fmax(res, linalg._two_norms(gap, res))  # SVDs only gaps that may pass res
         rhs = np.concatenate((b1p1, b2p2), axis=1) @ a
         kt = -np.linalg.solve(theta, rhs)
         if gains is not None:
@@ -476,9 +478,12 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
             kt_t = kt.transpose(0, 2, 1)
             qt = qs[base + np.minimum(t, known + 1) - 2]
             p1 = qt + kt_t @ r1t @ kt + closed_t @ p1 @ closed
-            p2 = qt + kt_t @ r2t @ kt + closed_t @ p2 @ closed
             p1 = (p1 + p1.transpose(0, 2, 1)) / 2.0
-            p2 = (p2 + p2.transpose(0, 2, 1)) / 2.0
+            if same_values:
+                p2 = p1
+            else:
+                p2 = qt + kt_t @ r2t @ kt + closed_t @ p2 @ closed
+                p2 = (p2 + p2.transpose(0, 2, 1)) / 2.0
             p1[failed] = p2[failed] = 0.0
             if keep_values:
                 p1_hist.append(p1[0])

@@ -139,7 +139,6 @@ def two_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a pivot past the float range fails
 def cholesky_pd(m, tol: float | None = None) -> CholeskyCheck:
     """Positive-definiteness check with the smallest pivot as a margin.
 
@@ -150,21 +149,34 @@ def cholesky_pd(m, tol: float | None = None) -> CholeskyCheck:
     m = _require_square(m, "cholesky_pd")
     if tol is None:
         tol = DEFAULT_TOLERANCES.pd_pivot
-    s = symmetrize(m)
-    n = s.shape[0]
-    if n == 0:
-        return CholeskyCheck(True, math.inf)
-    lower = np.zeros((n, n))
-    min_pivot = math.inf
+    is_pd, min_pivot = _pivots(m[None], tol)
+    return CholeskyCheck(bool(is_pd[0]), float(min_pivot[0]))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a pivot past the float range fails
+def _pivots(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """`cholesky_pd`'s (is_pd, min_pivot) of each matrix of a (G, k, k) stack.
+
+    Each matrix is symmetrized alone, stops at its own first failing pivot,
+    and skips a NaN pivot in its running min, as Python's `min` does.  Each
+    dot product is the `@` one matrix alone takes, so results are bitwise its."""
+    mt = np.swapaxes(stack, -1, -2)
+    exact = np.all(stack == mt, axis=(-2, -1))[:, None, None]
+    s = np.where(exact, stack, (stack + mt) / 2.0)
+    G, n = s.shape[:2]
+    lower = np.zeros(s.shape)
+    min_pivot = np.full(G, np.inf)
+    live = np.ones(G, dtype=bool)
     for i in range(n):
-        pivot = s[i, i] - lower[i, :i] @ lower[i, :i]
-        min_pivot = min(min_pivot, float(pivot))
-        if not pivot > tol:
-            return CholeskyCheck(False, min_pivot)
-        lower[i, i] = math.sqrt(pivot)
-        if i + 1 < n:
-            lower[i + 1:, i] = (s[i + 1:, i] - lower[i + 1:, :i] @ lower[i, :i]) / lower[i, i]
-    return CholeskyCheck(True, min_pivot)
+        row = lower[:, i, :i, None]  # row i of each factor, as a column
+        pivot = s[:, i, i] - (np.swapaxes(row, -1, -2) @ row)[:, 0, 0]
+        min_pivot = np.where(live & (pivot < min_pivot), pivot, min_pivot)
+        live &= pivot > tol
+        if not live.any():
+            break
+        lower[:, i, i] = diag = np.sqrt(np.where(live, pivot, 1.0))  # a failed row is void
+        lower[:, i + 1:, i] = (s[:, i + 1:, i] - (lower[:, i + 1:, :i] @ row)[..., 0]) / diag[:, None]
+    return live, min_pivot
 
 
 def _all_pd(sym: np.ndarray, tol: float) -> bool:
@@ -203,6 +215,48 @@ def _asymmetry(stack: np.ndarray) -> np.ndarray:
         return np.zeros(diff.shape[:-2])
     norms = np.linalg.norm(np.nan_to_num(diff), 2, axis=(-2, -1))
     return np.where(np.isfinite(diff).all(axis=(-2, -1)), norms, np.inf)
+
+
+# A Frobenius bound rules out a spectral norm only with this much to spare:
+# the computed sigma_max and ||M||_F each carry about n eps of rounding.
+_NORM_SLACK = 1e-10
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite matrix's bound is NaN
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """||M||_F of each matrix of a (..., k, l) stack, scaled by max|M| so that
+    tiny entries do not underflow: 0 for a zero matrix, NaN for a non-finite one."""
+    peak = np.max(np.abs(stack), axis=(-2, -1), keepdims=True)
+    scaled = stack / np.where(peak > 0.0, peak, 1.0)
+    return peak[..., 0, 0] * np.sqrt(np.sum(scaled * scaled, axis=(-2, -1)))
+
+
+def _two_norms(stack: np.ndarray, ceiling) -> np.ndarray:
+    """||M||_2 of each matrix of a (..., k, l) stack wherever it may exceed
+    `ceiling` (broadcast against the leading axes), and elsewhere ||M||_F, a
+    bound on it no larger than ceiling: a comparison or a maximum with the
+    ceiling is the exact norm's.  Only a NaN bound, or one past the ceiling,
+    takes an SVD."""
+    norms = _frobenius(stack)
+    exact = ~(norms * (1.0 + _NORM_SLACK) <= ceiling)
+    if exact.any():
+        norms[exact] = _svd_norms(stack[exact])
+    return norms
+
+
+def _svd_norms(stack: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(stack, 2, axis=(-2, -1)), bit for bit, without its axis bookkeeping."""
+    return np.max(np.linalg.svd(stack, compute_uv=False), axis=-1)
+
+
+def _max_two_norms(stack: np.ndarray) -> np.ndarray:
+    """`_two_norms` along axis -3 of a (..., S, k, l) stack, with the matrix of
+    largest bound's norm as ceiling, and that norm appended: (..., S+1).  Their
+    maximum is the exact norms', under np.fmax's NaN rule and under Python's
+    `max`, which keeps a leading NaN."""
+    top = np.argmax(_frobenius(stack), axis=-1)[..., None, None, None]
+    top_norm = _svd_norms(np.take_along_axis(stack, top, axis=-3))
+    return np.concatenate((_two_norms(stack, top_norm), top_norm), axis=-1)
 
 
 def sym_eig(m) -> np.ndarray:

@@ -35,6 +35,7 @@ from .linalg import DEFAULT_TOLERANCES, Tolerances
 __all__ = [
     "NotStabilizableError",
     "ZeroNashCostError",
+    "NonFiniteCostError",
     "PaddedSchedule",
     "OnlineRun",
     "PouResult",
@@ -54,6 +55,10 @@ class NotStabilizableError(RuntimeError):
 
 class ZeroNashCostError(ValueError):
     """Relative price of uncertainty is undefined at zero equilibrium cost."""
+
+
+class NonFiniteCostError(ArithmeticError):
+    """The price of uncertainty or the equilibrium cost is not finite (a cost overflowed)."""
 
 
 @dataclass(frozen=True)
@@ -194,9 +199,16 @@ def _price(run_costs, nash_costs) -> PouResult:
 
 
 def log_rel_pou(pou: float, nash_social_cost: float) -> float:
-    """log(|pou / nash_social_cost|); -inf sentinel when pou is exactly zero."""
+    """log(|pou / nash_social_cost|); -inf sentinel when pou is exactly zero.
+
+    A zero equilibrium cost raises ZeroNashCostError, and a non-finite price
+    or equilibrium cost NonFiniteCostError: neither has a relative price.
+    """
     if nash_social_cost == 0.0:
         raise ZeroNashCostError("equilibrium social cost is zero")
+    if not (math.isfinite(pou) and math.isfinite(nash_social_cost)):
+        raise NonFiniteCostError(f"price of uncertainty {pou} against equilibrium social cost "
+                                 f"{nash_social_cost} is not finite")
     if pou == 0.0:
         return -math.inf
     return math.log(abs(pou / nash_social_cost))
@@ -266,6 +278,7 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
     if isinstance(run, Exception):
         raise run
     x, u, tracked, (pou, social) = run
+    lrp = log_rel_pou(pou, social)  # first: an overflowing run's tracking error overflows too
     x_pred = game_mod._freeze(x_games[tracked])
     u_pred = game_mod._freeze(u_games[tracked])
     err = np.array([linalg.two_norm(x[k] - x_pred[k, k]) for k in range(spec.T - 1)])
@@ -276,7 +289,7 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
         u_pred=tuple(u_pred),
         K_tracking=k_bar,
         pou=pou,
-        log_rel_pou=log_rel_pou(pou, social),
+        log_rel_pou=lrp,
         nash_cost_avg=social,
         tracking_error=err,
     )

@@ -89,10 +89,13 @@ class AssumptionReport:
         raise KeyError(assumption_id)
 
     def to_dict(self) -> dict:
+        """The report as JSON-ready data; a non-finite margin is written as None."""
         return {
             "overall": self.overall,
             "assumptions": [
-                {"id": c.id, "passed": c.passed, "margin": c.margin, "detail": c.detail}
+                {"id": c.id, "passed": c.passed,
+                 "margin": c.margin if c.margin is not None and math.isfinite(c.margin) else None,
+                 "detail": c.detail}
                 for c in self.checks
             ],
         }
@@ -134,10 +137,10 @@ def _a1_core(spec: GameSpec, known, tol: Tolerances) -> list:
     only, so its state-weight pivot is a prefix minimum of the true ones.
     A game that fails its curvature certificate is scored from the pass's
     failure report: its margin is its failing pivot."""
-    q_pivots = list(itertools.accumulate(
-        (linalg.cholesky_pd(q, tol.pd_pivot).min_pivot for q in spec.costs.Q), min))
+    q_pivots = list(itertools.accumulate(linalg._pivots(spec.costs.Q, tol.pd_pivot)[1].tolist(), min))
     batch = game_mod._backward(spec, known, tol, residuals=True)
-    cross = np.fmax.reduce(_cross_residuals(batch.theta, spec.m), axis=1, initial=0.0)  # like max()
+    cross = np.fmax.reduce(linalg._max_two_norms(_cross_gaps(batch.theta, spec.m)), axis=1,
+                           initial=0.0)  # like max()
     scores = []
     for k, exc, theta_row, cross_res, value_res in zip(np.asarray(known).tolist(), batch.failures,
                                                        batch.theta_min, cross.tolist(),
@@ -157,9 +160,10 @@ def _a1_core(spec: GameSpec, known, tol: Tolerances) -> list:
     return scores
 
 
-def _cross_residuals(thetas: np.ndarray, m: int) -> np.ndarray:
-    """||Theta[:m, m:] - Theta[m:, :m]'||_2, the cross-weight gap, of each matrix of a (..., 2m, 2m) stack."""
-    return np.linalg.norm(thetas[..., :m, m:] - np.swapaxes(thetas[..., m:, :m], -1, -2), 2, axis=(-2, -1))
+def _cross_gaps(thetas: np.ndarray, m: int) -> np.ndarray:
+    """Theta[:m, m:] - Theta[m:, :m]', whose 2-norm is the cross-weight residual,
+    of each matrix of a (..., 2m, 2m) stack."""
+    return thetas[..., :m, m:] - np.swapaxes(thetas[..., m:, :m], -1, -2)
 
 
 def _a2_check(spec: GameSpec, q_eigs: np.ndarray, tol: Tolerances) -> AssumptionCheck:
@@ -190,8 +194,7 @@ def _a3_check(spec: GameSpec, tol: Tolerances) -> AssumptionCheck:
 
 
 def _a4_check(rps: np.ndarray, tol: Tolerances) -> AssumptionCheck:
-    # the margin reports cholesky_pd's own pivots, so they are taken one matrix at a time
-    worst_pivot = min(linalg.cholesky_pd(rp, tol.pd_pivot).min_pivot for rp in rps)
+    worst_pivot = min(linalg._pivots(rps, tol.pd_pivot)[1].tolist())  # cholesky_pd's own pivots
     worst_asym = max(0.0, *linalg._asymmetry(rps).tolist())
     passed = worst_pivot > tol.pd_pivot and worst_asym <= tol.symmetry
     margin = min(worst_pivot, tol.symmetry - worst_asym)
@@ -329,7 +332,7 @@ def _reduce(spec: GameSpec, batch: game_mod._Batch, tol: Tolerances) -> OcpReduc
 
     b = spec.joint_b()
     thetas = batch.theta[0]  # the game's stage-t curvature is thetas[t - 1]
-    bad = np.flatnonzero(_cross_residuals(thetas, spec.m) > tol.mat_eq)
+    bad = np.flatnonzero(linalg._two_norms(_cross_gaps(thetas, spec.m), tol.mat_eq) > tol.mat_eq)
     if bad.size:
         raise AssumptionViolatedError("A1", f"cross-weight blocks disagree at stage {bad[0] + 1}")
 
@@ -350,7 +353,7 @@ def _reduce(spec: GameSpec, batch: game_mod._Batch, tol: Tolerances) -> OcpReduc
     failure = reduced.failures[0]
     floor = 0 if failure is None else failure.stage
     # resid[t - 1] is stage t's; a descent stops at a curvature failure, below which P_bar is void
-    resid = np.linalg.norm(r_bar - (thetas - b.T @ np.stack(reduced.P1) @ b), 2, axis=(-2, -1))
+    resid = linalg._two_norms(r_bar - (thetas - b.T @ np.stack(reduced.P1) @ b), tol.mat_eq)
     off = np.flatnonzero(resid[floor:] > tol.mat_eq)
     if off.size:
         t = floor + off[-1] + 1
@@ -372,7 +375,8 @@ def verify_equivalence(spec: GameSpec, tol: Tolerances | None = None) -> float:
     """
     tol = tol or DEFAULT_TOLERANCES
     batch = game_mod._backward(spec, [spec.T - 1], tol).certified()
-    return max(linalg.two_norm(kg - kb) for kg, kb in zip(batch.K[0], _reduce(spec, batch, tol).K_bar_ocp))
+    gaps = batch.K[0] - np.stack(_reduce(spec, batch, tol).K_bar_ocp)
+    return max(linalg._max_two_norms(gaps).tolist())  # Python's max of the stage gaps' norms
 
 
 class StructureCheck(NamedTuple):

@@ -43,18 +43,22 @@ def spd(rng, k, floor):
 
 
 def make_aligned_game(rng, n=None, m=None, T=None, n_max=3, m_max=2, T_max=10,
-                      attempts=60):
+                      attempts=60, a_norm=None):
     """Random game passing every structural check.
 
     Explicit n/m/T pin the dimensions; otherwise they are drawn up to the
     given caps.  Candidates failing any check (unstabilizable A mostly) are
     redrawn, so the returned instance always carries a passing certificate.
+    With a_norm, A is rescaled to that spectral norm, as the benchmark's
+    dense games are, which lets large n pass.
     """
     for _ in range(attempts):
         nn = int(n if n is not None else rng.integers(1, n_max + 1))
         mm = int(m if m is not None else rng.integers(1, m_max + 1))
         tt = int(T if T is not None else rng.integers(2, T_max + 1))
         a = rng.uniform(-1.1, 1.1, size=(nn, nn))
+        if a_norm is not None:
+            a *= a_norm / np.linalg.norm(a, 2)
         b0 = rng.uniform(-1.5, 1.5, size=(nn, mm))
         sv0 = np.linalg.svd(b0, compute_uv=False)
         # nonzero, and well conditioned whenever full column rank is possible

@@ -41,9 +41,18 @@ def indefinite_spec_file(tmp_path):
     return path
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259 section 6)")
+
+
+def _strict_json(text):
+    """json.loads that refuses the NaN, Infinity and -Infinity tokens."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def _stderr_json(capsys):
     captured = capsys.readouterr()
-    return captured.out, (json.loads(captured.err) if captured.err.strip() else None)
+    return captured.out, (_strict_json(captured.err) if captured.err.strip() else None)
 
 
 # ----------------------------------------------------------------- validate
@@ -372,7 +381,7 @@ def test_plot_ends_every_csv_body_in_an_exit_code_and_one_json_error(tmp_path, c
         assert code in (0, 1)
         if code:
             lines = captured.err.splitlines()
-            assert len(lines) == 1 and "code" in json.loads(lines[0])
+            assert len(lines) == 1 and "code" in _strict_json(lines[0])
             assert not svg.exists()
         else:
             assert captured.err == ""
@@ -479,10 +488,12 @@ def test_malformed_spec_ends_in_an_exit_code_and_one_json_error(command, tmp_pat
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code in (0, 1, 2, 3)
+        if captured.out:  # validate's report
+            assert "overall" in _strict_json(captured.out)
         if code:
             lines = captured.err.splitlines()
             assert len(lines) == 1
-            assert "code" in json.loads(lines[0])
+            assert "code" in _strict_json(lines[0])
         else:
             assert captured.err == ""
 
@@ -529,14 +540,39 @@ def _run_module(*args):
                           timeout=120)
 
 
+def test_run_with_an_overflowing_price_exits_3_without_a_warning(tmp_path):
+    # a start of 1e300 overflows every cost, so the price is not finite; the
+    # run stops there, before its tracking error overflows as well
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_to_dict(generate_game(ExperimentConfig(x1=(1e300, 1e300)), 4, 0))))
+    run = _run_module("run", "--spec", str(path), "--preview", "1", "--out", str(tmp_path / "r.json"))
+    assert (run.returncode, run.stdout) == (3, "")
+    assert _strict_json(run.stderr)["code"] == "non_finite_cost"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_validate_writes_a_non_finite_margin_as_null(tmp_path):
+    # the joint weight 1e308 [[1, 1], [1, -1]] is asymmetric past the float
+    # range, so A4's margin is -inf; strict JSON has no token for it
+    r1 = [[[1e308, 1e308], [1e308, 1e308]]]
+    r2 = [[[1e308, -1e308], [-1e308, 1e308]]]
+    spec = game_mod.game_spec([[1.0]], [[1.0]], [[1.0]], [1.0], game_mod.cost_schedule([[[1.0]]], r1, r2))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_to_dict(spec)))
+    report = _run_module("validate", "--spec", str(path))
+    assert report.returncode == 0
+    a4 = _strict_json(report.stdout)["assumptions"][3]
+    assert (a4["id"], a4["passed"], a4["margin"]) == ("A4", False, None)
+
+
 def test_module_entry_point_runs_main(scalar_spec_file, indefinite_spec_file):
     ok = _run_module("validate", "--spec", str(scalar_spec_file))
     assert (ok.returncode, ok.stderr) == (0, "")
-    assert json.loads(ok.stdout)["overall"] is True
+    assert _strict_json(ok.stdout)["overall"] is True
     strict = _run_module("validate", "--spec", str(indefinite_spec_file), "--strict")
     assert strict.returncode == 2
-    assert json.loads(strict.stdout)["overall"] is False
-    err = json.loads(strict.stderr)
+    assert _strict_json(strict.stdout)["overall"] is False
+    err = _strict_json(strict.stderr)
     assert (err["code"], err["stage"]) == ("assumption", "A1")
 
 

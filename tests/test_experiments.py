@@ -1,5 +1,6 @@
 """Random-family generation, sweeps, CSV emission, and the SVG plotter."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -18,6 +19,7 @@ from previewnash import (
     EmptyAggregateError,
     ExperimentConfig,
     InvalidConfigError,
+    NonFiniteCostError,
     NotStabilizableError,
     SweepRow,
     ThetaNotPDError,
@@ -282,6 +284,17 @@ def test_sweep_leaves_numpy_random_unimported(tmp_path):
     assert (tmp_path / "rows.csv").exists()
 
 
+def test_import_leaves_the_process_pool_unimported():
+    # only sweep(jobs > 1) starts a pool, so only it imports one
+    script = ("import sys\n"
+              "import previewnash\n"
+              "print(sorted({m.split('.')[0] for m in sys.modules} & {'concurrent', 'multiprocessing'}))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 # ------------------------------------------------------------------- sweeps
 
 def _tiny_config(**kwargs):
@@ -364,7 +377,7 @@ def test_worker_count_is_capped_by_blocks_and_cpus(monkeypatch, cpus, workers):
 
     config = ExperimentConfig(T_range=(5,), W_range=(0, 2), runs=3)
     serial = sweep(config)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     assert sweep(config, jobs=64) == serial
     assert started == [workers]
@@ -572,6 +585,7 @@ _REFERENCE_TAGS = (
     (ThetaNotPDError, "theta_not_pd"),
     (NotStabilizableError, "not_stabilizable"),
     (ZeroNashCostError, "zero_nash_cost"),
+    (NonFiniteCostError, "non_finite_cost"),
     (np.linalg.LinAlgError, "linalg_error"),
     (DimensionMismatchError, "dimension_mismatch"),
 )
@@ -605,14 +619,35 @@ def _reference_sweep(config):
     ({"runs": 10}, 1),
     ({"T_range": (5, 10), "W_range": (0, 1, 3, 12), "runs": 5}, 1),
     ({"runs": 3, "x1": (0.0, 0.0)}, 1),
+    ({"T_range": (4,), "W_range": (0, 1), "runs": 2, "x1": (1e300, 1e300)}, 1),
     ({"T_range": (5, 10), "W_range": (0, 1, 3, 12), "runs": 3}, 2),
-], ids=["defaults", "T_and_W", "zero_start", "jobs2"])
+], ids=["defaults", "T_and_W", "zero_start", "overflowing_start", "jobs2"])
 def test_grouped_sweep_equals_per_cell_runs(kwargs, jobs):
     config = ExperimentConfig(**kwargs)
     res = sweep(config, jobs=jobs)
     ref = _reference_sweep(config)
     assert list(res.rows) == ref
     assert list(res.aggregates) == experiments._aggregate(ref)
+
+
+def test_every_row_with_a_non_finite_metric_is_tagged():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coordinate = st.one_of(st.floats(-1e308, 1e308), st.sampled_from([1e150, 1e155, -1e160, 1e300]))
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(x1=st.tuples(coordinate, coordinate), T=st.integers(3, 6))
+    @hypothesis.example(x1=(1e300, 1e300), T=4)
+    def check(x1, T):
+        for row in sweep(ExperimentConfig(T_range=(T,), W_range=(0, 1, T), runs=2, x1=x1)).rows:
+            metrics = [row.pou, row.nash_social_cost, row.log_rel_pou]
+            if row.error is None:
+                assert all(v is None or math.isfinite(v) for v in metrics), row
+                assert row.pou is not None and row.nash_social_cost is not None, row
+            else:
+                assert metrics == [None] * 3, row
+
+    check()
 
 
 @pytest.mark.parametrize("w_range, x1, tags", [

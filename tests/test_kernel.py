@@ -13,6 +13,7 @@ import pytest
 
 from previewnash import (
     ThetaNotPDError,
+    build_r_potential,
     check_assumptions,
     cost_schedule,
     gain_decay_diagnostic,
@@ -330,3 +331,25 @@ def test_all_previews_play_from_the_zero_preview_pass(family):
             assert np.array_equal(run.x, x_ref) and np.array_equal(run.u, u_ref)
         played += 1
     assert played >= 15
+
+
+@pytest.mark.parametrize("residuals", [False, True])
+def test_shared_weights_reuse_the_first_value_recursion(residuals):
+    # when every schedule of a pass has R1 == R2, as the reduced problem's
+    # does, P2 is P1 bit for bit, so the pass updates P1 alone and reads P2
+    # off it; with another schedule in the pass it updates both
+    rng = np.random.default_rng(97)
+    for _ in range(6):
+        spec = make_aligned_game(rng)
+        joint = np.stack([build_r_potential(r1, r2) for r1, r2 in zip(spec.costs.R1, spec.costs.R2)])
+        shared = cost_schedule(spec.costs.Q, joint, joint)
+        _assert_stack_is_lone_passes(spec, [shared, spec.costs], np.arange(1, spec.T), residuals, rng)
+        known = [spec.T - 1]
+        alone = game_mod._backward(spec, known, residuals=residuals, costs=[shared])
+        both = game_mod._backward(spec, known, residuals=residuals, costs=[shared, spec.costs],
+                                  schedule=[0])
+        assert all(np.shares_memory(p1, p2) for p1, p2 in zip(alone.P1, alone.P2))
+        # P_T is Q_T in both
+        assert not any(np.shares_memory(p1, p2) for p1, p2 in zip(both.P1[:-1], both.P2[:-1]))
+        for field in ("P1", "P2", "theta") + (("residuals",) if residuals else ("K",)):
+            assert np.array_equal(np.stack(getattr(alone, field)), np.stack(getattr(both, field)))

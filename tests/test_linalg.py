@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from previewnash import linalg
+from previewnash import linalg, potential
 from previewnash.linalg import (
     AllZeroError,
     NonSquareError,
@@ -20,6 +20,8 @@ from previewnash.linalg import (
     symmetrize,
     two_norm,
 )
+
+from conftest import make_aligned_game
 
 
 def test_default_tolerances_are_frozen_constants():
@@ -222,3 +224,141 @@ def test_halving_finds_every_matrix_the_stacked_verdict_rejects(failing):
     sym = (mats + mats.transpose(0, 2, 1)) / 2.0
     assert linalg._not_pd(sym, 1e-10) == [g for g in range(40) if not linalg._all_pd(sym[g], 1e-10)]
     assert sorted(linalg._not_pd(sym, 1e-10)) == sorted(bad.tolist())
+
+
+# ------------------------------------------- stacked pivots and screened norms
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_cholesky_pd(m, tol=1e-10):
+    """The one-matrix pure-Python factorization `cholesky_pd` ran before its
+    stacked scan: the reference it is pinned to bit for bit."""
+    s = symmetrize(m)
+    n = s.shape[0]
+    lower = np.zeros((n, n))
+    min_pivot = math.inf
+    for i in range(n):
+        pivot = s[i, i] - lower[i, :i] @ lower[i, :i]
+        min_pivot = min(min_pivot, float(pivot))
+        if not pivot > tol:
+            return False, min_pivot
+        lower[i, i] = math.sqrt(pivot)
+        if i + 1 < n:
+            lower[i + 1:, i] = (s[i + 1:, i] - lower[i + 1:, :i] @ lower[i, :i]) / lower[i, i]
+    return True, min_pivot
+
+
+def _special_matrix(kind, scale, seed, k, l):
+    """One matrix of a kind the screens and the pivot scan must get exactly right."""
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(-1.0, 1.0, size=(k, l))
+    if kind == "zero":
+        g = np.zeros((k, l))
+    elif kind == "rank1":  # ||M||_F = ||M||_2
+        g = np.outer(g[:, 0], g[0])
+    elif kind == "spd" and k == l:
+        g = g @ g.T + 0.1 * np.eye(k)
+    elif kind == "symmetric" and k == l:  # M + M' overflows at 1e308 scale, M itself does not
+        g = (g + g.T) / 2.0
+    elif kind in ("nan", "inf"):
+        g[rng.integers(k), rng.integers(l)] = np.nan if kind == "nan" else -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        return g * scale
+
+
+def _stacks(st, square):
+    kinds = st.sampled_from(["zero", "rank1", "dense", "spd", "symmetric", "nan", "inf"])
+    scales = st.sampled_from([1e-200, 1e-9, 1.0, 3.0, 1e150, 1e300, 1.5e308])
+    entry = st.tuples(kinds, scales, st.integers(0, 2 ** 32 - 1))
+    dims = st.tuples(st.integers(1, 6), st.integers(1, 6))
+    return dims.flatmap(lambda kl: st.lists(entry, min_size=1, max_size=8).map(
+        lambda es: np.stack([_special_matrix(*e, kl[0], kl[0] if square else kl[1]) for e in es])))
+
+
+def _same(a, b):
+    return repr(np.asarray(a).tolist()) == repr(np.asarray(b).tolist())
+
+
+def test_stacked_pivots_are_cholesky_pd_bit_for_bit():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(stack=_stacks(st, square=True), tol=st.sampled_from([0.0, 1e-10, 1.0]))
+    def check(stack, tol):
+        want = [_reference_cholesky_pd(m, tol) for m in stack]
+        is_pd, min_pivot = linalg._pivots(stack, tol)
+        assert _same(list(zip(is_pd.tolist(), min_pivot.tolist())), want)
+        assert _same([tuple(cholesky_pd(m, tol)) for m in stack], want)
+
+    check()
+
+
+def test_stacked_pivots_match_on_random_definite_and_indefinite_matrices():
+    rng = np.random.default_rng(14)
+    for k in range(2, 17):
+        g = rng.uniform(-1.0, 1.0, size=(60, k, k))
+        mats = g @ g.transpose(0, 2, 1) + rng.uniform(-0.5, 0.5, size=(60, 1, 1)) * np.eye(k)
+        mats[::3] += rng.uniform(-1e-3, 1e-3, size=(20, k, k))  # asymmetric ones too
+        want = [_reference_cholesky_pd(m) for m in mats]
+        assert 0 < sum(ok for ok, _ in want) < len(want)
+        is_pd, min_pivot = linalg._pivots(mats, 1e-10)
+        assert list(zip(is_pd.tolist(), min_pivot.tolist())) == want
+    # the stacks A1 and A4 scan on a game of the benchmark's dense size
+    spec = make_aligned_game(rng, n=16, m=4, T=40, a_norm=1.05)
+    for stack in (spec.costs.Q, potential._joint_weights(spec.costs.R1, spec.costs.R2)):
+        is_pd, min_pivot = linalg._pivots(stack, 1e-10)
+        assert list(zip(is_pd.tolist(), min_pivot.tolist())) == [_reference_cholesky_pd(m) for m in stack]
+
+
+def _exact_norms(stack):
+    """One SVD per matrix, the norm every screen stands in for; None if LAPACK refuses."""
+    try:
+        return np.linalg.norm(stack, 2, axis=(-2, -1))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def test_screened_norms_decide_what_exact_norms_decide():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(stack=_stacks(st, square=False),
+                      factor=st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0]),
+                      floor=st.sampled_from([0.0, 1e-300, 1e-8, 1.0]))
+    def check(stack, factor, floor):
+        exact = _exact_norms(stack)
+        if exact is None:
+            with pytest.raises(np.linalg.LinAlgError):
+                linalg._two_norms(stack, floor)
+            return
+        with np.errstate(over="ignore", invalid="ignore"):  # a norm near the float range, scaled
+            scaled = np.fmax(floor, exact * factor)
+        for ceiling in (floor, scaled):
+            got = linalg._two_norms(stack, ceiling)
+            assert _same(got > ceiling, exact > ceiling)
+            assert _same(np.fmax(ceiling, got), np.fmax(ceiling, exact))
+
+    check()
+
+
+def test_screened_maxima_are_the_exact_maxima():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(stack=_stacks(st, square=False), rows=st.integers(1, 3))
+    def check(stack, rows):
+        stack = np.stack([np.roll(stack, r, axis=0) for r in range(rows)])  # (rows, S, k, l)
+        exact = _exact_norms(stack)
+        if exact is None:
+            with pytest.raises(np.linalg.LinAlgError):
+                linalg._max_two_norms(stack)
+            return
+        got = linalg._max_two_norms(stack)
+        assert got.shape == (rows, stack.shape[1] + 1)
+        # A1's maximum, and verify_equivalence's (Python's max keeps a leading NaN)
+        assert _same(np.fmax.reduce(got, axis=1, initial=0.0), np.fmax.reduce(exact, axis=1, initial=0.0))
+        assert _same([max(row) for row in got.tolist()], [max(row) for row in exact.tolist()])
+
+    check()

@@ -8,6 +8,7 @@ import pytest
 from previewnash import (
     ExperimentConfig,
     IndexOutOfRangeError,
+    NonFiniteCostError,
     NotStabilizableError,
     ThetaNotPDError,
     ZeroNashCostError,
@@ -348,6 +349,12 @@ def test_log_rel_pou_edge_cases():
     assert log_rel_pou(-0.5, 2.0) == pytest.approx(math.log(0.25))
     with pytest.raises(ZeroNashCostError):
         log_rel_pou(0.5, 0.0)
+    # a cost that overflowed has no relative price either; zero is checked first
+    for pou, cost in ((math.nan, 1.0), (math.inf, 1.0), (0.0, -math.inf), (0.5, math.nan)):
+        with pytest.raises(NonFiniteCostError):
+            log_rel_pou(pou, cost)
+    with pytest.raises(ZeroNashCostError):
+        log_rel_pou(math.nan, 0.0)
 
 
 def test_zero_start_has_no_relative_scale():

@@ -655,3 +655,68 @@ def test_reduction_certifies_without_cholesky_pd(monkeypatch):
     monkeypatch.setattr(linalg, "cholesky_pd", no_cholesky_pd)
     for spec in specs:
         assert verify_equivalence(spec) <= 1e-9
+
+
+# ------------------------------------------------------------ screened norms
+
+def _exact_two_norms(stack, ceiling=None, bounds=None):
+    """The norms the certify path's screens stand in for, one SVD per matrix.
+
+    Patched in for both screens, it restores the path as it ran before
+    them: the pass's per-stage SVD of every value-coupling gap, A1's
+    np.fmax.reduce over every cross-weight residual, `_reduce`'s two
+    `> mat_eq` checks on every stage, and `verify_equivalence`'s Python
+    `max` over every stage's gain gap."""
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
+
+
+def _certify_outputs(spec):
+    """Everything the certify path reports on spec, as JSON text that holds
+    each float exactly (NaN as NaN) and each failure as its message."""
+    def guard(call):
+        try:
+            return call()
+        except Exception as exc:  # the failure is an output too
+            return f"{type(exc).__name__}: {exc}"
+
+    known = np.arange(1, spec.T)
+    return json.dumps({
+        "report": guard(lambda: check_assumptions(spec, "warn").to_dict()),
+        "residuals": guard(lambda: game_mod._backward(spec, known, residuals=True).residuals.tolist()),
+        "reduction": guard(lambda: [np.stack(f).tolist() for f in reduce_to_ocp(spec)]),
+        "equivalence": guard(lambda: verify_equivalence(spec)),
+    })
+
+
+def _dense_aligned_games(count, seed):
+    """Aligned games of the benchmark's certify_dense size (n=16, m=4, T=40)."""
+    rng = np.random.default_rng(seed)
+    return [make_aligned_game(rng, n=16, m=4, T=40, a_norm=1.05) for _ in range(count)]
+
+
+def test_screened_norms_give_what_exact_norms_give(monkeypatch):
+    rng = np.random.default_rng(73)
+    specs = ([make_aligned_game(rng) for _ in range(10)] + [make_loose_game(rng) for _ in range(10)]
+             + [generate_game(ExperimentConfig(), T, seed) for T in (4, 12) for seed in (0, 1)]
+             + [make_padded_failure_game(), _identical_players_game()] + _dense_aligned_games(3, 74))
+    screened = [_certify_outputs(spec) for spec in specs]
+    monkeypatch.setattr(linalg, "_two_norms", _exact_two_norms)
+    monkeypatch.setattr(linalg, "_max_two_norms", _exact_two_norms)
+    assert [_certify_outputs(spec) for spec in specs] == screened
+
+
+def test_check_assumptions_svds_a_third_of_its_matrices_on_a_dense_game(monkeypatch):
+    # 39 padded games x 39 stages of value-coupling gaps and of cross-weight
+    # gaps, plus A3's and A5's few norms, took 3,072 SVDs before the screens
+    spec = _dense_aligned_games(1, 75)[0]
+    svd = np.linalg.svd
+    count = [0]
+
+    def counted(a, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg._linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert check_assumptions(spec, "warn").overall
+    assert 0 < count[0] <= 3072 // 3
