@@ -220,8 +220,16 @@ class GameSpec:
     x1: np.ndarray
     costs: CostSchedule
 
+    # (tol, first row of each game, batch): the largest pass over the spec's
+    # own schedule, see `_solved`; a cache, not a field
+    _held = None
+
     def __eq__(self, other) -> bool:
         return _equal_fields(self, other)
+
+    def __getstate__(self):
+        # pickles and copies drop the held pass
+        return {k: v for k, v in self.__dict__.items() if k != "_held"}
 
     def joint_b(self) -> np.ndarray:
         """B = [B1 B2], n x 2m."""
@@ -378,17 +386,18 @@ def _stage_theta(r1, r2, b1p1, b2p2, B1, B2) -> np.ndarray:
 class _Batch(NamedTuple):
     """Solutions of G padded games from one stacked backward pass.
 
-    K is (G, T-1, 2m, n), or None when the pass scored residuals; theta is
-    (G, T-1, 2m, 2m), the stage curvatures the pass certified and solved
-    with.  P1, P2 are per-stage (n, n) value matrices for stages 2..T,
-    kept only when G == 1.  residuals is None unless the pass was asked to
-    score them; then it is (G,), each game's largest value-coupling
-    residual ||B'(P1_t - P2_t) A||_2 over stages 2..T.  failures[g] is None
-    or the ThetaNotPDError game g raises alone; its other entries are then
-    void, and its curvature is the identity from the failing stage down.
+    K is (G, T-1, 2m, n), the joint gains, and theta (G, T-1, 2m, 2m), the
+    stage curvatures the pass certified and solved with.  P1, P2 are
+    per-stage (n, n) value matrices for stages 2..T, kept only when G == 1.
+    residuals is None unless the pass was asked to score them; then it is
+    (G,), each game's largest value-coupling residual ||B'(P1_t - P2_t) A||_2
+    over stages 2..T.  Every array is read-only, so a pass that a spec holds
+    (see `_solved`) can be handed out again.  failures[g] is None or the
+    ThetaNotPDError game g raises alone; its other entries are then void,
+    and its curvature is the identity from the failing stage down.
     """
 
-    K: np.ndarray | None
+    K: np.ndarray
     theta: np.ndarray
     P1: tuple | None
     P2: tuple | None
@@ -407,6 +416,14 @@ class _Batch(NamedTuple):
         return self
 
 
+# c of the certificate's pivot-ratio floor c k eps, k = 2m.  A computed
+# Cholesky factor of a k x k matrix is exact for a perturbation of about
+# k eps of its size (Higham, "Accuracy and Stability of Numerical
+# Algorithms", 2nd ed., SIAM 2002, ch. 10), so a curvature whose smallest
+# pivot is within c k eps of its largest may be singular to `solve`.
+_PIVOT_RATIO = 10.0
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite Theta fails its certificate
 def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: bool = False,
               costs: Sequence[CostSchedule] | None = None, schedule=None) -> _Batch:
@@ -418,14 +435,18 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     after that: stage tau uses R_min(tau, known[g]) and the state weight of
     stage s is Q_min(s, known[g]+1).  Every product is a stacked `@`, so
     each game's arithmetic is the same as if it were solved alone.  The
-    pass keeps every stage's curvature; with `residuals` it keeps each
-    game's value-coupling residual (see _Batch) instead of its gains.
-    Weights are read by index from the schedules' stacks.
+    pass keeps every stage's gain and curvature, and with `residuals` each
+    game's value-coupling residual (see _Batch).  Weights are read by
+    index from the schedules' stacks.  This is the raw pass; a library
+    caller that solves a spec's own schedule goes through `_solved`.
 
-    A failed certificate is reported, not raised: failures[g] is the error
-    game g raises alone (its highest failing stage, with the pivot
-    `linalg.cholesky_pd` reports there), and the game goes on with identity
-    curvature and zero values, which leaves the other games untouched.
+    A curvature is certified when every Cholesky pivot of its symmetric
+    part exceeds tol.pd_pivot and _PIVOT_RATIO * 2m * eps times its largest
+    pivot.  A failed certificate is reported, not raised: failures[g] is
+    the error game g raises alone (its highest failing stage, with the
+    pivot `linalg.cholesky_pd` reports there), and the game goes on with
+    identity curvature and zero values, which leaves the other games
+    untouched.
     """
     tol = tol or DEFAULT_TOLERANCES
     known = np.asarray(known, dtype=np.intp).reshape(-1)
@@ -443,11 +464,12 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     same_values = all(np.array_equal(c.R1, c.R2) for c in costs)
     keep_values = G == 1
     p1_hist, p2_hist = [p1[0]], [p2[0]]
-    gains = None if residuals else np.empty((G, T - 1, 2 * m, n))
+    gains = np.empty((G, T - 1, 2 * m, n))
     thetas = np.empty((G, T - 1, 2 * m, 2 * m))
     res = np.zeros(G) if residuals else None
     failures = [None] * G
     failed = np.zeros(G, dtype=bool)
+    ratio_floor = _PIVOT_RATIO * 2 * m * np.finfo(float).eps
 
     for t in range(T - 1, 0, -1):
         r_idx = base + np.minimum(t, known) - 1
@@ -457,7 +479,7 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
         theta = _stage_theta(r1t, r2t, b1p1, b2p2, b1, b2)
         theta[failed] = np.eye(2 * m)
         sym = (theta + theta.transpose(0, 2, 1)) / 2.0
-        bad = linalg._not_pd(sym, tol.pd_pivot)
+        bad = linalg._not_pd(sym, tol.pd_pivot, ratio_floor)
         if bad:
             for g in bad:
                 failures[g] = ThetaNotPDError(t, linalg.cholesky_pd(sym[g], tol.pd_pivot).min_pivot)
@@ -470,8 +492,7 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
             res = np.fmax(res, linalg._two_norms(gap, res))  # SVDs only gaps that may pass res
         rhs = np.concatenate((b1p1, b2p2), axis=1) @ a
         kt = -np.linalg.solve(theta, rhs)
-        if gains is not None:
-            gains[:, t - 1] = kt
+        gains[:, t - 1] = kt
         if t >= 2:
             closed = a + b @ kt
             closed_t = closed.transpose(0, 2, 1)
@@ -489,8 +510,48 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
                 p1_hist.append(p1[0])
                 p2_hist.append(p2[0])
 
+    for stack in (gains, thetas, res, *p1_hist, *p2_hist):
+        if stack is not None:
+            _freeze(stack)
     values = (tuple(p1_hist[::-1]), tuple(p2_hist[::-1])) if keep_values else (None, None)
     return _Batch(gains, thetas, *values, res, tuple(failures))
+
+
+def _solved(spec: GameSpec, known, tol: Tolerances | None = None, residuals: bool = False,
+            values: bool = False) -> _Batch:
+    """`_backward(spec, known, tol, residuals)`, read off the pass spec holds where it can.
+
+    A spec with read-only A, B1 and B2 holds its largest pass over its own
+    schedule.  A request under the same tolerances, for games that pass
+    holds and for residuals only if it kept them, gets its rows (bitwise a
+    fresh pass, as each game is solved as if alone) with new errors, so a
+    raise never grows a held error's traceback.  A request for values,
+    which only one-game passes keep, always runs a pass.  A pass that runs
+    replaces a held one of no more games.
+    """
+    tol = tol or DEFAULT_TOLERANCES
+    known = np.asarray(known, dtype=np.intp).reshape(-1).tolist()
+    if spec._held is not None and not values:
+        held_tol, first, held = spec._held
+        rows = [first.get(k) for k in known]
+        if held_tol == tol and None not in rows and (held.residuals is not None or not residuals):
+            lo = rows[0]
+            pick = slice(lo, lo + len(rows)) if rows == list(range(lo, lo + len(rows))) else rows
+            return _Batch(_freeze(held.K[pick]), _freeze(held.theta[pick]), None, None,
+                          _freeze(held.residuals[pick]) if residuals else None,
+                          tuple(_fresh(held.failures[g]) for g in rows))
+    batch = _backward(spec, known, tol, residuals)
+    frozen = not any(x.flags.writeable for x in (spec.A, spec.B1, spec.B2))
+    if frozen and (spec._held is None or len(known) >= len(spec._held[2].failures)):
+        first = {k: g for g, k in reversed(list(enumerate(known)))}  # each game's first row
+        held = batch._replace(failures=tuple(map(_fresh, batch.failures)))
+        object.__setattr__(spec, "_held", (tol, first, held))
+    return batch
+
+
+def _fresh(exc: ThetaNotPDError | None) -> ThetaNotPDError | None:
+    """A new error equal to exc, or None."""
+    return None if exc is None else ThetaNotPDError(exc.stage, exc.min_pivot)
 
 
 def _rollout(spec: GameSpec, gains: np.ndarray, x_start, x_ref: np.ndarray | None = None,
@@ -552,7 +613,7 @@ def solve_feedback_nash(spec: GameSpec, tol: Tolerances | None = None) -> NashSo
     The terminal condition is P_T^1 = P_T^2 = Q_T.  Raises ThetaNotPDError
     if any stage's curvature matrix fails certification.
     """
-    return _nash_solution(spec, _backward(spec, [spec.T - 1], tol).certified())
+    return _nash_solution(spec, _solved(spec, [spec.T - 1], tol, values=True).certified())
 
 
 class DeviationCheck(NamedTuple):

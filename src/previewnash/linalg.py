@@ -179,8 +179,9 @@ def _pivots(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return live, min_pivot
 
 
-def _all_pd(sym: np.ndarray, tol: float) -> bool:
-    """Whether every matrix of a symmetric (..., k, k) stack has all Cholesky pivots above tol.
+def _all_pd(sym: np.ndarray, tol: float, ratio: float = 0.0) -> bool:
+    """Whether every matrix of a symmetric (..., k, k) stack has all Cholesky
+    pivots above tol, and above `ratio` times its own largest pivot.
 
     One LAPACK factorization of the whole stack, with pivots diag(L)^2; a
     non-finite one fails (LAPACK factors a matrix of infinities).  A pivot
@@ -190,21 +191,24 @@ def _all_pd(sym: np.ndarray, tol: float) -> bool:
         pivots = np.diagonal(np.linalg.cholesky(sym), axis1=-2, axis2=-1) ** 2
     except np.linalg.LinAlgError:
         return False
-    return bool(np.all((tol < pivots) & (pivots < np.inf)))
+    ok = (tol < pivots) & (pivots < np.inf)
+    if ratio and not pivots.min() > ratio * pivots.max():  # else each clears its own floor
+        ok &= pivots > ratio * np.max(pivots, axis=-1, keepdims=True)
+    return bool(np.all(ok))
 
 
-def _not_pd(sym: np.ndarray, tol: float) -> list:
+def _not_pd(sym: np.ndarray, tol: float, ratio: float = 0.0) -> list:
     """Indices of the matrices of a symmetric (G, k, k) stack that `_all_pd` rejects.
 
     The stack is halved until each half passes or is one matrix, so a pass
     costs one factorization and a few failures cost O(log G) more each.
     """
-    if _all_pd(sym, tol):
+    if _all_pd(sym, tol, ratio):
         return []
     if len(sym) == 1:
         return [0]
     half = len(sym) // 2
-    return _not_pd(sym[:half], tol) + [half + g for g in _not_pd(sym[half:], tol)]
+    return _not_pd(sym[:half], tol, ratio) + [half + g for g in _not_pd(sym[half:], tol, ratio)]
 
 
 def _asymmetry(stack: np.ndarray) -> np.ndarray:

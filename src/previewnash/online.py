@@ -162,7 +162,8 @@ def predict_nash(spec: GameSpec, t: int, W: int, tol: Tolerances | None = None) 
     if W < 0:
         raise IndexOutOfRangeError(f"preview length must be >= 0, got {W}")
     known = min(t + W, spec.T - 1)  # a preview past the last stage reveals nothing more
-    return game_mod._nash_solution(spec, game_mod._backward(spec, [known], tol).certified())
+    batch = game_mod._solved(spec, [known], tol, values=True)
+    return game_mod._nash_solution(spec, batch.certified())
 
 
 class PouResult(NamedTuple):
@@ -310,9 +311,10 @@ def _play_previews(specs, Ws, k_bar: np.ndarray, tol: Tolerances) -> tuple:
 
     Run (spec, W) tracks the padded games revealed through
     min(1+W, T-1)..T-1; one `game._backward` solves those of the smallest W
-    for every spec.  A run that tracks a failed game is not played and
-    carries its first failed game's error, the one `predict_nash` raises at
-    its lowest failing step.  The played runs are rolled out in one `_play`
+    for every spec (`game._solved` for a lone spec, which may hold them).
+    A run that tracks a failed game is not played and carries its first
+    failed game's error, the one `predict_nash` raises at its lowest
+    failing step.  The played runs are rolled out in one `_play`
     from the games they track and priced against their spec's true game
     (their last step's) in one stacked cost sum.  Returns (runs, x_games,
     u_games): runs[s][j] is the error or _Run of (specs[s], Ws[j]), whose
@@ -322,9 +324,12 @@ def _play_previews(specs, Ws, k_bar: np.ndarray, tol: Tolerances) -> tuple:
     Ws = [min(W, T - 1) for W in Ws]  # a preview past the last stage reveals nothing more
     first = min(1 + min(Ws), T - 1)
     L = T - first  # games per spec
-    pred = game_mod._backward(specs[0], np.tile(np.arange(first, T), S), tol,
-                              costs=[spec.costs for spec in specs],
-                              schedule=np.repeat(np.arange(S), L))
+    if S == 1:
+        pred = game_mod._solved(specs[0], np.arange(first, T), tol)
+    else:
+        pred = game_mod._backward(specs[0], np.tile(np.arange(first, T), S), tol,
+                                  costs=[spec.costs for spec in specs],
+                                  schedule=np.repeat(np.arange(S), L))
     steps = _preview_steps(T, Ws, first)  # Ws[j] tracks a spec's games steps[j, 0]..L-1
     runs = [[next(filter(None, pred.failures[s * L + row[0]:(s + 1) * L]), None) for row in steps]
             for s in range(S)]
@@ -388,5 +393,5 @@ def gain_decay_diagnostic(spec: GameSpec, W: int,
         raise IndexOutOfRangeError(f"preview length must be >= 0, got {W}")
     T = spec.T
     known = np.minimum(np.arange(1, T) + min(W, T - 1), T - 1)
-    gains = game_mod._backward(spec, np.r_[T - 1, known], tol).certified().K
+    gains = game_mod._solved(spec, np.r_[T - 1, known], tol).certified().K
     return [(t, linalg.two_norm(gains[t, t - 1] - gains[0, t - 1])) for t in range(1, T)]

@@ -138,7 +138,7 @@ def _a1_core(spec: GameSpec, known, tol: Tolerances) -> list:
     A game that fails its curvature certificate is scored from the pass's
     failure report: its margin is its failing pivot."""
     q_pivots = list(itertools.accumulate(linalg._pivots(spec.costs.Q, tol.pd_pivot)[1].tolist(), min))
-    batch = game_mod._backward(spec, known, tol, residuals=True)
+    batch = game_mod._solved(spec, known, tol, residuals=True)
     cross = np.fmax.reduce(linalg._max_two_norms(_cross_gaps(batch.theta, spec.m)), axis=1,
                            initial=0.0)  # like max()
     scores = []
@@ -310,14 +310,14 @@ def reduce_to_ocp(spec: GameSpec, tol: Tolerances | None = None) -> OcpReduction
     """
     tol = tol or DEFAULT_TOLERANCES
     try:
-        batch = game_mod._backward(spec, [spec.T - 1], tol).certified()
+        batch = game_mod._solved(spec, [spec.T - 1], tol).certified()
     except ThetaNotPDError as exc:
         raise AssumptionViolatedError("A1", str(exc)) from exc
     return _reduce(spec, batch, tol)
 
 
 def _reduce(spec: GameSpec, batch: game_mod._Batch, tol: Tolerances) -> OcpReduction:
-    """reduce_to_ocp on the game's certified one-game `game._backward` batch.
+    """reduce_to_ocp on the game's certified one-game `game._solved` batch.
 
     The game's curvatures and gains are read off the batch.  A second pass
     solves the reduced game: both players' values are P_bar and its joint
@@ -349,7 +349,8 @@ def _reduce(spec: GameSpec, batch: game_mod._Batch, tol: Tolerances) -> OcpReduc
     q_bar = np.concatenate((
         linalg.symmetrize(costs.Q[:-1] + gains.transpose(0, 2, 1) @ (costs.R1[1:] - r_bar[1:]) @ gains),
         costs.Q[-1:]))
-    reduced = game_mod._backward(with_costs(spec, CostSchedule(q_bar, r_bar, r_bar)), [spec.T - 1], tol)
+    reduced = game_mod._solved(with_costs(spec, CostSchedule(q_bar, r_bar, r_bar)), [spec.T - 1], tol,
+                               values=True)
     failure = reduced.failures[0]
     floor = 0 if failure is None else failure.stage
     # resid[t - 1] is stage t's; a descent stops at a curvature failure, below which P_bar is void
@@ -374,7 +375,7 @@ def verify_equivalence(spec: GameSpec, tol: Tolerances | None = None) -> float:
     raises.
     """
     tol = tol or DEFAULT_TOLERANCES
-    batch = game_mod._backward(spec, [spec.T - 1], tol).certified()
+    batch = game_mod._solved(spec, [spec.T - 1], tol).certified()
     gaps = batch.K[0] - np.stack(_reduce(spec, batch, tol).K_bar_ocp)
     return max(linalg._max_two_norms(gaps).tolist())  # Python's max of the stage gaps' norms
 
@@ -421,6 +422,6 @@ def check_sufficient_structure(spec: GameSpec, tol: Tolerances | None = None) ->
     rho2 = b2 * b2 / r2_val
     ratio_ok = not np.any(np.abs(rho1 - rho2) > 1e-10 * np.maximum(np.abs(rho1), np.abs(rho2)))
 
-    batch = game_mod._backward(spec, [spec.T - 1], tol).certified()
+    batch = game_mod._solved(spec, [spec.T - 1], tol, values=True).certified()
     gap = max(linalg.two_norm(p1 - p2) for p1, p2 in zip(batch.P1, batch.P2))
     return StructureCheck(ratio_ok=ratio_ok, max_p_gap=float(gap))

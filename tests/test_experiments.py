@@ -347,9 +347,9 @@ def test_one_seed_blocks_equal_the_uncapped_sweep(monkeypatch):
     backward = game_mod._backward
     passes = []
 
-    def counted_backward(*args, **kwargs):
-        passes.append(len(kwargs["costs"]))
-        return backward(*args, **kwargs)
+    def counted_backward(spec, *args, costs=None, **kwargs):
+        passes.append(len(costs or [spec.costs]))  # a lone spec's pass plays its own schedule
+        return backward(spec, *args, costs=costs, **kwargs)
 
     monkeypatch.setattr(game_mod, "_backward", counted_backward)
     monkeypatch.setattr(experiments, "_BLOCK_FLOATS", 1)

@@ -159,10 +159,9 @@ def test_one_pass_reports_each_failed_game(residuals):
         if exc is None:
             alone = game_mod._backward(spec, [k], residuals=residuals)
             assert np.array_equal(batch.theta[g], alone.theta[0])
+            assert np.array_equal(batch.K[g], alone.K[0])
             if residuals:
                 assert np.array_equal(batch.residuals[g], alone.residuals[0])
-            else:
-                assert np.array_equal(batch.K[g], alone.K[0])
         else:
             with pytest.raises(ThetaNotPDError) as ref:
                 _reference_predict(spec, k, 0)
@@ -184,10 +183,9 @@ def _assert_stack_is_lone_passes(spec, schedules, known, residuals, rng):
         alone = game_mod._backward(with_costs(spec, costs), known, residuals=residuals)
         games = np.argsort(order)[s * G:(s + 1) * G]
         assert np.array_equal(stacked.theta[games], alone.theta)
+        assert np.array_equal(stacked.K[games], alone.K)
         if residuals:
             assert np.array_equal(stacked.residuals[games], alone.residuals)
-        else:
-            assert np.array_equal(stacked.K[games], alone.K)
         assert [repr(stacked.failures[g]) for g in games] == [repr(exc) for exc in alone.failures]
 
 
@@ -227,7 +225,8 @@ def test_scoring_passes_roll_nothing_out(monkeypatch):
         raise AssertionError("rollout called")
 
     monkeypatch.setattr(game_mod, "_rollout", no_rollout)
-    spec = make_aligned_game(np.random.default_rng(29), T_max=8)
+    drawn = make_aligned_game(np.random.default_rng(29), T_max=8)
+    spec = with_costs(drawn, drawn.costs)  # holds no pass yet, so each call solves
     assert check_assumptions(spec, "warn").overall
     assert not check_assumptions(make_padded_failure_game(), "warn").overall
     assert len(gain_decay_diagnostic(spec, 1)) == spec.T - 1
@@ -236,14 +235,15 @@ def test_scoring_passes_roll_nothing_out(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
-def test_scoring_pass_keeps_no_gain_stack(seed):
-    # the A1/A6 pass reads curvatures and value-coupling residuals only; the
-    # report itself is pinned to the per-step reference in test_potential.py
+def test_scoring_pass_keeps_the_plain_pass_gains(seed):
+    # the A1/A6 pass keeps its gains, bit for bit the plain pass's, so the
+    # reduction and online play can read them off the pass a spec holds;
+    # the report itself is pinned to the per-step reference in test_potential.py
     spec = make_aligned_game(np.random.default_rng(seed), T_max=9)
     known = np.arange(1, spec.T)
     scored = game_mod._backward(spec, known, residuals=True)
     plain = game_mod._backward(spec, known)
-    assert scored.K is None and plain.K is not None
+    assert scored.K.tobytes() == plain.K.tobytes() and plain.residuals is None
     assert scored.residuals.shape == (spec.T - 1,)
     assert np.array_equal(scored.theta, plain.theta)
 
@@ -262,7 +262,7 @@ def test_curvature_eigenvalues_cost_one_stacked_call_per_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     game_mod._backward(spec, np.arange(1, spec.T))
     game_mod._backward(spec, np.arange(1, spec.T), residuals=True)
-    run_online(spec, 1)
+    run_online(with_costs(spec, spec.costs), 1)  # a spec that holds no pass: the run solves
     assert calls == []
     nash = solve_feedback_nash(spec)
     assert calls == [(1, spec.T - 1, 2 * spec.m, 2 * spec.m)]
@@ -351,5 +351,5 @@ def test_shared_weights_reuse_the_first_value_recursion(residuals):
         assert all(np.shares_memory(p1, p2) for p1, p2 in zip(alone.P1, alone.P2))
         # P_T is Q_T in both
         assert not any(np.shares_memory(p1, p2) for p1, p2 in zip(both.P1[:-1], both.P2[:-1]))
-        for field in ("P1", "P2", "theta") + (("residuals",) if residuals else ("K",)):
+        for field in ("P1", "P2", "theta", "K") + (("residuals",) if residuals else ()):
             assert np.array_equal(np.stack(getattr(alone, field)), np.stack(getattr(both, field)))

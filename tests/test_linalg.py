@@ -77,6 +77,15 @@ def test_non_finite_pivots_fail_the_stacked_certificate():
     assert linalg._not_pd(stack, 1e-10) == [1, 2]
 
 
+def test_pivot_ratio_floor_fails_only_the_nearly_singular_matrix():
+    # pivots 1e20 and 16384 both pass pd_pivot, but their ratio is 1.6e-16
+    near = np.array([[1e20, 1e20], [1e20, 1e20 + 16384.0]])
+    stack = np.stack([np.eye(2), near, np.diag([1.0, 1e-3])])
+    assert linalg._not_pd(stack, 1e-10) == []
+    assert linalg._not_pd(stack, 1e-10, 1e-15) == [1]
+    assert cholesky_pd(near) == (True, 16384.0)  # the public check is unchanged
+
+
 def test_asymmetry_past_the_float_range_is_infinite():
     stack = np.stack([np.array([[1.0, 1e308], [-1e308, 1.0]]), np.array([[1.0, 2.0], [0.0, 1.0]])])
     with np.errstate(over="raise"):

@@ -21,6 +21,7 @@ from previewnash import (
     check_assumptions,
     check_sufficient_structure,
     cost_schedule,
+    gain_decay_diagnostic,
     game_spec,
     generate_game,
     pad_schedule,
@@ -166,6 +167,21 @@ def test_overflowing_value_recursion_fails_a1_in_the_report():
     a1 = report.check("A1")
     assert not a1.passed and a1.margin is None
     assert a1.detail == "stage 2: joint curvature matrix is not positive definite (min pivot inf)"
+
+
+@pytest.mark.parametrize("a, T, seed, stage", [(1e60, 8, 2, 6), (1e10, 6, 0, 4)])
+def test_a_curvature_solve_cannot_invert_fails_a1_in_the_report(a, T, seed, stage):
+    # LAPACK's pivots of the true game's curvature at that stage pass
+    # pd_pivot, but their ratio (1.5e-16 and 3.1e-16) is under the
+    # certificate's floor: the game fails there instead of `solve` raising
+    # LinAlgError
+    spec = generate_game(ExperimentConfig(a=a), T, seed)
+    a1 = check_assumptions(spec, "warn").check("A1")
+    assert not a1.passed
+    assert a1.detail.startswith(f"stage {stage}: joint curvature matrix is not positive definite")
+    with pytest.raises(ThetaNotPDError) as exc:
+        gain_decay_diagnostic(spec, 1)
+    assert exc.value.stage == stage
 
 
 def test_assumption_error_pickles_intact():
@@ -539,7 +555,8 @@ def test_equivalence_on_aligned_family():
 
 
 def test_verify_equivalence_solves_the_game_once(monkeypatch):
-    spec = make_aligned_game(np.random.default_rng(8), T_max=6)
+    drawn = make_aligned_game(np.random.default_rng(8), T_max=6)
+    spec = with_costs(drawn, drawn.costs)  # the draw's check left it holding a pass
     backward = game_mod._backward
     calls = []
 
@@ -651,7 +668,8 @@ def test_reduction_certifies_without_cholesky_pd(monkeypatch):
     def no_cholesky_pd(*args, **kwargs):
         raise AssertionError("cholesky_pd called")
 
-    specs = [make_aligned_game(np.random.default_rng(seed), T_max=6) for seed in (3, 4)]
+    drawn = [make_aligned_game(np.random.default_rng(seed), T_max=6) for seed in (3, 4)]
+    specs = [with_costs(spec, spec.costs) for spec in drawn]  # each solves its own pass
     monkeypatch.setattr(linalg, "cholesky_pd", no_cholesky_pd)
     for spec in specs:
         assert verify_equivalence(spec) <= 1e-9
@@ -683,7 +701,7 @@ def _certify_outputs(spec):
     return json.dumps({
         "report": guard(lambda: check_assumptions(spec, "warn").to_dict()),
         "residuals": guard(lambda: game_mod._backward(spec, known, residuals=True).residuals.tolist()),
-        "reduction": guard(lambda: [np.stack(f).tolist() for f in reduce_to_ocp(spec)]),
+        "reduction": guard(lambda: [np.stack(f).tolist() for f in vars(reduce_to_ocp(spec)).values()]),
         "equivalence": guard(lambda: verify_equivalence(spec)),
     })
 
@@ -702,13 +720,15 @@ def test_screened_norms_give_what_exact_norms_give(monkeypatch):
     screened = [_certify_outputs(spec) for spec in specs]
     monkeypatch.setattr(linalg, "_two_norms", _exact_two_norms)
     monkeypatch.setattr(linalg, "_max_two_norms", _exact_two_norms)
-    assert [_certify_outputs(spec) for spec in specs] == screened
+    # copies that hold no pass, so the exact norms are taken, not served
+    assert [_certify_outputs(with_costs(spec, spec.costs)) for spec in specs] == screened
 
 
 def test_check_assumptions_svds_a_third_of_its_matrices_on_a_dense_game(monkeypatch):
     # 39 padded games x 39 stages of value-coupling gaps and of cross-weight
     # gaps, plus A3's and A5's few norms, took 3,072 SVDs before the screens
-    spec = _dense_aligned_games(1, 75)[0]
+    drawn = _dense_aligned_games(1, 75)[0]
+    spec = with_costs(drawn, drawn.costs)  # holds no pass, so the check solves
     svd = np.linalg.svd
     count = [0]
 
