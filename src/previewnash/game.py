@@ -14,6 +14,7 @@ recursion `_backward`.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Sequence
 
@@ -58,8 +59,11 @@ class ThetaNotPDError(RuntimeError):
     """The stage curvature matrix failed its positive-definiteness check.
 
     Without it the stage solve is not certified to have a unique answer, so
-    this is a hard error rather than a warning.
+    this is a hard error rather than a warning.  `_ratio_floor` is the
+    pivot-ratio floor when every pivot cleared pd_pivot but not it, else None.
     """
+
+    _ratio_floor = None
 
     def __init__(self, stage: int, min_pivot: float):
         self.stage = stage
@@ -71,7 +75,7 @@ class ThetaNotPDError(RuntimeError):
 
     def __reduce__(self):
         # args hold only the message, so unpickling must call __init__ with these
-        return type(self), (self.stage, self.min_pivot)
+        return type(self), (self.stage, self.min_pivot), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -221,15 +225,17 @@ class GameSpec:
     costs: CostSchedule
 
     # (tol, first row of each game, batch): the largest pass over the spec's
-    # own schedule, see `_solved`; a cache, not a field
+    # own schedule, see `_solved`; and {(name, tol): result}, see `_kept`;
+    # caches, not fields
     _held = None
+    _kept_results = None
 
     def __eq__(self, other) -> bool:
         return _equal_fields(self, other)
 
     def __getstate__(self):
-        # pickles and copies drop the held pass
-        return {k: v for k, v in self.__dict__.items() if k != "_held"}
+        # pickles and copies drop what the spec holds
+        return {k: v for k, v in self.__dict__.items() if k not in ("_held", "_kept_results")}
 
     def joint_b(self) -> np.ndarray:
         """B = [B1 B2], n x 2m."""
@@ -458,8 +464,10 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     # the schedules' stacks end to end; game g reads schedule[g]'s from row base[g]
     qs, r1s, r2s = (np.concatenate([getattr(c, f) for c in costs]) for f in ("Q", "R1", "R2"))
     base = 0 if schedule is None else np.asarray(schedule, dtype=np.intp) * (T - 1)
+    # each game's stage-t weights: R at rows[t - 1], Q_min(t, k+1) at rows[t - 2]
+    rows = base + np.minimum(np.arange(1, T)[:, None], known) - 1
 
-    p1 = p2 = qs[base + np.minimum(T, known + 1) - 2]
+    p1 = p2 = qs[rows[-1]]
     # both players pay the same weights (the reduced problem): P2 is P1 bit for bit
     same_values = all(np.array_equal(c.R1, c.R2) for c in costs)
     keep_values = G == 1
@@ -469,21 +477,25 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     res = np.zeros(G) if residuals else None
     failures = [None] * G
     failed = np.zeros(G, dtype=bool)
+    any_failed = False  # the masks below are void until a game fails
     ratio_floor = _PIVOT_RATIO * 2 * m * np.finfo(float).eps
 
     for t in range(T - 1, 0, -1):
-        r_idx = base + np.minimum(t, known) - 1
-        r1t, r2t = r1s[r_idx], r2s[r_idx]
+        r1t, r2t = r1s[rows[t - 1]], r2s[rows[t - 1]]
         b1p1 = b1.T @ p1
         b2p2 = b2.T @ p2
         theta = _stage_theta(r1t, r2t, b1p1, b2p2, b1, b2)
-        theta[failed] = np.eye(2 * m)
+        if any_failed:
+            theta[failed] = np.eye(2 * m)
         sym = (theta + theta.transpose(0, 2, 1)) / 2.0
         bad = linalg._not_pd(sym, tol.pd_pivot, ratio_floor)
         if bad:
             for g in bad:
-                failures[g] = ThetaNotPDError(t, linalg.cholesky_pd(sym[g], tol.pd_pivot).min_pivot)
-            failed[bad] = True
+                check = linalg.cholesky_pd(sym[g], tol.pd_pivot)
+                failures[g] = exc = ThetaNotPDError(t, check.min_pivot)
+                if check.is_pd and linalg._all_pd(sym[g], tol.pd_pivot):  # only the ratio failed
+                    exc._ratio_floor = ratio_floor * float(max(np.linalg.cholesky(sym[g]).diagonal() ** 2))
+            failed[bad] = any_failed = True
             theta[failed] = np.eye(2 * m)
         thetas[:, t - 1] = theta
         if residuals:
@@ -497,7 +509,7 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
             closed = a + b @ kt
             closed_t = closed.transpose(0, 2, 1)
             kt_t = kt.transpose(0, 2, 1)
-            qt = qs[base + np.minimum(t, known + 1) - 2]
+            qt = qs[rows[t - 2]]
             p1 = qt + kt_t @ r1t @ kt + closed_t @ p1 @ closed
             p1 = (p1 + p1.transpose(0, 2, 1)) / 2.0
             if same_values:
@@ -505,7 +517,8 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
             else:
                 p2 = qt + kt_t @ r2t @ kt + closed_t @ p2 @ closed
                 p2 = (p2 + p2.transpose(0, 2, 1)) / 2.0
-            p1[failed] = p2[failed] = 0.0
+            if any_failed:
+                p1[failed] = p2[failed] = 0.0
             if keep_values:
                 p1_hist.append(p1[0])
                 p2_hist.append(p2[0])
@@ -541,17 +554,32 @@ def _solved(spec: GameSpec, known, tol: Tolerances | None = None, residuals: boo
                           _freeze(held.residuals[pick]) if residuals else None,
                           tuple(_fresh(held.failures[g]) for g in rows))
     batch = _backward(spec, known, tol, residuals)
-    frozen = not any(x.flags.writeable for x in (spec.A, spec.B1, spec.B2))
-    if frozen and (spec._held is None or len(known) >= len(spec._held[2].failures)):
+    if _holds(spec) and (spec._held is None or len(known) >= len(spec._held[2].failures)):
         first = {k: g for g, k in reversed(list(enumerate(known)))}  # each game's first row
         held = batch._replace(failures=tuple(map(_fresh, batch.failures)))
         object.__setattr__(spec, "_held", (tol, first, held))
     return batch
 
 
+def _holds(spec: GameSpec) -> bool:
+    """Whether spec may hold results: its A, B1 and B2 are read-only, as `game_spec` leaves them."""
+    return not any(x.flags.writeable for x in (spec.A, spec.B1, spec.B2))
+
+
+def _kept(spec: GameSpec, name: str, tol: Tolerances, make):
+    """make(), which must return read-only data, held on a spec that `_holds`
+    under (name, tol), so a later call returns it again; an error is not held."""
+    kept = spec._kept_results or {}
+    if (name, tol) not in kept:
+        kept[name, tol] = make()
+        if _holds(spec):
+            object.__setattr__(spec, "_kept_results", kept)
+    return kept[name, tol]
+
+
 def _fresh(exc: ThetaNotPDError | None) -> ThetaNotPDError | None:
     """A new error equal to exc, or None."""
-    return None if exc is None else ThetaNotPDError(exc.stage, exc.min_pivot)
+    return None if exc is None else copy.copy(exc)
 
 
 def _rollout(spec: GameSpec, gains: np.ndarray, x_start, x_ref: np.ndarray | None = None,

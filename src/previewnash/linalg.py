@@ -184,15 +184,19 @@ def _all_pd(sym: np.ndarray, tol: float, ratio: float = 0.0) -> bool:
     pivots above tol, and above `ratio` times its own largest pivot.
 
     One LAPACK factorization of the whole stack, with pivots diag(L)^2; a
-    non-finite one fails (LAPACK factors a matrix of infinities).  A pivot
+    non-finite one fails (LAPACK factors a matrix of infinities).  The
+    stack's smallest and largest pivots settle a pass at once.  A pivot
     that cancels to noise, about eps ||M||, can differ in sign from
     `cholesky_pd`'s, which callers ask for the failing matrix and pivot."""
     try:
         pivots = np.diagonal(np.linalg.cholesky(sym), axis1=-2, axis2=-1) ** 2
     except np.linalg.LinAlgError:
         return False
+    lo, hi = pivots.min(), pivots.max()
+    if hi < np.inf and lo > max(tol, ratio * hi):  # every pivot clears both floors
+        return True
     ok = (tol < pivots) & (pivots < np.inf)
-    if ratio and not pivots.min() > ratio * pivots.max():  # else each clears its own floor
+    if ratio:
         ok &= pivots > ratio * np.max(pivots, axis=-1, keepdims=True)
     return bool(np.all(ok))
 

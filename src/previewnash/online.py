@@ -95,7 +95,6 @@ def pad_schedule(costs: CostSchedule, t: int, W: int) -> PaddedSchedule:
     return PaddedSchedule(base=costs, t=t, W=W, costs=padded)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the finiteness guard
 def compute_tracking_gain(spec: GameSpec, tol: Tolerances | None = None) -> np.ndarray:
     """A stabilizing joint feedback gain for (A, [B1 B2]).
 
@@ -108,9 +107,17 @@ def compute_tracking_gain(spec: GameSpec, tol: Tolerances | None = None) -> np.n
     64 doublings) in about ten doublings.  Forms the corresponding gain,
     and certifies the closed-loop spectral radius is below 1 by a clear
     margin; a singular step certifies nothing.  Any stabilizing gain would
-    do; this one is a convenient deterministic default.
+    do; this one is a convenient deterministic default.  The gain comes
+    back read-only, and a spec built by `game_spec` holds it per
+    tolerances, so the doubling runs once.
     """
     tol = tol or DEFAULT_TOLERANCES
+    return game_mod._kept(spec, "tracking gain", tol, lambda: game_mod._freeze(_doubling_gain(spec, tol)))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the finiteness guard
+def _doubling_gain(spec: GameSpec, tol: Tolerances) -> np.ndarray:
+    """compute_tracking_gain's doubling solve, not held."""
     a = spec.A
     b = spec.joint_b()
     n = spec.n

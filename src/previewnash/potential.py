@@ -136,7 +136,8 @@ def _a1_core(spec: GameSpec, known, tol: Tolerances) -> list:
     curvatures the pass keeps.  Padded game k weighs states by Q_2..Q_{k+1}
     only, so its state-weight pivot is a prefix minimum of the true ones.
     A game that fails its curvature certificate is scored from the pass's
-    failure report: its margin is its failing pivot."""
+    failure report: its margin is its failing pivot, or on a pivot-ratio
+    failure that pivot less the ratio floor, which is then negative."""
     q_pivots = list(itertools.accumulate(linalg._pivots(spec.costs.Q, tol.pd_pivot)[1].tolist(), min))
     batch = game_mod._solved(spec, known, tol, residuals=True)
     cross = np.fmax.reduce(linalg._max_two_norms(_cross_gaps(batch.theta, spec.m)), axis=1,
@@ -145,6 +146,11 @@ def _a1_core(spec: GameSpec, known, tol: Tolerances) -> list:
     for k, exc, theta_row, cross_res, value_res in zip(np.asarray(known).tolist(), batch.failures,
                                                        batch.theta_min, cross.tolist(),
                                                        batch.residuals.tolist()):
+        if exc is not None and exc._ratio_floor is not None:
+            detail = (f"stage {exc.stage}: joint curvature matrix fails the pivot-ratio floor "
+                      f"(min pivot {exc.min_pivot:.3e} is not above {exc._ratio_floor:.3e})")
+            scores.append((False, float(exc.min_pivot - exc._ratio_floor), detail))
+            continue
         if exc is not None:
             scores.append((False, float(exc.min_pivot) if np.isfinite(exc.min_pivot) else None, str(exc)))
             continue
@@ -306,14 +312,15 @@ def reduce_to_ocp(spec: GameSpec, tol: Tolerances | None = None) -> OcpReduction
     gap between player 1's control cost and the joint one through the game's
     own gains; the terminal weight is taken as Q_T itself.  The reduced
     problem is the game whose two players both pay (Q_bar, R_bar), and it
-    is solved by the same backward pass as the game.
+    is solved by the same backward pass as the game.  The reduction is
+    read-only, and a spec built by `game_spec` holds it per tolerances.
     """
     tol = tol or DEFAULT_TOLERANCES
     try:
         batch = game_mod._solved(spec, [spec.T - 1], tol).certified()
     except ThetaNotPDError as exc:
         raise AssumptionViolatedError("A1", str(exc)) from exc
-    return _reduce(spec, batch, tol)
+    return game_mod._kept(spec, "reduction", tol, lambda: _reduce(spec, batch, tol))
 
 
 def _reduce(spec: GameSpec, batch: game_mod._Batch, tol: Tolerances) -> OcpReduction:
@@ -362,21 +369,22 @@ def _reduce(spec: GameSpec, batch: game_mod._Batch, tol: Tolerances) -> OcpReduc
     if failure is not None:
         raise ReductionMismatchError(f"reduced curvature at stage {failure.stage} is not positive definite "
                                      f"(pivot {failure.min_pivot:.3e})")
-    return OcpReduction(R_bar=tuple(r_bar), Q_bar=tuple(q_bar), P_bar=reduced.P1,
-                        K_bar_ocp=tuple(reduced.K[0]))
+    return OcpReduction(R_bar=tuple(game_mod._freeze(r_bar)), Q_bar=tuple(game_mod._freeze(q_bar)),
+                        P_bar=reduced.P1, K_bar_ocp=tuple(reduced.K[0]))
 
 
 def verify_equivalence(spec: GameSpec, tol: Tolerances | None = None) -> float:
     """Largest stage-wise gain gap between the game and its reduction.
 
     The game takes one backward pass and is reduced from it, which takes
-    one more, on the reduced problem.  An uncertified game raises
-    ThetaNotPDError; a game that does not reduce raises what reduce_to_ocp
+    one more unless the spec holds its reduction.  An uncertified game
+    raises ThetaNotPDError; one that does not reduce, what reduce_to_ocp
     raises.
     """
     tol = tol or DEFAULT_TOLERANCES
     batch = game_mod._solved(spec, [spec.T - 1], tol).certified()
-    gaps = batch.K[0] - np.stack(_reduce(spec, batch, tol).K_bar_ocp)
+    reduction = game_mod._kept(spec, "reduction", tol, lambda: _reduce(spec, batch, tol))
+    gaps = batch.K[0] - np.stack(reduction.K_bar_ocp)
     return max(linalg._max_two_norms(gaps).tolist())  # Python's max of the stage gaps' norms
 
 

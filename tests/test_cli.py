@@ -568,14 +568,15 @@ def test_validate_writes_a_non_finite_margin_as_null(tmp_path):
 @pytest.mark.parametrize("a, T, seed, stage", [(1e60, 8, 2, 6), (1e10, 6, 0, 4)])
 def test_validate_reports_a_curvature_that_solve_cannot_invert(tmp_path, a, T, seed, stage):
     # the curvature at that stage passes pd_pivot with a pivot ratio near
-    # 1e-16, which `solve` found singular; its certificate now fails it
+    # 1e-16, which `solve` found singular; its certificate now fails it,
+    # and A1 reads a negative margin
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec_to_dict(generate_game(ExperimentConfig(a=a), T, seed))))
     report = _run_module("validate", "--spec", str(path))
     assert (report.returncode, report.stderr) == (0, "")
     a1 = _strict_json(report.stdout)["assumptions"][0]
-    assert (a1["id"], a1["passed"]) == ("A1", False)
-    assert a1["detail"].startswith(f"stage {stage}: joint curvature matrix is not positive definite")
+    assert (a1["id"], a1["passed"]) == ("A1", False) and a1["margin"] < 0.0
+    assert a1["detail"].startswith(f"stage {stage}: joint curvature matrix ")
 
 
 def test_module_entry_point_runs_main(scalar_spec_file, indefinite_spec_file):

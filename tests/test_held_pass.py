@@ -1,9 +1,11 @@
-"""A spec holds its largest backward pass over its own schedule.
+"""A spec holds its largest backward pass over its own schedule, its
+tracking gain and its reduction.
 
 `game._solved` serves a later request from that pass when the tolerances
-match and the pass holds every requested game.  These tests pin what that
-saves on the certify journey, that no output depends on it, and that the
-held pass is not part of the spec's value.
+match and the pass holds every requested game, and `game._kept` serves the
+gain and the reduction under the tolerances they were made with.  These
+tests pin what that saves on the certify journey, that no output depends
+on it, and that nothing held is part of the spec's value.
 """
 
 import copy
@@ -15,10 +17,15 @@ import numpy as np
 import pytest
 
 from previewnash import (
+    AssumptionViolatedError,
     GameSpec,
+    NotStabilizableError,
+    ReductionMismatchError,
     ThetaNotPDError,
     Tolerances,
     check_assumptions,
+    compute_tracking_gain,
+    cost_schedule,
     gain_decay_diagnostic,
     game_spec,
     reduce_to_ocp,
@@ -29,7 +36,7 @@ from previewnash import (
     with_costs,
 )
 from previewnash import game as game_mod
-from previewnash import linalg
+from previewnash import linalg, online
 
 from conftest import make_aligned_game, make_loose_game, make_padded_failure_game
 
@@ -57,6 +64,19 @@ def _counted(monkeypatch) -> list:
     return games
 
 
+def _doublings(monkeypatch) -> list:
+    """One entry per doubling solve of the tracking gain from here on."""
+    doubling = online._doubling_gain
+    calls = []
+
+    def counted(spec, tol):
+        calls.append(spec)
+        return doubling(spec, tol)
+
+    monkeypatch.setattr(online, "_doubling_gain", counted)
+    return calls
+
+
 def _guard(call):
     try:
         return call()
@@ -78,16 +98,19 @@ def _journey(spec_for) -> str:
 
 
 def test_the_certify_journey_solves_each_padded_game_once(monkeypatch):
-    # without a held pass the journey solved 39 + 2 + 2 + 37 = 80 games
+    # without held results the journey solved 39 + 2 + 2 + 37 = 80 games and
+    # ran the gain's doubling twice; with the pass alone, 39 + 1 + 1 games
     spec = _dense_game(101)
     games = _counted(monkeypatch)
+    doublings = _doublings(monkeypatch)
     solved = []
     for call in (lambda: check_assumptions(spec, "warn"), lambda: reduce_to_ocp(spec),
                  lambda: verify_equivalence(spec), lambda: run_online(spec, 2)):
         games.clear()
         call()
         solved.append(sum(games))
-    assert solved == [39, 1, 1, 0]
+    assert solved == [39, 1, 0, 0]
+    assert len(doublings) == 1
 
 
 def test_a_warm_spec_reports_what_fresh_specs_report(monkeypatch):
@@ -146,12 +169,79 @@ def test_a_pass_under_other_tolerances_is_not_served():
 
 def test_a_held_pass_is_not_part_of_the_spec():
     spec = make_aligned_game(np.random.default_rng(109))  # its draw's check left it holding a pass
+    reduce_to_ocp(spec)  # and the check's gain; now its reduction too
     cold = _cold(spec)
     assert spec._held is not None and cold._held is None
+    assert len(spec._kept_results) == 2 and cold._kept_results is None
     assert spec == cold and spec_to_dict(spec) == spec_to_dict(cold)
     for other in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec),
-                  dataclasses.replace(spec)):
-        assert other == spec and other._held is None
+                  dataclasses.replace(spec), with_costs(spec, spec.costs)):
+        assert other == spec and other._held is None and other._kept_results is None
+
+
+def test_copies_and_other_tolerances_solve_the_gain_and_the_reduction_afresh(monkeypatch):
+    spec = _cold(make_aligned_game(np.random.default_rng(139), T=6))
+    gain, reduction = compute_tracking_gain(spec), reduce_to_ocp(spec)
+    doublings = _doublings(monkeypatch)
+    games = _counted(monkeypatch)
+    assert compute_tracking_gain(spec) is gain and reduce_to_ocp(spec) is reduction
+    assert verify_equivalence(spec) == verify_equivalence(_cold(spec))
+    assert (len(doublings), sum(games)) == (0, 2)  # the cold spec's two passes
+    others = [pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec),
+              dataclasses.replace(spec), with_costs(spec, spec.costs)]
+    for other in others:
+        doublings.clear()
+        games.clear()
+        assert np.array_equal(compute_tracking_gain(other), gain)
+        assert vars(reduce_to_ocp(other)).keys() == vars(reduction).keys()
+        assert (len(doublings), sum(games)) == (1, 2)  # the game's pass and the reduced one
+    looser = Tolerances(spectral_margin=1e-3, mat_eq=1e-7)
+    doublings.clear()
+    games.clear()
+    assert compute_tracking_gain(spec, tol=looser) is not gain
+    assert reduce_to_ocp(spec, tol=looser) is not reduction
+    assert (len(doublings), sum(games)) == (1, 2)
+    assert compute_tracking_gain(spec) is gain and reduce_to_ocp(spec) is reduction
+
+
+def test_held_gains_and_reductions_are_read_only():
+    spec = _cold(make_aligned_game(np.random.default_rng(149), T=6))
+    gain = compute_tracking_gain(spec)
+    reduction = reduce_to_ocp(spec)
+    run = run_online(spec, 1)
+    assert run.K_tracking is gain
+    for stack in (gain, *reduction.R_bar, *reduction.Q_bar, *reduction.P_bar, *reduction.K_bar_ocp):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[...] = 0.0
+    assert _journey(lambda: spec) == _journey(lambda: _cold(spec))
+
+
+def test_a_failing_reduction_is_raised_anew_on_every_call():
+    # loose games do not reduce: each raises at the cross-weight or shortcut check
+    rng = np.random.default_rng(151)
+    for spec in [_cold(make_loose_game(rng, n=2, m=1, T=5)) for _ in range(4)]:
+        errors = []
+        for call in (reduce_to_ocp, reduce_to_ocp, verify_equivalence, verify_equivalence):
+            with pytest.raises((AssumptionViolatedError, ReductionMismatchError)) as info:
+                call(spec)
+            errors.append(info.value)
+        assert len({id(exc) for exc in errors}) == 4
+        assert len({str(exc) for exc in errors}) == 1
+        assert spec._kept_results is None
+
+
+def test_an_unstabilizable_system_is_raised_anew_on_every_call(monkeypatch):
+    costs = cost_schedule([[[1.0]]] * 3, [np.diag([1.0, 0.0])] * 3, [np.diag([0.0, 1.0])] * 3)
+    spec = game_spec([[2.0]], [[0.0]], [[0.0]], [1.0], costs)  # no input reaches the state
+    doublings = _doublings(monkeypatch)
+    errors = []
+    for call in (compute_tracking_gain, compute_tracking_gain, lambda s: run_online(s, 1)):
+        with pytest.raises(NotStabilizableError) as info:
+            call(spec)
+        errors.append(info.value)
+    assert not check_assumptions(spec, "warn").check("A3").passed
+    assert len(doublings) == 4 and len({id(exc) for exc in errors}) == 3
+    assert len({str(exc) for exc in errors}) == 1 and spec._kept_results is None
 
 
 def test_a_spec_with_writeable_matrices_holds_no_pass():

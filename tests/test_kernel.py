@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from previewnash import (
+    ExperimentConfig,
     ThetaNotPDError,
     build_r_potential,
     check_assumptions,
     cost_schedule,
     gain_decay_diagnostic,
+    generate_game,
     pad_schedule,
     predict_nash,
     run_online,
@@ -353,3 +355,139 @@ def test_shared_weights_reuse_the_first_value_recursion(residuals):
         assert not any(np.shares_memory(p1, p2) for p1, p2 in zip(both.P1[:-1], both.P2[:-1]))
         for field in ("P1", "P2", "theta", "K") + (("residuals",) if residuals else ()):
             assert np.array_equal(np.stack(getattr(alone, field)), np.stack(getattr(both, field)))
+
+
+def _reference_all_pd(sym, tol, ratio=0.0):
+    """`linalg._all_pd` before its whole-stack fast path."""
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(sym), axis1=-2, axis2=-1) ** 2
+    except np.linalg.LinAlgError:
+        return False
+    ok = (tol < pivots) & (pivots < np.inf)
+    if ratio and not pivots.min() > ratio * pivots.max():
+        ok &= pivots > ratio * np.max(pivots, axis=-1, keepdims=True)
+    return bool(np.all(ok))
+
+
+def _reference_not_pd(sym, tol, ratio=0.0):
+    if _reference_all_pd(sym, tol, ratio):
+        return []
+    if len(sym) == 1:
+        return [0]
+    half = len(sym) // 2
+    upper = _reference_not_pd(sym[half:], tol, ratio)
+    return _reference_not_pd(sym[:half], tol, ratio) + [half + g for g in upper]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_backward(spec, known, tol=linalg.DEFAULT_TOLERANCES, residuals=False, costs=None,
+                        schedule=None):
+    """`game._backward`'s stage loop as it was before its fixed cost per
+    stage was trimmed: weight rows indexed stage by stage, and the failure
+    masks applied at every stage."""
+    known = np.asarray(known, dtype=np.intp).reshape(-1)
+    T, n, m = spec.T, spec.n, spec.m
+    G = known.shape[0]
+    a, b1, b2 = spec.A, spec.B1, spec.B2
+    b = spec.joint_b()
+    costs = (spec.costs,) if costs is None else costs
+    qs, r1s, r2s = (np.concatenate([getattr(c, f) for c in costs]) for f in ("Q", "R1", "R2"))
+    base = 0 if schedule is None else np.asarray(schedule, dtype=np.intp) * (T - 1)
+
+    p1 = p2 = qs[base + np.minimum(T, known + 1) - 2]
+    same_values = all(np.array_equal(c.R1, c.R2) for c in costs)
+    keep_values = G == 1
+    p1_hist, p2_hist = [p1[0]], [p2[0]]
+    gains = np.empty((G, T - 1, 2 * m, n))
+    thetas = np.empty((G, T - 1, 2 * m, 2 * m))
+    res = np.zeros(G) if residuals else None
+    failures = [None] * G
+    failed = np.zeros(G, dtype=bool)
+    ratio_floor = game_mod._PIVOT_RATIO * 2 * m * np.finfo(float).eps
+
+    for t in range(T - 1, 0, -1):
+        r_idx = base + np.minimum(t, known) - 1
+        r1t, r2t = r1s[r_idx], r2s[r_idx]
+        b1p1 = b1.T @ p1
+        b2p2 = b2.T @ p2
+        theta = game_mod._stage_theta(r1t, r2t, b1p1, b2p2, b1, b2)
+        theta[failed] = np.eye(2 * m)
+        sym = (theta + theta.transpose(0, 2, 1)) / 2.0
+        bad = _reference_not_pd(sym, tol.pd_pivot, ratio_floor)
+        if bad:
+            for g in bad:
+                failures[g] = ThetaNotPDError(t, linalg.cholesky_pd(sym[g], tol.pd_pivot).min_pivot)
+            failed[bad] = True
+            theta[failed] = np.eye(2 * m)
+        thetas[:, t - 1] = theta
+        if residuals:
+            gap = b.T @ (p1 - p2) @ a
+            gap[failed] = 0.0
+            res = np.fmax(res, linalg._two_norms(gap, res))
+        rhs = np.concatenate((b1p1, b2p2), axis=1) @ a
+        kt = -np.linalg.solve(theta, rhs)
+        gains[:, t - 1] = kt
+        if t >= 2:
+            closed = a + b @ kt
+            closed_t = closed.transpose(0, 2, 1)
+            kt_t = kt.transpose(0, 2, 1)
+            qt = qs[base + np.minimum(t, known + 1) - 2]
+            p1 = qt + kt_t @ r1t @ kt + closed_t @ p1 @ closed
+            p1 = (p1 + p1.transpose(0, 2, 1)) / 2.0
+            if same_values:
+                p2 = p1
+            else:
+                p2 = qt + kt_t @ r2t @ kt + closed_t @ p2 @ closed
+                p2 = (p2 + p2.transpose(0, 2, 1)) / 2.0
+            p1[failed] = p2[failed] = 0.0
+            if keep_values:
+                p1_hist.append(p1[0])
+                p2_hist.append(p2[0])
+    values = (tuple(p1_hist[::-1]), tuple(p2_hist[::-1])) if keep_values else (None, None)
+    return game_mod._Batch(gains, thetas, *values, res, tuple(failures))
+
+
+def _trimmed_loop_cases():
+    """(spec, known, costs, schedule) passes that cover the trimmed loop's branches."""
+    rng = np.random.default_rng(157)
+    for family in (make_aligned_game, make_loose_game):
+        for _ in range(6):
+            spec = family(rng)
+            yield spec, np.arange(1, spec.T), None, None
+            yield spec, [spec.T - 1], None, None  # G=1 keeps values
+    yield make_padded_failure_game(), np.arange(1, 6), None, None
+    # the drawn family at its default a and at two that fail certificates,
+    # absolutely and by the pivot ratio, first at high stages
+    for a, T in ((1.6, 10), (1e10, 6), (1e10, 12), (1e60, 8)):
+        for seed in range(3):
+            spec = generate_game(ExperimentConfig(a=a), T, seed)
+            yield spec, np.arange(1, T), None, None
+            yield spec, [T - 1], None, None
+            # a sweep's stack: the seeds' schedules on one system, every padded game
+            specs = [generate_game(ExperimentConfig(a=a), T, seed + s) for s in range(3)]
+            yield (spec, np.tile(np.arange(2, T), 3), [s.costs for s in specs],
+                   np.repeat(np.arange(3), T - 2))
+    for seed in (0, 1, 2):  # certify_dense's size
+        spec = make_aligned_game(np.random.default_rng(160 + seed), n=16, m=4, T=40, a_norm=1.05)
+        yield spec, np.arange(1, 40), None, None
+        yield spec, [39], None, None
+
+
+@pytest.mark.parametrize("residuals", [False, True])
+def test_trimmed_stage_loop_is_the_reference_loop_bit_for_bit(residuals):
+    failing = 0
+    for spec, known, costs, schedule in _trimmed_loop_cases():
+        got = game_mod._backward(spec, known, residuals=residuals, costs=costs, schedule=schedule)
+        want = _reference_backward(spec, known, residuals=residuals, costs=costs, schedule=schedule)
+        assert got.K.tobytes() == want.K.tobytes()
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert (got.residuals is None) == (want.residuals is None)
+        if residuals:
+            assert got.residuals.tobytes() == want.residuals.tobytes()
+        assert (got.P1 is None) == (want.P1 is None) == (len(known) > 1)
+        if got.P1 is not None:
+            assert np.stack(got.P1 + got.P2).tobytes() == np.stack(want.P1 + want.P2).tobytes()
+        assert [(type(e), e.stage, e.min_pivot, str(e)) if e else None for e in got.failures] == \
+            [(type(e), e.stage, e.min_pivot, str(e)) if e else None for e in want.failures]
+        failing += any(got.failures)
+    assert failing >= 10

@@ -177,11 +177,57 @@ def test_a_curvature_solve_cannot_invert_fails_a1_in_the_report(a, T, seed, stag
     # LinAlgError
     spec = generate_game(ExperimentConfig(a=a), T, seed)
     a1 = check_assumptions(spec, "warn").check("A1")
-    assert not a1.passed
-    assert a1.detail.startswith(f"stage {stage}: joint curvature matrix is not positive definite")
+    assert not a1.passed and a1.margin < 0.0
+    assert a1.detail.startswith(f"stage {stage}: joint curvature matrix ")
     with pytest.raises(ThetaNotPDError) as exc:
         gain_decay_diagnostic(spec, 1)
     assert exc.value.stage == stage
+
+
+def _true_curvature(spec, stage):
+    """The true game's curvature at `stage`, from the values the pass kept above it."""
+    batch = game_mod._backward(spec, [spec.T - 1])
+    p1, p2 = batch.P1[stage - 1], batch.P2[stage - 1]  # stage + 1's values
+    return game_mod._stage_theta(spec.costs.R1[stage - 1], spec.costs.R2[stage - 1],
+                                 spec.B1.T @ p1, spec.B2.T @ p2, spec.B1, spec.B2)
+
+
+def test_a1_margin_on_a_pivot_ratio_failure_is_the_pivot_less_the_floor():
+    # every pivot clears pd_pivot, so the failing pivot alone would read as a
+    # pass; the margin subtracts the ratio floor and is negative
+    spec = generate_game(ExperimentConfig(a=1e10), 6, 0)
+    a1 = check_assumptions(spec, "warn").check("A1")
+    sym = linalg.symmetrize(_true_curvature(spec, 4))
+    check = linalg.cholesky_pd(sym)
+    assert check.is_pd and check.min_pivot > 1e5
+    floor = game_mod._PIVOT_RATIO * 2 * spec.m * np.finfo(float).eps \
+        * float(max(np.diagonal(np.linalg.cholesky(sym)) ** 2))
+    assert not a1.passed
+    assert a1.margin == check.min_pivot - floor and a1.margin < 0.0
+    assert a1.detail == (f"stage 4: joint curvature matrix fails the pivot-ratio floor "
+                         f"(min pivot {check.min_pivot:.3e} is not above {floor:.3e})")
+    a6 = check_assumptions(spec, "warn").check("A6")
+    assert not a6.passed and a6.margin <= a1.margin
+    with pytest.raises(ThetaNotPDError) as exc:  # the raised error keeps its message
+        solve_feedback_nash(spec)
+    assert str(exc.value) == ("stage 4: joint curvature matrix is not positive definite "
+                              f"(min pivot {check.min_pivot:.3e})")
+    back = pickle.loads(pickle.dumps(exc.value))
+    assert (back.stage, back.min_pivot, back._ratio_floor, str(back)) == \
+        (4, check.min_pivot, floor, str(exc.value))
+
+
+def test_a1_margin_on_an_absolute_pivot_failure_is_the_pivot():
+    indefinite = game_spec([[1.0]], [[1.0]], [[1.0]], [1.0],
+                           cost_schedule([[[-1.0]]], [np.diag([1.0, 0.0])], [np.diag([0.0, 1.0])]))
+    cancelled = generate_game(ExperimentConfig(a=1e60), 8, 2)  # its pivot cancels to -5.7e104
+    for spec in (indefinite, cancelled):
+        with pytest.raises(ThetaNotPDError) as exc:
+            solve_feedback_nash(spec)
+        a1 = check_assumptions(spec, "warn").check("A1")
+        assert exc.value._ratio_floor is None and not linalg.cholesky_pd(
+            _true_curvature(spec, exc.value.stage)).is_pd
+        assert (a1.passed, a1.margin, a1.detail) == (False, exc.value.min_pivot, str(exc.value))
 
 
 def test_assumption_error_pickles_intact():
