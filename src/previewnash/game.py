@@ -395,9 +395,10 @@ class _Batch(NamedTuple):
     K is (G, T-1, 2m, n), the joint gains, and theta (G, T-1, 2m, 2m), the
     stage curvatures the pass certified and solved with.  P1, P2 are
     per-stage (n, n) value matrices for stages 2..T, kept only when G == 1.
-    residuals is None unless the pass was asked to score them; then it is
-    (G,), each game's largest value-coupling residual ||B'(P1_t - P2_t) A||_2
-    over stages 2..T.  Every array is read-only, so a pass that a spec holds
+    residuals is None unless the pass was asked to score them; then it is the
+    (G, T-1, 2m, n) stack of value-coupling gaps B'(P1_{t+1} - P2_{t+1}) A,
+    zero from a failed game's failing stage down, and bounds (G, T-1) their
+    Frobenius norms.  Every array is read-only, so a pass that a spec holds
     (see `_solved`) can be handed out again.  failures[g] is None or the
     ThetaNotPDError game g raises alone; its other entries are then void,
     and its curvature is the identity from the failing stage down.
@@ -409,6 +410,7 @@ class _Batch(NamedTuple):
     P2: tuple | None
     residuals: np.ndarray | None
     failures: tuple
+    bounds: np.ndarray | None = None
 
     @property
     def theta_min(self) -> np.ndarray:
@@ -442,9 +444,10 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     stage s is Q_min(s, known[g]+1).  Every product is a stacked `@`, so
     each game's arithmetic is the same as if it were solved alone.  The
     pass keeps every stage's gain and curvature, and with `residuals` each
-    game's value-coupling residual (see _Batch).  Weights are read by
-    index from the schedules' stacks.  This is the raw pass; a library
-    caller that solves a spec's own schedule goes through `_solved`.
+    game's value-coupling gaps and their Frobenius norms (see _Batch).
+    Weights are read by index from the schedules' stacks.  This is the raw
+    pass; a library caller that solves a spec's own schedule goes through
+    `_solved`.
 
     A curvature is certified when every Cholesky pivot of its symmetric
     part exceeds tol.pd_pivot and _PIVOT_RATIO * 2m * eps times its largest
@@ -474,7 +477,8 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     p1_hist, p2_hist = [p1[0]], [p2[0]]
     gains = np.empty((G, T - 1, 2 * m, n))
     thetas = np.empty((G, T - 1, 2 * m, 2 * m))
-    res = np.zeros(G) if residuals else None
+    res = np.empty((G, T - 1, 2 * m, n)) if residuals else None
+    bounds = np.empty((G, T - 1)) if residuals else None
     failures = [None] * G
     failed = np.zeros(G, dtype=bool)
     any_failed = False  # the masks below are void until a game fails
@@ -501,7 +505,8 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
         if residuals:
             gap = b.T @ (p1 - p2) @ a  # stage t+1 values
             gap[failed] = 0.0  # void, and maybe not finite, which the norm's SVD refuses
-            res = np.fmax(res, linalg._two_norms(gap, res))  # SVDs only gaps that may pass res
+            res[:, t - 1] = gap
+            bounds[:, t - 1] = linalg._frobenius(gap)
         rhs = np.concatenate((b1p1, b2p2), axis=1) @ a
         kt = -np.linalg.solve(theta, rhs)
         gains[:, t - 1] = kt
@@ -523,11 +528,11 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
                 p1_hist.append(p1[0])
                 p2_hist.append(p2[0])
 
-    for stack in (gains, thetas, res, *p1_hist, *p2_hist):
+    for stack in (gains, thetas, res, bounds, *p1_hist, *p2_hist):
         if stack is not None:
             _freeze(stack)
     values = (tuple(p1_hist[::-1]), tuple(p2_hist[::-1])) if keep_values else (None, None)
-    return _Batch(gains, thetas, *values, res, tuple(failures))
+    return _Batch(gains, thetas, *values, res, tuple(failures), bounds)
 
 
 def _solved(spec: GameSpec, known, tol: Tolerances | None = None, residuals: bool = False,
@@ -535,28 +540,27 @@ def _solved(spec: GameSpec, known, tol: Tolerances | None = None, residuals: boo
     """`_backward(spec, known, tol, residuals)`, read off the pass spec holds where it can.
 
     A spec with read-only A, B1 and B2 holds its largest pass over its own
-    schedule.  A request under the same tolerances, for games that pass
-    holds and for residuals only if it kept them, gets its rows (bitwise a
-    fresh pass, as each game is solved as if alone) with new errors, so a
-    raise never grows a held error's traceback.  A request for values,
+    schedule, without the gaps only `check_assumptions` reads.  A request
+    under the same tolerances, for games that pass holds and no residuals,
+    gets its rows (bitwise a fresh pass, as each game is solved as if alone)
+    with new errors, so a raise never grows a held error's traceback.  A request for values,
     which only one-game passes keep, always runs a pass.  A pass that runs
     replaces a held one of no more games.
     """
     tol = tol or DEFAULT_TOLERANCES
     known = np.asarray(known, dtype=np.intp).reshape(-1).tolist()
-    if spec._held is not None and not values:
+    if spec._held is not None and not (values or residuals):
         held_tol, first, held = spec._held
         rows = [first.get(k) for k in known]
-        if held_tol == tol and None not in rows and (held.residuals is not None or not residuals):
+        if held_tol == tol and None not in rows:
             lo = rows[0]
             pick = slice(lo, lo + len(rows)) if rows == list(range(lo, lo + len(rows))) else rows
-            return _Batch(_freeze(held.K[pick]), _freeze(held.theta[pick]), None, None,
-                          _freeze(held.residuals[pick]) if residuals else None,
+            return _Batch(_freeze(held.K[pick]), _freeze(held.theta[pick]), None, None, None,
                           tuple(_fresh(held.failures[g]) for g in rows))
     batch = _backward(spec, known, tol, residuals)
     if _holds(spec) and (spec._held is None or len(known) >= len(spec._held[2].failures)):
         first = {k: g for g, k in reversed(list(enumerate(known)))}  # each game's first row
-        held = batch._replace(failures=tuple(map(_fresh, batch.failures)))
+        held = batch._replace(residuals=None, bounds=None, failures=tuple(map(_fresh, batch.failures)))
         object.__setattr__(spec, "_held", (tol, first, held))
     return batch
 

@@ -239,13 +239,14 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     return peak[..., 0, 0] * np.sqrt(np.sum(scaled * scaled, axis=(-2, -1)))
 
 
-def _two_norms(stack: np.ndarray, ceiling) -> np.ndarray:
+def _two_norms(stack: np.ndarray, ceiling, bounds: np.ndarray | None = None) -> np.ndarray:
     """||M||_2 of each matrix of a (..., k, l) stack wherever it may exceed
-    `ceiling` (broadcast against the leading axes), and elsewhere ||M||_F, a
-    bound on it no larger than ceiling: a comparison or a maximum with the
-    ceiling is the exact norm's.  Only a NaN bound, or one past the ceiling,
+    `ceiling` (broadcast against the leading axes), and elsewhere its bound,
+    no larger than ceiling: a comparison or a maximum with the ceiling is the
+    exact norm's.  The bounds are `_frobenius(stack)` unless given, each
+    ||M||_F or ||M||_2 itself.  Only a NaN bound, or one past the ceiling,
     takes an SVD."""
-    norms = _frobenius(stack)
+    norms = _frobenius(stack) if bounds is None else np.array(bounds, dtype=float)
     exact = ~(norms * (1.0 + _NORM_SLACK) <= ceiling)
     if exact.any():
         norms[exact] = _svd_norms(stack[exact])
@@ -257,14 +258,16 @@ def _svd_norms(stack: np.ndarray) -> np.ndarray:
     return np.max(np.linalg.svd(stack, compute_uv=False), axis=-1)
 
 
-def _max_two_norms(stack: np.ndarray) -> np.ndarray:
+def _max_two_norms(stack: np.ndarray, bounds: np.ndarray | None = None) -> np.ndarray:
     """`_two_norms` along axis -3 of a (..., S, k, l) stack, with the matrix of
     largest bound's norm as ceiling, and that norm appended: (..., S+1).  Their
     maximum is the exact norms', under np.fmax's NaN rule and under Python's
-    `max`, which keeps a leading NaN."""
-    top = np.argmax(_frobenius(stack), axis=-1)[..., None, None, None]
+    `max`, which keeps a leading NaN.  Each bound is taken once, and not at
+    all when given, as in `_two_norms`."""
+    bounds = _frobenius(stack) if bounds is None else bounds
+    top = np.argmax(bounds, axis=-1)[..., None, None, None]
     top_norm = _svd_norms(np.take_along_axis(stack, top, axis=-3))
-    return np.concatenate((_two_norms(stack, top_norm), top_norm), axis=-1)
+    return np.concatenate((_two_norms(stack, top_norm, bounds), top_norm), axis=-1)
 
 
 def sym_eig(m) -> np.ndarray:

@@ -124,46 +124,100 @@ def _joint_weights(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return rp
 
 
-def _a1_core(spec: GameSpec, known, tol: Tolerances) -> list:
-    """Definiteness of the state weights and stage curvatures, plus the two
-    alignment conditions that make the game a potential game, scored on the
-    zero-preview padded games whose last revealed stages are `known`
-    (known = T-1 is the true game).  Returns one (passed, margin, detail)
-    per game.
+def _a1_core(spec: GameSpec, tol: Tolerances) -> tuple:
+    """A1's (passed, margin, detail) on the true game, and for A6 the steps
+    1..T-1 whose zero-preview padded games fail A1 and their least A1
+    margin (inf if none has one); the last padded game is the true game.
 
-    All games are solved in one stacked backward pass that also keeps their
-    value-coupling residuals; their cross-weight residuals are read off the
-    curvatures the pass keeps.  Padded game k weighs states by Q_2..Q_{k+1}
-    only, so its state-weight pivot is a prefix minimum of the true ones.
-    A game that fails its curvature certificate is scored from the pass's
-    failure report: its margin is its failing pivot, or on a pivot-ratio
-    failure that pivot less the ratio floor, which is then negative."""
+    One stacked backward pass keeps every game's value-coupling gaps, and
+    the cross-weight gaps are read off its curvatures.  A certified game's
+    margin is min(q_pivot, theta_min, mat_eq - cross, mat_eq - value); a
+    minimum is exact and x -> mat_eq - x falls as x grows, so A6 takes each
+    term's worst case over the certified games, one reduction per stack.
+    Padded game k weighs states by Q_2..Q_{k+1} only, so its state-weight
+    pivot is a prefix minimum of the true ones.  A game that fails its
+    curvature certificate scores its failing pivot, less the ratio floor on
+    a pivot-ratio failure, which is then negative."""
     q_pivots = list(itertools.accumulate(linalg._pivots(spec.costs.Q, tol.pd_pivot)[1].tolist(), min))
-    batch = game_mod._solved(spec, known, tol, residuals=True)
-    cross = np.fmax.reduce(linalg._max_two_norms(_cross_gaps(batch.theta, spec.m)), axis=1,
-                           initial=0.0)  # like max()
-    scores = []
-    for k, exc, theta_row, cross_res, value_res in zip(np.asarray(known).tolist(), batch.failures,
-                                                       batch.theta_min, cross.tolist(),
-                                                       batch.residuals.tolist()):
-        if exc is not None and exc._ratio_floor is not None:
-            detail = (f"stage {exc.stage}: joint curvature matrix fails the pivot-ratio floor "
-                      f"(min pivot {exc.min_pivot:.3e} is not above {exc._ratio_floor:.3e})")
-            scores.append((False, float(exc.min_pivot - exc._ratio_floor), detail))
-            continue
-        if exc is not None:
-            scores.append((False, float(exc.min_pivot) if np.isfinite(exc.min_pivot) else None, str(exc)))
-            continue
-        q_pivot = q_pivots[k - 1]
-        theta_min = min(theta_row.tolist())
+    batch = game_mod._solved(spec, np.arange(1, spec.T), tol, residuals=True)
+    ok = np.array([exc is None for exc in batch.failures])
+    cross = _cross_gaps(batch.theta, spec.m)
+    cross_over, cross_res, cross_worst = _residual_maxima(cross, linalg._frobenius(cross), ok, tol)
+    value_over, value_res, value_worst = _residual_maxima(batch.residuals, batch.bounds, ok, tol)
+    failing = np.flatnonzero(~ok | ~(np.array(q_pivots) > tol.pd_pivot) | cross_over | value_over) + 1
+    margins = [_failure_margin(exc) for exc in batch.failures if exc is not None]
+
+    exc = batch.failures[-1]
+    theta_min = math.inf if exc is not None else _least_eig(batch.theta[-1], math.inf)
+    if exc is None:
+        q_pivot = q_pivots[-1]
         passed = q_pivot > tol.pd_pivot and cross_res <= tol.mat_eq and value_res <= tol.mat_eq
         margin = min(q_pivot, theta_min, tol.mat_eq - cross_res, tol.mat_eq - value_res)
-        detail = (
-            f"min state-weight pivot {q_pivot:.3e}; min curvature eig {theta_min:.3e}; "
-            f"cross-weight residual {cross_res:.3e}; value-coupling residual {value_res:.3e}"
-        )
-        scores.append((passed, float(margin), detail))
-    return scores
+        detail = (f"min state-weight pivot {q_pivot:.3e}; min curvature eig {theta_min:.3e}; "
+                  f"cross-weight residual {cross_res:.3e}; value-coupling residual {value_res:.3e}")
+        a1 = (passed, float(margin), detail)
+    elif exc._ratio_floor is not None:
+        a1 = (False, _failure_margin(exc), f"stage {exc.stage}: joint curvature matrix fails the pivot-ratio "
+              f"floor (min pivot {exc.min_pivot:.3e} is not above {exc._ratio_floor:.3e})")
+    else:
+        a1 = (False, _failure_margin(exc), str(exc))
+    if ok.any():  # the true game's least eigenvalue, if it has one, screens the others'
+        margins.append(min(min(itertools.compress(q_pivots, ok.tolist())),
+                           _least_eig(_rows(batch.theta[:-1], ok[:-1]), theta_min),
+                           tol.mat_eq - cross_worst, tol.mat_eq - value_worst))
+    return a1, failing.tolist(), min((m for m in margins if m is not None), default=math.inf)
+
+
+def _failure_margin(exc: ThetaNotPDError) -> float | None:
+    """The A1 margin of a game that fails its curvature certificate."""
+    if exc._ratio_floor is not None:
+        return float(exc.min_pivot - exc._ratio_floor)
+    return float(exc.min_pivot) if np.isfinite(exc.min_pivot) else None
+
+
+def _rows(stack: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """The `ok` games' entries of a (G, S, ...) stack as one (N, ...) stack, a view if all are."""
+    if not ok.all():
+        stack = stack[ok]
+    return stack.reshape(-1, *stack.shape[2:])
+
+
+def _residual_maxima(gaps: np.ndarray, bounds: np.ndarray, ok: np.ndarray, tol: Tolerances) -> tuple:
+    """Whether each game of a (G, S, k, l) stack of gaps with (G, S) bounds
+    (see `linalg._two_norms`) has a residual past mat_eq, the last game's
+    largest residual and the `ok` games' largest, as exact norms give them."""
+    norms = linalg._two_norms(gaps, tol.mat_eq, bounds)
+    last = np.fmax.reduce(linalg._max_two_norms(gaps[-1], norms[-1]), initial=0.0)
+    worst = np.fmax.reduce(linalg._max_two_norms(_rows(gaps, ok), _rows(norms, ok)),
+                           initial=0.0) if ok.any() else 0.0
+    return (norms > tol.mat_eq).any(axis=1), float(last), float(worst)
+
+
+def _least_eig(thetas: np.ndarray, floor: float) -> float:
+    """min(floor, each certified curvature's least eigenvalue), bitwise.
+
+    S's symmetric part is not eigensolved when a Cholesky factorization of
+    S - (floor + delta) I succeeds, delta = 4 k^3 eps (max|diag S| + |floor|):
+    that is exact for a perturbation of about k^2 eps max|diag S| (Demmel,
+    LAPACK Working Note 14; Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., ch. 10), an eigensolve for one of about
+    k eps ||S||_2, so S's computed least eigenvalue is at least floor."""
+    if math.isfinite(floor):
+        sym = thetas + np.swapaxes(thetas, -1, -2)
+        sym /= 2.0  # formed, shifted and factored in one buffer
+        k, diag = sym.shape[-1], np.arange(sym.shape[-1])
+        scale = np.max(np.abs(sym[:, diag, diag]), axis=-1, initial=0.0) + abs(floor)
+        sym[:, diag, diag] -= (floor + 4 * k**3 * np.finfo(float).eps * scale)[:, None]
+        factors = np.ones(len(sym), dtype=bool)
+        for i in range(k):  # every matrix at once, L over its own lower triangle
+            row = sym[:, i, :i]
+            pivot = sym[:, i, i] - np.einsum("gj,gj->g", row, row)
+            factors &= pivot > 0.0
+            sym[:, i, i] = root = np.sqrt(np.where(factors, pivot, 1.0))
+            sym[:, i + 1:, i] -= np.einsum("gij,gj->gi", sym[:, i + 1:, :i], row)
+            sym[:, i + 1:, i] /= root[:, None]
+        thetas = thetas[~factors]
+    return min([floor] + np.linalg.eigvalsh(linalg.symmetrize(thetas))[:, 0].tolist())
 
 
 def _cross_gaps(thetas: np.ndarray, m: int) -> np.ndarray:
@@ -227,27 +281,21 @@ def _a5_check(spec: GameSpec, q_eigs: np.ndarray, rps: np.ndarray,
     return AssumptionCheck("A5", margin > 0.0, None if math.isnan(margin) else margin, detail)
 
 
-def _a6_check(spec: GameSpec, padded: list) -> AssumptionCheck:
+def _a6_check(spec: GameSpec, failing: list, worst: float) -> AssumptionCheck:
     """Every padded schedule must itself satisfy the core conditions.
 
-    `padded` holds the _a1_core verdicts of the zero-preview padded games at
-    steps 1..T-1.  Padding at (t, W) reproduces the zero-preview padding at
-    step t+W, so sweeping t with W = 0 covers every preview length at once.
+    `failing` lists the steps 1..T-1 whose zero-preview padded games fail
+    A1, and `worst` is the least A1 margin over all of them (inf when none
+    has one), both from `_a1_core`.  Padding at (t, W) reproduces the
+    zero-preview padding at step t+W, so sweeping t with W = 0 covers every
+    preview length at once.
     """
-    worst = np.inf
-    failing = []
-    for t, (passed, margin, _) in enumerate(padded, start=1):
-        if margin is not None:
-            worst = min(worst, margin)
-        if not passed:
-            failing.append(t)
-    passed = not failing
-    margin = None if worst is np.inf else float(worst)
+    margin = None if worst == math.inf else float(worst)
     if failing:
         detail = f"padded schedules failing at steps {failing} of 1..{spec.T - 1}"
     else:
         detail = f"all {spec.T - 1} padded schedules pass; worst margin {worst:.3e}"
-    return AssumptionCheck("A6", passed, margin, detail)
+    return AssumptionCheck("A6", not failing, margin, detail)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a weight near the end of the float range fails its check
@@ -256,7 +304,8 @@ def check_assumptions(spec: GameSpec, mode: str = "strict",
     """Score all six validity conditions with numerical margins.
 
     A1 and A6 come from one stacked backward pass over the T-1 zero-preview
-    padded games, the last of which is the true game; A2 and A5 share one
+    padded games, the last of which is the true game: A1 scores the true
+    game and A6 the worst case over all of them.  A2 and A5 share one
     stacked eigensolve of the state weights.
 
     strict mode raises AssumptionViolatedError (carrying the full report) on
@@ -268,16 +317,16 @@ def check_assumptions(spec: GameSpec, mode: str = "strict",
         raise ValueError(f"mode must be 'strict' or 'warn', got {mode!r}")
     tol = tol or DEFAULT_TOLERANCES
 
-    padded = _a1_core(spec, np.arange(1, spec.T), tol)
+    a1, failing, worst = _a1_core(spec, tol)
     q_eigs = np.linalg.eigvalsh(linalg.symmetrize(spec.costs.Q))  # ascending, (T-1, n)
     rps = _joint_weights(spec.costs.R1, spec.costs.R2)
     checks = [
-        AssumptionCheck("A1", *padded[-1]),
+        AssumptionCheck("A1", *a1),
         _a2_check(spec, q_eigs, tol),
         _a3_check(spec, tol),
         _a4_check(rps, tol),
         _a5_check(spec, q_eigs, rps, tol),
-        _a6_check(spec, padded),
+        _a6_check(spec, failing, worst),
     ]
     overall = all(c.passed for c in checks)
     report = AssumptionReport(checks=tuple(checks), overall=overall)

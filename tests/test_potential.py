@@ -258,6 +258,10 @@ def _reference_a1(spec, tol=linalg.DEFAULT_TOLERANCES):
     try:
         nash = solve_feedback_nash(spec, tol=tol)
     except ThetaNotPDError as exc:
+        if exc._ratio_floor is not None:  # every pivot passed pd_pivot, one not the ratio floor
+            return False, float(exc.min_pivot - exc._ratio_floor), (
+                f"stage {exc.stage}: joint curvature matrix fails the pivot-ratio floor "
+                f"(min pivot {exc.min_pivot:.3e} is not above {exc._ratio_floor:.3e})")
         margin = float(exc.min_pivot) if np.isfinite(exc.min_pivot) else None
         return False, margin, str(exc)
     q_pivot = min(linalg.cholesky_pd(spec.costs.q(t), tol.pd_pivot).min_pivot
@@ -426,6 +430,34 @@ def test_uncertified_padded_games_are_scored_from_one_pass(monkeypatch):
     monkeypatch.setattr(game_mod, "_backward", counted)
     assert not check_assumptions(make_padded_failure_game(), "warn").overall
     assert len(calls) == 1
+
+
+def _late_failure_game():
+    """Scalar T=5 game whose padded game at step 2 fails its curvature at
+    stage 1, below the largest value-coupling gap of the whole pass."""
+    r1, r2 = [0.86, 0.59, 1.34, 1.7], [0.2, 0.4, 2.99, 2.45]
+    costs = cost_schedule([[[v]] for v in (1.03, -0.2, 0.07, 1.82)], [np.diag([v, 0.0]) for v in r1],
+                          [np.diag([0.0, v]) for v in r2])
+    return game_spec([[0.88]], [[-0.04]], [[-0.62]], [1.0], costs)
+
+
+def test_a_game_that_fails_below_the_largest_gap_does_not_score_it():
+    # A6's residual terms are the worst case over the certified games only:
+    # the gap a failed game holds above its failing stage is not scored
+    spec = _late_failure_game()
+    batch = game_mod._backward(spec, np.arange(1, spec.T), residuals=True)
+    assert [exc is not None for exc in batch.failures] == [False, True, False, False]
+    assert batch.failures[1].stage == 1
+    norms = np.linalg.norm(batch.residuals, 2, axis=(-2, -1))  # [g, t - 1] is stage t's gap
+    assert np.unravel_index(np.argmax(norms), norms.shape) == (1, 1)  # game 2, stage 2
+    a6 = _assert_report_matches_reference(spec)["assumptions"][5]
+    assert a6["margin"] > linalg.DEFAULT_TOLERANCES.mat_eq - norms.max()
+
+
+@pytest.mark.parametrize("a, T", [(1e10, 6), (1e10, 12), (1e60, 8)])
+def test_report_matches_reference_on_drawn_games_that_fail_certificates(a, T):
+    for seed in range(3):
+        assert not _assert_report_matches_reference(generate_game(ExperimentConfig(a=a), T, seed))["overall"]
 
 
 # ---------------------------------------------------------------- reduction
@@ -727,10 +759,9 @@ def _exact_two_norms(stack, ceiling=None, bounds=None):
     """The norms the certify path's screens stand in for, one SVD per matrix.
 
     Patched in for both screens, it restores the path as it ran before
-    them: the pass's per-stage SVD of every value-coupling gap, A1's
-    np.fmax.reduce over every cross-weight residual, `_reduce`'s two
-    `> mat_eq` checks on every stage, and `verify_equivalence`'s Python
-    `max` over every stage's gain gap."""
+    them: an SVD of every value-coupling and cross-weight gap that A1 and
+    A6 reduce, `_reduce`'s two `> mat_eq` checks on every stage, and
+    `verify_equivalence`'s Python `max` over every stage's gain gap."""
     return np.linalg.norm(stack, 2, axis=(-2, -1))
 
 
@@ -768,6 +799,55 @@ def test_screened_norms_give_what_exact_norms_give(monkeypatch):
     monkeypatch.setattr(linalg, "_max_two_norms", _exact_two_norms)
     # copies that hold no pass, so the exact norms are taken, not served
     assert [_certify_outputs(with_costs(spec, spec.costs)) for spec in specs] == screened
+
+
+def _exact_least_eig(thetas, floor):
+    """`potential._least_eig` without its screen: every curvature eigensolved."""
+    return min([floor] + np.linalg.eigvalsh(linalg.symmetrize(thetas))[:, 0].tolist())
+
+
+def test_screened_eigenvalues_give_what_exact_eigenvalues_give(monkeypatch):
+    rng = np.random.default_rng(73)
+    specs = ([make_aligned_game(rng) for _ in range(10)] + [make_loose_game(rng) for _ in range(10)]
+             + [generate_game(ExperimentConfig(), T, seed) for T in (4, 12) for seed in (0, 1)]
+             + [make_padded_failure_game(), _identical_players_game(), _late_failure_game()]
+             + _dense_aligned_games(3, 74))
+    for spec in specs:
+        batch = game_mod._backward(spec, np.arange(1, spec.T))
+        thetas = potential._rows(batch.theta, np.array([exc is None for exc in batch.failures]))
+        least = _exact_least_eig(thetas, math.inf)
+        # the screen at, just below and just above the least eigenvalue, and at the true game's
+        true_least = _exact_least_eig(batch.theta[-1], math.inf)
+        for floor in (least, np.nextafter(least, -math.inf), np.nextafter(least, math.inf), true_least):
+            assert potential._least_eig(thetas, floor) == _exact_least_eig(thetas, floor)
+    screened = [_certify_outputs(spec) for spec in specs]
+    monkeypatch.setattr(potential, "_least_eig", _exact_least_eig)
+    assert [_certify_outputs(with_costs(spec, spec.costs)) for spec in specs] == screened
+
+
+def _counted_matrices(monkeypatch, name) -> list:
+    """The number of matrices np.linalg.<name> takes from here on, over all its calls."""
+    call = getattr(np.linalg, name)
+    count = [0]
+
+    def counted(a, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(a)[:-2]))
+        return call(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg._linalg, name, counted)
+    monkeypatch.setattr(np.linalg, name, counted)
+    return count
+
+
+def test_check_assumptions_reduces_the_padded_stack_once_on_a_dense_game(monkeypatch):
+    # scoring each of the 39 padded games in full took 739 SVDs and 1,677
+    # eigensolved matrices (1,521 of them curvatures)
+    drawn = _dense_aligned_games(1, 75)[0]
+    spec = with_costs(drawn, drawn.costs)  # holds no pass, so the check solves
+    svds = _counted_matrices(monkeypatch, "svd")
+    eigs = _counted_matrices(monkeypatch, "eigvalsh")
+    assert check_assumptions(spec, "warn").overall
+    assert 0 < svds[0] <= 150 and 0 < eigs[0] <= 300
 
 
 def test_check_assumptions_svds_a_third_of_its_matrices_on_a_dense_game(monkeypatch):
