@@ -5,8 +5,8 @@ per-stage control prices r_i,t = b_i^2 * beta_t, so both players share
 the same gain-to-price ratio at every stage; runs the preview-limited
 online algorithm across (T, W, seed) cells, and writes the results as
 CSV tables and a plain SVG chart.  The unit of work is a block of seeds
-at one horizon T: every game of the block is drawn once, and the block
-is handed to `online._play_previews`, the solve, play and price path of
+at one horizon T: the block's games are drawn and checked together, and
+handed to `online._play_previews`, the solve, play and price path of
 `run_online`, which solves all its games in one stacked backward pass
 and plays every preview length of every seed from it.
 
@@ -14,15 +14,16 @@ Random draws are counter-based: each scalar is the uniform draw of
 numpy's `default_rng((seed, stage, field))`, so raising T or adding cells
 never reshuffles the draws that earlier cells saw.  That keeps the
 comparison across preview lengths paired and makes every output
-byte-reproducible.  `_draws` computes the draws of all a game's keys at
-once, bit for bit, by porting numpy's seed hashing and PCG64 step to array
-arithmetic, so no generator object is built and numpy's random package is
-never imported.
+byte-reproducible.  `_draws` computes the draws of every key of a block's
+seeds at once, bit for bit, by porting numpy's seed hashing and PCG64 step
+to array arithmetic, so no generator object is built and numpy's random
+package is never imported.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass, fields
@@ -185,6 +186,7 @@ _PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)  # high and low 64 bits
 _M32 = 0xFFFFFFFF
 
 
+@functools.lru_cache(maxsize=64)
 def _hash_consts(init: int, mult: int, count: int) -> tuple:
     """The (xor, multiplier) constants of `count` successive hash calls."""
     xors, h = [], init
@@ -226,27 +228,43 @@ def _lcg(state: tuple, inc: tuple) -> tuple:
     return _add128(product, inc)
 
 
-def _draws(seed: int, ts, tags, lows, highs) -> np.ndarray:
-    """`default_rng((seed, t, tag)).uniform(low, high)` for every key, bit for bit.
+def _draws(seeds, ts, tags, lows, highs) -> np.ndarray:
+    """`default_rng((seed, t, tag)).uniform(low, high)` for each seed and key, bit for bit.
 
-    A port to numpy array arithmetic over all keys at once: SeedSequence
-    hashes the entropy words (seed's little-endian 32-bit words, then t and
-    tag) into a pool of four, and words past the pool are mixed in after
-    it; the pool gives PCG64's 128-bit state and increment; one step and
-    the XSL-RR output give 64 random bits, whose top 53 scale the range.
+    The keys are ts and tags, both (K,) if every seed shares them and both
+    (S, K) if not; lows and highs broadcast with them.  A port to numpy
+    array arithmetic: SeedSequence hashes the entropy words (the seed's
+    little-endian 32-bit words, then t and tag) into a pool of four, and
+    words past the pool are mixed in after it; the pool gives PCG64's
+    128-bit state and increment; one step and the XSL-RR output give 64
+    random bits, whose top 53 scale the range.  The seeds of each word
+    count share an entropy layout and are hashed together.
     """
-    words = [0] if seed == 0 else []
-    while seed:
-        words.append(seed & _M32)
-        seed >>= 32
+    words = [[s >> 32 * k & _M32 for k in range(max(1, -(-s.bit_length() // 32)))] for s in map(int, seeds)]
     ts, tags = np.asarray(ts, dtype=np.uint32), np.asarray(tags, dtype=np.uint32)
     lows, highs = np.asarray(lows, dtype=float), np.asarray(highs, dtype=float)
     span = highs - lows
     if not np.all(np.isfinite(span)):
         raise OverflowError("high - low range exceeds valid bounds")
-    entropy = np.empty((ts.size, max(4, len(words) + 2)), dtype=np.uint32)
-    entropy[:] = words + [0] * (entropy.shape[1] - len(words))
-    entropy[:, len(words)], entropy[:, len(words) + 1] = ts, tags
+    counts = [len(w) for w in words]
+    if min(counts) == max(counts):
+        return lows + span * _unit_draws(np.array(words, dtype=np.uint32), ts, tags)
+    unit = np.empty((len(words), ts.shape[-1]))
+    for count in sorted(set(counts)):
+        rows = np.array(counts) == count
+        unit[rows] = _unit_draws(np.array([w for w in words if len(w) == count], dtype=np.uint32),
+                                 *(v if v.ndim < 2 else v[rows] for v in (ts, tags)))
+    return lows + span * unit
+
+
+def _unit_draws(words: np.ndarray, ts: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """The (S, K) uniform draws in [0, 1) of each seed whose c words are a row
+    of the (S, c) words, on the keys (ts, tags), both (K,) or (S, K)."""
+    (seeds, count), keys = words.shape, ts.shape[-1]
+    entropy = np.zeros((seeds, keys, max(4, count + 2)), dtype=np.uint32)
+    entropy[:, :, :count] = words[:, None]
+    entropy[:, :, count], entropy[:, :, count + 1] = ts, tags
+    entropy = entropy.reshape(seeds * keys, -1)
 
     xor, mul = _hash_consts(_INIT_A, _MULT_A, 4 * entropy.shape[1])
     pool = _hashmix(entropy[:, :4], xor[:4], mul[:4])
@@ -254,7 +272,7 @@ def _draws(seed: int, ts, tags, lows, highs) -> np.ndarray:
         dst = [d for d in range(4) if d != src]
         k = 4 + 3 * src
         pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src]], xor[k:k + 3], mul[k:k + 3]))
-    for i in range(4, len(words) + 2):  # entropy past the pool
+    for i in range(4, count + 2):  # entropy past the pool
         k = 4 * i
         pool = _mix(pool, _hashmix(entropy[:, [i]], xor[k:k + 4], mul[k:k + 4]))
 
@@ -266,11 +284,11 @@ def _draws(seed: int, ts, tags, lows, highs) -> np.ndarray:
     bits = hi ^ lo
     turn = hi >> 58
     bits = bits >> turn | bits << ((64 - turn) & 63)
-    return lows + span * ((bits >> 11).astype(float) * 2.0 ** -53)
+    return ((bits >> 11).astype(float) * 2.0 ** -53).reshape(seeds, keys)
 
 
 def generate_game(config: ExperimentConfig, T: int, seed: int) -> GameSpec:
-    """Draw one game at horizon T.
+    """Draw one game at horizon T: the one-seed case of `_draw_block`.
 
     A = [[a, 0], [0, 0.9]]; each player pushes the first state through a
     negative scalar gain.  Stage weights: r_i,t = b_i^2 * beta_t (one
@@ -286,26 +304,43 @@ def generate_game(config: ExperimentConfig, T: int, seed: int) -> GameSpec:
         raise InvalidConfigError(f"horizon must be at least 2, got {T}")
     if seed < 0:
         raise InvalidConfigError(f"seed must be non-negative, got {seed}")
+    return _draw_block(config, T, [seed])[0]
 
-    a_mat = np.array([[config.a, 0.0], [0.0, 0.9]])
-    b1 = np.array([[-config.b1], [0.0]])
-    b2 = np.array([[-config.b2], [0.0]])
 
-    # beta_t (t = 1..T-1) prices stage t's controls; l_t and d_t (t = 2..T) weigh state x_t
+@functools.lru_cache(maxsize=64)
+def _keys(T: int, dists: tuple) -> tuple:
+    """The (t, tag, low, high) of a game's draws, all frozen: beta_t prices
+    stage t's controls (t = 1..T-1); l_t and d_t weigh state x_t (t = 2..T)."""
     stages = np.arange(1, T)
-    dists = np.repeat([config.beta_dist, config.l_dist, config.d_dist], T - 1, axis=0)
-    beta, ell, dee = _draws(seed, np.concatenate((stages, stages + 1, stages + 1)),
-                            np.repeat([_BETA, _ELL, _DEE], T - 1), *dists.T).reshape(3, T - 1)
+    keys = (np.concatenate((stages, stages + 1, stages + 1)), np.repeat([_BETA, _ELL, _DEE], T - 1),
+            *np.repeat(dists, T - 1, axis=0).T)
+    return tuple(map(game_mod._freeze, keys))
+
+
+def _draw_block(config: ExperimentConfig, T: int, seeds: list) -> list:
+    """The games `generate_game` draws for each of seeds at horizon T, drawn together.
+
+    One `_draws` call draws every seed's keys and one `cost_schedule` call
+    checks the block's stacked Q, R^1 and R^2, so a fault in any seed's
+    schedule raises for the block.  The games share one validated (A, B1,
+    B2, x1), and each holds its seed's slice of the checked stacks.
+    """
+    draws = _draws(seeds, *_keys(T, (config.beta_dist, config.l_dist, config.d_dist)))
+    beta, ell, dee = draws.reshape(len(seeds), 3, T - 1).swapaxes(0, 1).reshape(3, -1)
     if config.d_convention == "magnitude":
         dee = np.abs(dee)
-    q, r1, r2 = np.zeros((3, T - 1, 2, 2))
+    q, r1, r2 = np.zeros((3, beta.size, 2, 2))
     r1[:, 0, 0] = config.b1 ** 2 * beta
     r2[:, 1, 1] = config.b2 ** 2 * beta
     q[:, 0, 0] = ell
     q[:, 0, 1] = q[:, 1, 0] = -dee
 
     costs = cost_schedule(q, r1, r2)
-    return game_spec(A=a_mat, B1=b1, B2=b2, x1=np.array(config.x1), costs=costs)
+    stacks = (x.reshape(len(seeds), T - 1, 2, 2) for x in (costs.Q, costs.R1, costs.R2))
+    parts = [costs] if len(seeds) == 1 else [game_mod.CostSchedule(*part) for part in zip(*stacks)]
+    first = game_spec(A=np.array([[config.a, 0.0], [0.0, 0.9]]), B1=np.array([[-config.b1], [0.0]]),
+                      B2=np.array([[-config.b2], [0.0]]), x1=np.array(config.x1), costs=parts[0])
+    return [first] + [game_mod.with_costs(first, part) for part in parts[1:]]
 
 
 @dataclass(frozen=True)
@@ -391,47 +426,30 @@ def _blocks(config: ExperimentConfig, jobs: int) -> list:
     return blocks
 
 
-def _run_block(config: ExperimentConfig, T: int, runs: range, k_bar, tol: Tolerances) -> list:
+def _run_block(config: ExperimentConfig, T: int, seeds: list, k_bar, tol: Tolerances) -> list:
     """The rows of a block of seeds at horizon T, one per (seed, W).
 
-    Each game is drawn alone, and a seed whose draw fails has every row
-    tagged and stays out of the stack.  k_bar is the sweep's tracking gain,
-    or the tag of the error computing it raised, which then tags every row
-    the draw left.  The rest are played together by `_play_block`.
-    """
-    rows, games = [], []
-    for k in runs:
-        seed = config.seed + k
-        try:
-            spec = generate_game(config, T, seed)
-        except _LOCAL_ERRORS as exc:
-            rows += _failed(T, config.W_range, seed, _error_tag(exc))
-            continue
-        games.append((seed, spec))
-    if isinstance(k_bar, str):
-        rows += [r for seed, _ in games for r in _failed(T, config.W_range, seed, k_bar)]
-    elif games:
-        rows += _play_block(T, config.W_range, games, k_bar, tol)
-    return rows
-
-
-def _play_block(T: int, w_range: tuple, games: list, k_bar: np.ndarray, tol: Tolerances) -> list:
-    """The rows of the drawn (seed, spec) games of a block.
-
-    Every run is solved, played and priced by `online._play_previews`, the
-    path `run_online` takes for one run; a run that meets a game failing
-    certification gets that game's error as its tag.  If the stacked work
-    raises, the block is replayed one seed at a time, so the failure stays
-    in the rows of the seed that raised it.
+    The block's games are drawn by one `_draw_block` call, then solved,
+    played and priced by one `online._play_previews` call, the path
+    `run_online` takes for one run; a run that meets a game failing
+    certification gets that game's error as its tag.  k_bar is the sweep's
+    tracking gain, or the tag of the error computing it raised, which then
+    tags every row the draw left.  If drawing or playing raises, the block
+    is redone one seed at a time, so the failure stays in the rows of the
+    seed that raised it.
     """
     try:
-        runs, _, _ = online._play_previews([spec for _, spec in games], w_range, k_bar, tol)
+        games = _draw_block(config, T, seeds)
+        if not isinstance(k_bar, str):
+            runs, _, _ = online._play_previews(games, config.W_range, k_bar, tol)
     except _LOCAL_ERRORS as exc:
-        if len(games) == 1:
-            return _failed(T, w_range, games[0][0], _error_tag(exc))
-        return [r for game in games for r in _play_block(T, w_range, [game], k_bar, tol)]
+        if len(seeds) == 1:
+            return _failed(T, config.W_range, seeds[0], _error_tag(exc))
+        return [r for seed in seeds for r in _run_block(config, T, [seed], k_bar, tol)]
+    if isinstance(k_bar, str):
+        return [r for seed in seeds for r in _failed(T, config.W_range, seed, k_bar)]
     return [_row(T, W, seed, run)
-            for (seed, _), seed_runs in zip(games, runs) for W, run in zip(w_range, seed_runs)]
+            for seed, seed_runs in zip(seeds, runs) for W, run in zip(config.W_range, seed_runs)]
 
 
 def _aggregate(rows) -> list:
@@ -460,9 +478,9 @@ def sweep(config: ExperimentConfig, jobs: int = 1, tol: Tolerances | None = None
     Work is split into blocks of run indices at one T, not into cells (see
     `_blocks`): with jobs=1 a block holds all the runs of a T, and with
     jobs > 1 each T's runs are split into `jobs` contiguous blocks spread
-    over worker processes.  Each block's games are solved in one stacked
-    backward pass and yield the rows of every W in W_range (see
-    `_play_block`).  A failure stays in the rows of the game that raised
+    over worker processes.  Each block's games are drawn together, solved
+    in one stacked backward pass, and yield the rows of every W in W_range
+    (see `_run_block`).  A failure stays in the rows of the game that raised
     it, tagged with a short code.  The tracking gain depends only on (A, B),
     which the whole sweep shares, so it is computed once up front from a
     probe game; if that fails, its error tags the rows of every game that
@@ -483,7 +501,7 @@ def sweep(config: ExperimentConfig, jobs: int = 1, tol: Tolerances | None = None
     except _LOCAL_ERRORS as exc:
         k_bar = _error_tag(exc)  # a tag, not the error: some errors do not unpickle
 
-    blocks = [(config, T, runs, k_bar, tol) for T, runs in _blocks(config, jobs)]
+    blocks = [(config, T, [config.seed + k for k in runs], k_bar, tol) for T, runs in _blocks(config, jobs)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
 

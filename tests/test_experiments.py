@@ -245,27 +245,51 @@ def test_generated_schedule_is_bitwise_the_scalar_draws(seed, T, convention):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("convention", ["literal", "magnitude"])
+@pytest.mark.parametrize("T", [2, 3, 20])
+def test_block_draw_is_bitwise_the_one_seed_draw(T, convention):
+    # consecutive seeds that cross 2^32 and 2^64 enter one block with one,
+    # two and three seed words
+    config = ExperimentConfig(d_convention=convention)
+    seeds = list(range(2 ** 32 - 3, 2 ** 32 + 3)) + list(range(2 ** 64 - 4, 2 ** 64 + 2))
+    block = experiments._draw_block(config, T, seeds)
+    assert len(block) == len(seeds)
+    for seed, got in zip(seeds, block):
+        want = generate_game(config, T, seed)
+        assert got.T == want.T == T
+        for field in ("A", "B1", "B2", "x1"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        for field in ("Q", "R1", "R2"):
+            assert getattr(got.costs, field).tobytes() == getattr(want.costs, field).tobytes()
+
+
 def test_vector_draw_is_bitwise_the_scalar_draw():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     reals = st.floats(allow_nan=False, allow_infinity=False)
+    # seeds of one to four 32-bit words, so one call hashes several word counts
+    seeds = st.one_of(*(st.integers(2 ** (32 * k) if k else 0, 2 ** (32 * k + 32) - 1) for k in range(4)))
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(seed=st.integers(0, 2 ** 128 - 1),
-                      keys=st.lists(st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 2)),
+    @hypothesis.given(keys=st.lists(st.tuples(seeds, st.integers(0, 2 ** 32 - 1), st.integers(0, 2)),
                                     min_size=1, max_size=6),
                       bounds=st.tuples(reals, reals).filter(lambda b: b[0] < b[1]))
-    def check(seed, keys, bounds):
-        ts, tags = np.array(keys).T
+    def check(keys, bounds):
+        seeds = [seed for seed, _, _ in keys]
+        ts, tags = np.array([key[1:] for key in keys]).T
         try:
-            want = [scalar_draw(seed, t, tag, bounds) for t, tag in keys]
+            want = [scalar_draw(seed, t, tag, bounds) for seed, t, tag in keys]
+            first = [scalar_draw(seeds[0], t, tag, bounds) for t, tag in zip(ts, tags)]
         except OverflowError:  # high - low is not finite
             with pytest.raises(OverflowError):
-                experiments._draws(seed, ts, tags, *bounds)
+                experiments._draws(seeds, ts[:, None], tags[:, None], *bounds)
             return
-        got = experiments._draws(seed, ts, tags, np.full(len(keys), bounds[0]),
-                                 np.full(len(keys), bounds[1]))
-        assert got.tobytes() == np.array(want).tobytes()
+        # one seed per key, then the first seed on every key
+        lows, highs = (np.full((len(keys), 1), b) for b in bounds)
+        got = experiments._draws(seeds, ts[:, None], tags[:, None], lows, highs)
+        assert got.shape == (len(keys), 1) and got.tobytes() == np.array(want).tobytes()
+        got = experiments._draws(seeds[:1], ts, tags, lows[:, 0], highs[:, 0])
+        assert got.shape == (1, len(keys)) and got.tobytes() == np.array(first).tobytes()
 
     check()
 
@@ -452,16 +476,24 @@ def test_previews_past_the_horizon_play_the_full_information_run():
         assert [dataclasses.replace(r, W=3) for r in rows if r.W == W] == full
 
 
+def _draw_seed_by_seed(monkeypatch, draw):
+    """Make every block draw, and so `generate_game`, call draw(config, T, seed)
+    for each seed of the block, raising the first error as the block's
+    stacked check would.  Returns the unpatched one-seed draw, for draw to call."""
+    block = experiments._draw_block
+    monkeypatch.setattr(experiments, "_draw_block",
+                        lambda config, T, seeds: [draw(config, T, seed) for seed in seeds])
+    return lambda config, T, seed: block(config, T, [seed])[0]
+
+
 def test_failed_gain_tags_rows_after_the_draw(monkeypatch):
     # a seed whose own draw fails keeps that tag; the failed gain tags the rest
-    draw = experiments.generate_game
-
     def failing(config, T, seed):
         if seed == 2:
             raise DimensionMismatchError("schedule lengths must match")
         return draw(config, T, seed)
 
-    monkeypatch.setattr(experiments, "generate_game", failing)
+    draw = _draw_seed_by_seed(monkeypatch, failing)
     res = sweep(ExperimentConfig(a=1e60, T_range=(5,), W_range=(0, 1), runs=3))
     assert [(r.seed, r.error) for r in res.rows] == [
         (0, "not_stabilizable"), (1, "not_stabilizable"), (2, "dimension_mismatch")] * 2
@@ -668,7 +700,7 @@ def test_failing_padded_game_fails_only_the_previews_that_meet_it(monkeypatch, w
         passes.append(args)
         return backward(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "generate_game", lambda config, T, seed: spec)
+    _draw_seed_by_seed(monkeypatch, lambda config, T, seed: spec)
     monkeypatch.setattr(game_mod, "_backward", counted_backward)
     config = ExperimentConfig(T_range=(6,), W_range=w_range, runs=2)
     res = sweep(config)
@@ -684,8 +716,7 @@ def test_block_mixing_failing_and_clean_seeds_equals_per_cell_runs(monkeypatch, 
     failing = make_padded_failure_game()
     clean = dataclasses.replace(failing, costs=cost_schedule(
         [[[v]] for v in (1.9, 0.4, 0.3, 1.0, 2.0)], failing.costs.R1, failing.costs.R2))
-    monkeypatch.setattr(experiments, "generate_game",
-                        lambda config, T, seed: clean if seed % 2 else failing)
+    _draw_seed_by_seed(monkeypatch, lambda config, T, seed: clean if seed % 2 else failing)
     config = ExperimentConfig(T_range=(6,), W_range=w_range, runs=5)
     res = sweep(config)
     assert {r.error for r in res.rows if r.seed % 2} == {None}
@@ -699,17 +730,64 @@ def test_block_mixing_failing_and_clean_seeds_equals_per_cell_runs(monkeypatch, 
 def test_draw_failure_is_tagged_in_its_own_rows(monkeypatch, exc, tag):
     config = _tiny_config(runs=3)
     clean = sweep(config)
-    draw = experiments.generate_game
 
     def failing(config, T, seed):
         if seed == 2:
             raise exc
         return draw(config, T, seed)
 
-    monkeypatch.setattr(experiments, "generate_game", failing)
+    draw = _draw_seed_by_seed(monkeypatch, failing)
     res = sweep(config)
     assert [r.error for r in res.rows if r.seed == 2] == [tag, tag]
     assert [r for r in res.rows if r.seed != 2] == [r for r in clean.rows if r.seed != 2]
+
+
+def test_block_whose_check_raises_is_redrawn_seed_by_seed(monkeypatch):
+    config = _tiny_config(runs=4)
+    clean = sweep(config)
+    draws, block = experiments._draws, experiments._draw_block
+    blocks = []
+
+    def faulty(seeds, *keys):
+        # seed 2's negated beta_1 gives an indefinite R_1^1, which cost_schedule refuses
+        out = draws(seeds, *keys)
+        out[[seed == 2 for seed in seeds], 0] *= -1.0
+        return out
+
+    def counted(config, T, seeds):
+        blocks.append(list(seeds))
+        return block(config, T, seeds)
+
+    monkeypatch.setattr(experiments, "_draws", faulty)
+    monkeypatch.setattr(experiments, "_draw_block", counted)
+    res = sweep(config)
+    assert blocks == [[1], [1, 2, 3, 4], [1], [2], [3], [4]]  # the probe, the block, its seeds
+    assert [r.error for r in res.rows if r.seed == 2] == ["dimension_mismatch"] * len(config.W_range)
+    assert [r for r in res.rows if r.seed != 2] == [r for r in clean.rows if r.seed != 2]
+
+
+def test_sweep_draws_and_checks_each_block_in_one_call(monkeypatch):
+    # seeds from 2^32 - 3 have one or two words: per block, one _draws call
+    # hashes one group per word count, and one cost_schedule call checks it
+    config = ExperimentConfig(T_range=(4, 6), W_range=(0, 1), runs=6, seed=2 ** 32 - 3)
+    calls = {"draws": [], "groups": [], "checks": []}
+
+    def counted(name, call, size):
+        def wrapper(*args):
+            calls[name].append(size(*args))
+            return call(*args)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "_draws", counted("draws", experiments._draws, lambda s, *_: len(s)))
+    monkeypatch.setattr(experiments, "_unit_draws",
+                        counted("groups", experiments._unit_draws, lambda w, *_: w.shape))
+    monkeypatch.setattr(experiments, "cost_schedule",
+                        counted("checks", experiments.cost_schedule, lambda q, *_: len(q)))
+    res = sweep(config)
+    assert all(r.error is None for r in res.rows)
+    assert calls["draws"] == [1, 6, 6]  # the probe, then one call per block
+    assert calls["groups"] == [(1, 1), (3, 1), (3, 2), (3, 1), (3, 2)]
+    assert calls["checks"] == [3, 6 * 3, 6 * 5]
 
 
 def test_solver_failure_is_tagged_in_its_own_rows(monkeypatch):
@@ -732,7 +810,7 @@ def test_solver_failure_is_tagged_in_its_own_rows(monkeypatch):
 @pytest.mark.parametrize("w_range", [(0,), (0, 1, 2, 3, 4, 5, 6), (2, 9, 0, 2)])
 def test_sweep_solves_once_per_game_whatever_the_previews(monkeypatch, w_range):
     backward = game_mod._backward
-    draw = experiments.generate_game
+    draw = experiments._draw_block
     passes, draws = [], []
 
     def counted_backward(spec, known, *args, costs=None, schedule=None, **kwargs):
@@ -742,15 +820,20 @@ def test_sweep_solves_once_per_game_whatever_the_previews(monkeypatch, w_range):
         passes.append((spec.T, list(*per_seed)))
         return backward(spec, known, *args, costs=costs, schedule=schedule, **kwargs)
 
-    def counted_draw(config, T, seed):
-        draws.append((T, seed))
-        return draw(config, T, seed)
+    def counted_draw(config, T, seeds):
+        draws.append((T, list(seeds)))
+        return draw(config, T, seeds)
 
     monkeypatch.setattr(game_mod, "_backward", counted_backward)
-    monkeypatch.setattr(experiments, "generate_game", counted_draw)
+    monkeypatch.setattr(experiments, "_draw_block", counted_draw)
     config = ExperimentConfig(T_range=(5, 8), W_range=w_range, runs=3)
     res = sweep(config)
     assert all(r.error is None for r in res.rows)
     assert len(passes) == len(config.T_range)
     assert all(known == list(range(1, T)) for T, known in passes)
-    assert len(draws) == config.runs * len(config.T_range) + 1
+    # the probe's one-seed draw, then one draw per block, each (T, seed) in exactly one
+    probe, *blocks = draws
+    assert probe == (min(config.T_range), [config.seed])
+    assert len(blocks) == len(config.T_range)
+    assert sorted((T, seed) for T, seeds in blocks for seed in seeds) == [
+        (T, config.seed + k) for T in config.T_range for k in range(config.runs)]
