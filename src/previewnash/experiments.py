@@ -188,12 +188,13 @@ _M32 = 0xFFFFFFFF
 
 @functools.lru_cache(maxsize=64)
 def _hash_consts(init: int, mult: int, count: int) -> tuple:
-    """The (xor, multiplier) constants of `count` successive hash calls."""
+    """The (xor, multiplier) constants of `count` successive hash calls, read-only
+    since every draw shares them."""
     xors, h = [], init
     for _ in range(count + 1):
         xors.append(h)
         h = h * mult & _M32
-    return np.array(xors[:-1], dtype=np.uint32), np.array(xors[1:], dtype=np.uint32)
+    return tuple(game_mod._freeze(np.array(v, dtype=np.uint32)) for v in (xors[:-1], xors[1:]))
 
 
 def _hashmix(value, xor, mul):
@@ -247,8 +248,6 @@ def _draws(seeds, ts, tags, lows, highs) -> np.ndarray:
     if not np.all(np.isfinite(span)):
         raise OverflowError("high - low range exceeds valid bounds")
     counts = [len(w) for w in words]
-    if min(counts) == max(counts):
-        return lows + span * _unit_draws(np.array(words, dtype=np.uint32), ts, tags)
     unit = np.empty((len(words), ts.shape[-1]))
     for count in sorted(set(counts)):
         rows = np.array(counts) == count
@@ -277,8 +276,8 @@ def _unit_draws(words: np.ndarray, ts: np.ndarray, tags: np.ndarray) -> np.ndarr
         pool = _mix(pool, _hashmix(entropy[:, [i]], xor[k:k + 4], mul[k:k + 4]))
 
     xor, mul = _hash_consts(_INIT_B, _MULT_B, 8)
-    state = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], xor, mul).astype(np.uint64)
-    seed_hi, seed_lo, seq_hi, seq_lo = (state[:, 0::2] | state[:, 1::2] << 32).T
+    state = np.ascontiguousarray(_hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], xor, mul), dtype="<u4")
+    seed_hi, seed_lo, seq_hi, seq_lo = state.view("<u8").T  # word pairs, low word first
     inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
     hi, lo = _lcg(_lcg(_add128(inc, (seed_hi, seed_lo)), inc), inc)
     bits = hi ^ lo
@@ -336,8 +335,11 @@ def _draw_block(config: ExperimentConfig, T: int, seeds: list) -> list:
     q[:, 0, 1] = q[:, 1, 0] = -dee
 
     costs = cost_schedule(q, r1, r2)
-    stacks = (x.reshape(len(seeds), T - 1, 2, 2) for x in (costs.Q, costs.R1, costs.R2))
-    parts = [costs] if len(seeds) == 1 else [game_mod.CostSchedule(*part) for part in zip(*stacks)]
+    if len(seeds) == 1:
+        parts = [costs]
+    else:  # each seed's slice, copied once the block schedule's per-stage views are freed
+        stacks, costs = [x.reshape(len(seeds), T - 1, 2, 2) for x in (costs.Q, costs.R1, costs.R2)], None
+        parts = [game_mod.CostSchedule(*part) for part in zip(*stacks)]
     first = game_spec(A=np.array([[config.a, 0.0], [0.0, 0.9]]), B1=np.array([[-config.b1], [0.0]]),
                       B2=np.array([[-config.b2], [0.0]]), x1=np.array(config.x1), costs=parts[0])
     return [first] + [game_mod.with_costs(first, part) for part in parts[1:]]

@@ -294,6 +294,20 @@ def test_vector_draw_is_bitwise_the_scalar_draw():
     check()
 
 
+def test_cached_draw_inputs_are_read_only():
+    # every draw shares the cached hash constants and key arrays, so an
+    # in-place change to one would change every later draw
+    config = ExperimentConfig()
+    generate_game(config, 20, 0)
+    cached = (*experiments._hash_consts(experiments._INIT_A, experiments._MULT_A, 16),
+              *experiments._hash_consts(experiments._INIT_B, experiments._MULT_B, 8),
+              *experiments._keys(20, (config.beta_dist, config.l_dist, config.d_dist)))
+    assert len(cached) == 8
+    for array in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 def test_sweep_leaves_numpy_random_unimported(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"T_range": [4], "W_range": [0, 2], "runs": 2}))
