@@ -297,8 +297,8 @@ def generate_game(config: ExperimentConfig, T: int, seed: int) -> GameSpec:
     make the off-diagonal positive); "magnitude" uses |d_t|.  Q_t has a
     zero (2,2) entry, so it is indefinite; validate in warn mode.
     """
-    T = int(T)
-    seed = int(seed)
+    T = _scalar("T", T, int)
+    seed = _scalar("seed", seed, int)
     if T < 2:
         raise InvalidConfigError(f"horizon must be at least 2, got {T}")
     if seed < 0:
@@ -335,11 +335,8 @@ def _draw_block(config: ExperimentConfig, T: int, seeds: list) -> list:
     q[:, 0, 1] = q[:, 1, 0] = -dee
 
     costs = cost_schedule(q, r1, r2)
-    if len(seeds) == 1:
-        parts = [costs]
-    else:  # each seed's slice, copied once the block schedule's per-stage views are freed
-        stacks, costs = [x.reshape(len(seeds), T - 1, 2, 2) for x in (costs.Q, costs.R1, costs.R2)], None
-        parts = [game_mod.CostSchedule(*part) for part in zip(*stacks)]
+    stacks = (x.reshape(len(seeds), T - 1, 2, 2) for x in (costs.Q, costs.R1, costs.R2))
+    parts = [game_mod.CostSchedule(*part) for part in zip(*stacks)]  # each seed's slice, copied
     first = game_spec(A=np.array([[config.a, 0.0], [0.0, 0.9]]), B1=np.array([[-config.b1], [0.0]]),
                       B2=np.array([[-config.b2], [0.0]]), x1=np.array(config.x1), costs=parts[0])
     return [first] + [game_mod.with_costs(first, part) for part in parts[1:]]
@@ -413,8 +410,8 @@ def _failed(T: int, Ws, seed: int, tag: str) -> list:
     return [SweepRow(T, W, seed, None, None, None, error=tag) for W in Ws]
 
 
-# A block of S seeds at horizon T keeps gain and curvature stacks of
-# S (T-1)^2 (2m n + 4m^2) floats (8 in this family), at most about 16 MB.
+# A block of S >= 2 seeds at horizon T keeps a gain stack of S (T-1)^2 2mn
+# floats (4 in this family); sized at 8 per game-stage, it stays under 8 MB.
 _BLOCK_FLOATS = 2 ** 21
 
 

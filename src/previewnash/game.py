@@ -95,9 +95,7 @@ class CostSchedule:
 
     def __post_init__(self):
         for field in ("Q", "R1", "R2"):
-            stack = _freeze(np.array(getattr(self, field), dtype=float))
-            object.__setattr__(self, field, stack)
-            object.__setattr__(self, f"_{field}_views", tuple(stack))
+            object.__setattr__(self, field, _freeze(np.array(getattr(self, field), dtype=float)))
 
     @property
     def horizon(self) -> int:
@@ -107,19 +105,19 @@ class CostSchedule:
         return _equal_fields(self, other)
 
     def q(self, t: int) -> np.ndarray:
-        """State weight Q_t, valid for t = 2..T; the same read-only view on every call."""
+        """State weight Q_t, valid for t = 2..T: a read-only view of Q[t - 2]."""
         if not 2 <= t <= self.horizon:
             raise IndexOutOfRangeError(f"Q_{t}: valid stages are 2..{self.horizon}")
-        return self._Q_views[t - 2]
+        return self.Q[t - 2]
 
     def r(self, player: int, t: int) -> np.ndarray:
-        """Control weight R_t^player, valid for t = 1..T-1; the same read-only view on every call."""
+        """Control weight R_t^player, valid for t = 1..T-1: a read-only view of R1[t - 1] or R2[t - 1]."""
         if not 1 <= t <= self.horizon - 1:
             raise IndexOutOfRangeError(f"R_{t}: valid stages are 1..{self.horizon - 1}")
         if player == 1:
-            return self._R1_views[t - 1]
+            return self.R1[t - 1]
         if player == 2:
-            return self._R2_views[t - 1]
+            return self.R2[t - 1]
         raise ValueError(f"player must be 1 or 2, got {player}")
 
 
@@ -224,10 +222,7 @@ class GameSpec:
     x1: np.ndarray
     costs: CostSchedule
 
-    # (tol, first row of each game, batch): the largest pass over the spec's
-    # own schedule, see `_solved`; and {(name, tol): result}, see `_kept`;
-    # caches, not fields
-    _held = None
+    # {(name, tol): result}, see `_hold`: a cache, not a field
     _kept_results = None
 
     def __eq__(self, other) -> bool:
@@ -235,7 +230,7 @@ class GameSpec:
 
     def __getstate__(self):
         # pickles and copies drop what the spec holds
-        return {k: v for k, v in self.__dict__.items() if k not in ("_held", "_kept_results")}
+        return {k: v for k, v in self.__dict__.items() if k != "_kept_results"}
 
     def joint_b(self) -> np.ndarray:
         """B = [B1 B2], n x 2m."""
@@ -393,7 +388,7 @@ class _Batch(NamedTuple):
     """Solutions of G padded games from one stacked backward pass.
 
     K is (G, T-1, 2m, n), the joint gains, and theta (G, T-1, 2m, 2m), the
-    stage curvatures the pass certified and solved with.  P1, P2 are
+    stage curvatures it solved with (None from a pass over `costs=`).  P1, P2 are
     per-stage (n, n) value matrices for stages 2..T, kept only when G == 1.
     residuals is None unless the pass was asked to score them; then it is the
     (G, T-1, 2m, n) stack of value-coupling gaps B'(P1_{t+1} - P2_{t+1}) A,
@@ -405,7 +400,7 @@ class _Batch(NamedTuple):
     """
 
     K: np.ndarray
-    theta: np.ndarray
+    theta: np.ndarray | None
     P1: tuple | None
     P2: tuple | None
     residuals: np.ndarray | None
@@ -443,8 +438,9 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     after that: stage tau uses R_min(tau, known[g]) and the state weight of
     stage s is Q_min(s, known[g]+1).  Every product is a stacked `@`, so
     each game's arithmetic is the same as if it were solved alone.  The
-    pass keeps every stage's gain and curvature, and with `residuals` each
-    game's value-coupling gaps and their Frobenius norms (see _Batch).
+    pass keeps every stage's gain, its curvature only over spec's own
+    schedule (the passes `_solved` holds and the curvatures' readers read),
+    and with `residuals` each game's gaps and their norms (see _Batch).
     Weights are read by index from the schedules' stacks.  This is the raw
     pass; a library caller that solves a spec's own schedule goes through
     `_solved`.
@@ -463,6 +459,7 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     G = known.shape[0]
     a, b1, b2 = spec.A, spec.B1, spec.B2
     b = spec.joint_b()
+    thetas = np.empty((G, T - 1, 2 * m, 2 * m)) if costs is None else None
     costs = (spec.costs,) if costs is None else costs
     # the schedules' stacks end to end; game g reads schedule[g]'s from row base[g]
     qs, r1s, r2s = (np.concatenate([getattr(c, f) for c in costs]) for f in ("Q", "R1", "R2"))
@@ -476,7 +473,6 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     keep_values = G == 1
     p1_hist, p2_hist = [p1[0]], [p2[0]]
     gains = np.empty((G, T - 1, 2 * m, n))
-    thetas = np.empty((G, T - 1, 2 * m, 2 * m))
     res = np.empty((G, T - 1, 2 * m, n)) if residuals else None
     bounds = np.empty((G, T - 1)) if residuals else None
     failures = [None] * G
@@ -501,7 +497,8 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
                     exc._ratio_floor = ratio_floor * float(max(np.linalg.cholesky(sym[g]).diagonal() ** 2))
             failed[bad] = any_failed = True
             theta[failed] = np.eye(2 * m)
-        thetas[:, t - 1] = theta
+        if thetas is not None:
+            thetas[:, t - 1] = theta
         if residuals:
             gap = b.T @ (p1 - p2) @ a  # stage t+1 values
             gap[failed] = 0.0  # void, and maybe not finite, which the norm's SVD refuses
@@ -539,46 +536,45 @@ def _solved(spec: GameSpec, known, tol: Tolerances | None = None, residuals: boo
             values: bool = False) -> _Batch:
     """`_backward(spec, known, tol, residuals)`, read off the pass spec holds where it can.
 
-    A spec with read-only A, B1 and B2 holds its largest pass over its own
-    schedule, without the gaps only `check_assumptions` reads.  A request
-    under the same tolerances, for games that pass holds and no residuals,
-    gets its rows (bitwise a fresh pass, as each game is solved as if alone)
-    with new errors, so a raise never grows a held error's traceback.  A request for values,
-    which only one-game passes keep, always runs a pass.  A pass that runs
-    replaces a held one of no more games.
+    A spec with read-only A, B1 and B2 holds, per tolerances, its largest
+    pass over its own schedule, without the gaps only `check_assumptions`
+    reads.  A request for games that pass holds and no residuals gets their
+    rows (bitwise a fresh pass, as each game is solved as if alone) with new
+    errors, so a raise never grows a held error's traceback.  A request for
+    values, which only one-game passes keep, always runs a pass.  A pass
+    that runs replaces a held one of no more games.
     """
     tol = tol or DEFAULT_TOLERANCES
     known = np.asarray(known, dtype=np.intp).reshape(-1).tolist()
-    if spec._held is not None and not (values or residuals):
-        held_tol, first, held = spec._held
+    first, held = (spec._kept_results or {}).get(("pass", tol), (None, None))
+    if held is not None and not (values or residuals):
         rows = [first.get(k) for k in known]
-        if held_tol == tol and None not in rows:
+        if None not in rows:
             lo = rows[0]
             pick = slice(lo, lo + len(rows)) if rows == list(range(lo, lo + len(rows))) else rows
             return _Batch(_freeze(held.K[pick]), _freeze(held.theta[pick]), None, None, None,
                           tuple(_fresh(held.failures[g]) for g in rows))
     batch = _backward(spec, known, tol, residuals)
-    if _holds(spec) and (spec._held is None or len(known) >= len(spec._held[2].failures)):
+    if held is None or len(known) >= len(held.failures):
         first = {k: g for g, k in reversed(list(enumerate(known)))}  # each game's first row
-        held = batch._replace(residuals=None, bounds=None, failures=tuple(map(_fresh, batch.failures)))
-        object.__setattr__(spec, "_held", (tol, first, held))
+        _hold(spec, ("pass", tol), (first, batch._replace(residuals=None, bounds=None,
+                                                          failures=tuple(map(_fresh, batch.failures)))))
     return batch
 
 
-def _holds(spec: GameSpec) -> bool:
-    """Whether spec may hold results: its A, B1 and B2 are read-only, as `game_spec` leaves them."""
-    return not any(x.flags.writeable for x in (spec.A, spec.B1, spec.B2))
+def _hold(spec: GameSpec, key: tuple, result):
+    """result, held in spec's one cache under key (name, tol) if spec may hold
+    results: its A, B1 and B2 are read-only, as `game_spec` leaves them."""
+    if not any(x.flags.writeable for x in (spec.A, spec.B1, spec.B2)):
+        object.__setattr__(spec, "_kept_results", {**(spec._kept_results or {}), key: result})
+    return result
 
 
 def _kept(spec: GameSpec, name: str, tol: Tolerances, make):
-    """make(), which must return read-only data, held on a spec that `_holds`
-    under (name, tol), so a later call returns it again; an error is not held."""
+    """make(), which must return read-only data, held by `_hold` under (name,
+    tol), so a later call returns it again; an error is not held."""
     kept = spec._kept_results or {}
-    if (name, tol) not in kept:
-        kept[name, tol] = make()
-        if _holds(spec):
-            object.__setattr__(spec, "_kept_results", kept)
-    return kept[name, tol]
+    return kept[name, tol] if (name, tol) in kept else _hold(spec, (name, tol), make())
 
 
 def _fresh(exc: ThetaNotPDError | None) -> ThetaNotPDError | None:

@@ -318,7 +318,8 @@ def _play_previews(specs, Ws, k_bar: np.ndarray, tol: Tolerances) -> tuple:
 
     Run (spec, W) tracks the padded games revealed through
     min(1+W, T-1)..T-1; one `game._backward` solves those of the smallest W
-    for every spec (`game._solved` for a lone spec, which may hold them).
+    for every spec, keeping gains and failures only (`game._solved` for a
+    lone spec, which may hold them).
     A run that tracks a failed game is not played and carries its first
     failed game's error, the one `predict_nash` raises at its lowest
     failing step.  The played runs are rolled out in one `_play`

@@ -8,12 +8,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from previewnash import (
+    DEFAULT_TOLERANCES,
     AggregateRow,
     DimensionMismatchError,
     EmptyAggregateError,
@@ -215,6 +217,11 @@ def test_generate_game_argument_validation():
         generate_game(ExperimentConfig(), T=1, seed=0)
     with pytest.raises(InvalidConfigError):
         generate_game(ExperimentConfig(), T=5, seed=-1)
+    # a horizon or seed that int() would truncate, or that is no number, is refused too
+    for T, seed in ((20.7, 0), (20, 0.9), ("x", 0), (5, "y"), (None, 0), (5, [1])):
+        with pytest.raises(InvalidConfigError):
+            generate_game(ExperimentConfig(), T, seed)
+    assert generate_game(ExperimentConfig(), 5.0, 2.0) == generate_game(ExperimentConfig(), 5, 2)
 
 
 def _scalar_schedule(config, T, seed):
@@ -426,10 +433,45 @@ def test_blocks_split_each_horizon_into_jobs_contiguous_runs(monkeypatch):
     assert experiments._blocks(config, 1) == [(20, range(0, 5)), (200, range(0, 5))]
     assert experiments._blocks(config, 2) == [(20, range(0, 3)), (20, range(3, 5)),
                                               (200, range(0, 3)), (200, range(3, 5))]
-    # the stack cap: at T=200 a seed's gains and curvatures hold 8 * 199^2 floats
+    # the stack cap, which sizes a seed at 8 floats per game-stage: 8 * 199^2 at T=200
     monkeypatch.setattr(experiments, "_BLOCK_FLOATS", 2 * 8 * 199 ** 2)
     assert experiments._blocks(config, 1) == [(20, range(0, 5)), (200, range(0, 2)),
                                               (200, range(2, 4)), (200, range(4, 5))]
+
+
+@pytest.mark.parametrize("seeds", [[4], [4, 5], [0, 1, 2]])
+def test_a_block_of_seeds_keeps_no_curvatures(monkeypatch, seeds):
+    # nothing reads the curvatures of a stacked pass over several seeds'
+    # schedules; a lone seed's pass is over its own schedule and keeps them
+    config = ExperimentConfig(W_range=(0, 2))
+    games = experiments._draw_block(config, 9, seeds)
+    backward = game_mod._backward
+    batches = []
+
+    def recorded(*args, **kwargs):
+        batches.append(backward(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(game_mod, "_backward", recorded)
+    k_bar = online.compute_tracking_gain(games[0])
+    online._play_previews(games, config.W_range, k_bar, DEFAULT_TOLERANCES)
+    assert len(batches) == 1 and batches[0].K.shape[0] == 8 * len(seeds)  # revealed through 1..8
+    assert (batches[0].theta is None) == (len(seeds) > 1)
+
+
+def test_horizon_sweep_keeps_its_peak_memory():
+    # the heap a sweep of long horizons allocates at its peak (tracemalloc,
+    # which sees numpy's buffers): with one block per T at jobs=1 that is
+    # about 5.3 MB, and 8.0 MB with each block's curvature stack kept too
+    config = ExperimentConfig(T_range=(50, 100, 200), W_range=(1,), runs=2)
+    sweep(config)  # the first sweep fills the draw caches
+    tracemalloc.start()
+    try:
+        sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.9e6
 
 
 def test_parallel_sweep_matches_serial():

@@ -1,5 +1,6 @@
 """A spec holds its largest backward pass over its own schedule, its
-tracking gain and its reduction.
+tracking gain and its reduction, all in its one cache, keyed by name and
+tolerances.
 
 `game._solved` serves a later request from that pass when the tolerances
 match and the pass holds every requested game, and `game._kept` serves the
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from previewnash import (
+    DEFAULT_TOLERANCES,
     AssumptionViolatedError,
     GameSpec,
     NotStabilizableError,
@@ -44,6 +46,13 @@ from conftest import make_aligned_game, make_loose_game, make_padded_failure_gam
 def _cold(spec):
     """An equal spec that holds no pass."""
     return with_costs(spec, spec.costs)
+
+
+def _held_names(spec) -> set:
+    """The names of what spec holds, all under the default tolerances."""
+    kept = spec._kept_results or {}
+    assert all(tol == DEFAULT_TOLERANCES for _, tol in kept)
+    return {name for name, _ in kept}
 
 
 def _dense_game(seed):
@@ -113,6 +122,24 @@ def test_the_certify_journey_solves_each_padded_game_once(monkeypatch):
     assert len(doublings) == 1
 
 
+def test_a_run_first_journey_reuses_the_runs_pass(monkeypatch):
+    # run_online(W=2) solves and holds the 37 games revealed through 3..39,
+    # the true game among them; reduce_to_ocp reads that game off them and
+    # solves the reduced problem, verify_equivalence reads the reduction,
+    # and check_assumptions scores all 39 zero-preview games in a pass of its own
+    spec = _dense_game(101)
+    games = _counted(monkeypatch)
+    doublings = _doublings(monkeypatch)
+    solved = []
+    for call in (lambda: run_online(spec, 2), lambda: reduce_to_ocp(spec),
+                 lambda: verify_equivalence(spec), lambda: check_assumptions(spec, "warn")):
+        games.clear()
+        call()
+        solved.append(list(games))
+    assert solved == [[37], [1], [], [39]]
+    assert len(doublings) == 1
+
+
 def test_a_warm_spec_reports_what_fresh_specs_report(monkeypatch):
     # drawn aligned and loose games arrive holding the pass of their draw's check or solve
     rng = np.random.default_rng(131)
@@ -142,7 +169,8 @@ def test_a_held_failure_is_raised_as_a_new_error():
     assert [(exc.stage, exc.min_pivot, str(exc)) for exc in raised] == \
         [(fresh.value.stage, fresh.value.min_pivot, str(fresh.value))] * 3
     # the held errors are never raised, so they keep no frames alive
-    assert all(exc is None or exc.__traceback__ is None for exc in spec._held[2].failures)
+    _, held = spec._kept_results["pass", DEFAULT_TOLERANCES]
+    assert all(exc is None or exc.__traceback__ is None for exc in held.failures)
 
 
 def test_a_pass_without_residuals_serves_no_scoring_request():
@@ -171,12 +199,11 @@ def test_a_held_pass_is_not_part_of_the_spec():
     spec = make_aligned_game(np.random.default_rng(109))  # its draw's check left it holding a pass
     reduce_to_ocp(spec)  # and the check's gain; now its reduction too
     cold = _cold(spec)
-    assert spec._held is not None and cold._held is None
-    assert len(spec._kept_results) == 2 and cold._kept_results is None
+    assert _held_names(spec) == {"pass", "tracking gain", "reduction"} and cold._kept_results is None
     assert spec == cold and spec_to_dict(spec) == spec_to_dict(cold)
     for other in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec),
                   dataclasses.replace(spec), with_costs(spec, spec.costs)):
-        assert other == spec and other._held is None and other._kept_results is None
+        assert other == spec and other._kept_results is None
 
 
 def test_copies_and_other_tolerances_solve_the_gain_and_the_reduction_afresh(monkeypatch):
@@ -227,7 +254,7 @@ def test_a_failing_reduction_is_raised_anew_on_every_call():
             errors.append(info.value)
         assert len({id(exc) for exc in errors}) == 4
         assert len({str(exc) for exc in errors}) == 1
-        assert spec._kept_results is None
+        assert _held_names(spec) == {"pass"}  # the game's pass, and no reduction
 
 
 def test_an_unstabilizable_system_is_raised_anew_on_every_call(monkeypatch):
@@ -241,7 +268,7 @@ def test_an_unstabilizable_system_is_raised_anew_on_every_call(monkeypatch):
         errors.append(info.value)
     assert not check_assumptions(spec, "warn").check("A3").passed
     assert len(doublings) == 4 and len({id(exc) for exc in errors}) == 3
-    assert len({str(exc) for exc in errors}) == 1 and spec._kept_results is None
+    assert len({str(exc) for exc in errors}) == 1 and _held_names(spec) == {"pass"}  # and no gain
 
 
 def test_a_spec_with_writeable_matrices_holds_no_pass():
@@ -249,7 +276,7 @@ def test_a_spec_with_writeable_matrices_holds_no_pass():
     spec = GameSpec(drawn.n, drawn.m, drawn.T, drawn.A.copy(), drawn.B1.copy(), drawn.B2.copy(),
                     drawn.x1, drawn.costs)
     check_assumptions(spec, "warn")
-    assert spec._held is None
+    assert spec._kept_results is None
     spec.A[0, 0] += 0.25
     changed = game_spec(spec.A, spec.B1, spec.B2, spec.x1, spec.costs)
     gain = np.zeros((2 * spec.m, spec.n))
