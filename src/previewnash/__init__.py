@@ -4,123 +4,18 @@ Solve finite-horizon feedback Nash equilibria, check the structural
 conditions under which the game collapses to a single optimal control
 problem, run the online prediction/tracking algorithm with a preview
 window over the cost schedule, and measure the price of uncertainty it
-pays relative to the full-information equilibrium.
+pays relative to the full-information equilibrium.  The package exports
+each layer's `__all__`; of `linalg` it exports only the tolerances.
 """
 
-from .experiments import (
-    AggregateRow,
-    EmptyAggregateError,
-    ExperimentConfig,
-    InvalidConfigError,
-    SweepResult,
-    SweepRow,
-    emit_csv,
-    emit_plot,
-    generate_game,
-    sweep,
-)
-from .game import (
-    CostDifference,
-    CostSchedule,
-    DimensionMismatchError,
-    GameSpec,
-    IndexOutOfRangeError,
-    NashSolution,
-    ThetaNotPDError,
-    cost_difference_check,
-    cost_schedule,
-    evaluate_cost,
-    game_spec,
-    nash_from_dict,
-    nash_to_dict,
-    simulate,
-    solve_feedback_nash,
-    spec_from_dict,
-    spec_to_dict,
-    verify_nash_by_deviation,
-    with_costs,
-)
+from . import experiments, game, online, potential
+from .experiments import *  # noqa: F401,F403
+from .game import *  # noqa: F401,F403
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .online import (
-    NonFiniteCostError,
-    NotStabilizableError,
-    OnlineRun,
-    ZeroNashCostError,
-    compute_pou,
-    compute_tracking_gain,
-    gain_decay_diagnostic,
-    log_rel_pou,
-    pad_schedule,
-    predict_nash,
-    run_online,
-)
-from .potential import (
-    ASSUMPTION_IDS,
-    AssumptionReport,
-    AssumptionViolatedError,
-    OcpReduction,
-    ReductionMismatchError,
-    WrongStructureError,
-    build_r_potential,
-    check_assumptions,
-    check_sufficient_structure,
-    reduce_to_ocp,
-    verify_equivalence,
-)
+from .online import *  # noqa: F401,F403
+from .potential import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "DEFAULT_TOLERANCES",
-    "Tolerances",
-    "CostDifference",
-    "CostSchedule",
-    "DimensionMismatchError",
-    "GameSpec",
-    "IndexOutOfRangeError",
-    "NashSolution",
-    "ThetaNotPDError",
-    "cost_schedule",
-    "game_spec",
-    "with_costs",
-    "simulate",
-    "evaluate_cost",
-    "solve_feedback_nash",
-    "verify_nash_by_deviation",
-    "cost_difference_check",
-    "spec_to_dict",
-    "spec_from_dict",
-    "nash_to_dict",
-    "nash_from_dict",
-    "ASSUMPTION_IDS",
-    "AssumptionReport",
-    "AssumptionViolatedError",
-    "ReductionMismatchError",
-    "WrongStructureError",
-    "OcpReduction",
-    "build_r_potential",
-    "check_assumptions",
-    "reduce_to_ocp",
-    "verify_equivalence",
-    "check_sufficient_structure",
-    "NonFiniteCostError",
-    "NotStabilizableError",
-    "OnlineRun",
-    "ZeroNashCostError",
-    "pad_schedule",
-    "compute_tracking_gain",
-    "predict_nash",
-    "run_online",
-    "compute_pou",
-    "log_rel_pou",
-    "gain_decay_diagnostic",
-    "ExperimentConfig",
-    "SweepRow",
-    "AggregateRow",
-    "SweepResult",
-    "generate_game",
-    "sweep",
-    "emit_csv",
-    "emit_plot",
-]
+__all__ = ["__version__", "Tolerances", "DEFAULT_TOLERANCES",
+           *game.__all__, *online.__all__, *potential.__all__, *experiments.__all__]

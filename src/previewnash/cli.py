@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import fields, replace
@@ -138,6 +139,7 @@ def _cmd_plot(ns) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parsing leaves the parser as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="previewnash",
                      description="Two-player preview-limited dynamic game toolkit.")

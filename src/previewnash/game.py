@@ -392,11 +392,11 @@ class _Batch(NamedTuple):
     per-stage (n, n) value matrices for stages 2..T, kept only when G == 1.
     residuals is None unless the pass was asked to score them; then it is the
     (G, T-1, 2m, n) stack of value-coupling gaps B'(P1_{t+1} - P2_{t+1}) A,
-    zero from a failed game's failing stage down, and bounds (G, T-1) their
-    Frobenius norms.  Every array is read-only, so a pass that a spec holds
-    (see `_solved`) can be handed out again.  failures[g] is None or the
-    ThetaNotPDError game g raises alone; its other entries are then void,
-    and its curvature is the identity from the failing stage down.
+    zero from a failed game's failing stage down.  Every array is read-only,
+    so a pass that a spec holds (see `_solved`) can be handed out again.
+    failures[g] is None or the ThetaNotPDError game g raises alone; its other
+    entries are then void, and its curvature is the identity from the failing
+    stage down.
     """
 
     K: np.ndarray
@@ -405,7 +405,6 @@ class _Batch(NamedTuple):
     P2: tuple | None
     residuals: np.ndarray | None
     failures: tuple
-    bounds: np.ndarray | None = None
 
     @property
     def theta_min(self) -> np.ndarray:
@@ -440,7 +439,7 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     each game's arithmetic is the same as if it were solved alone.  The
     pass keeps every stage's gain, its curvature only over spec's own
     schedule (the passes `_solved` holds and the curvatures' readers read),
-    and with `residuals` each game's gaps and their norms (see _Batch).
+    and with `residuals` each game's gaps (see _Batch).
     Weights are read by index from the schedules' stacks.  This is the raw
     pass; a library caller that solves a spec's own schedule goes through
     `_solved`.
@@ -474,7 +473,6 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     p1_hist, p2_hist = [p1[0]], [p2[0]]
     gains = np.empty((G, T - 1, 2 * m, n))
     res = np.empty((G, T - 1, 2 * m, n)) if residuals else None
-    bounds = np.empty((G, T - 1)) if residuals else None
     failures = [None] * G
     failed = np.zeros(G, dtype=bool)
     any_failed = False  # the masks below are void until a game fails
@@ -503,7 +501,6 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
             gap = b.T @ (p1 - p2) @ a  # stage t+1 values
             gap[failed] = 0.0  # void, and maybe not finite, which the norm's SVD refuses
             res[:, t - 1] = gap
-            bounds[:, t - 1] = linalg._frobenius(gap)
         rhs = np.concatenate((b1p1, b2p2), axis=1) @ a
         kt = -np.linalg.solve(theta, rhs)
         gains[:, t - 1] = kt
@@ -525,11 +522,11 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
                 p1_hist.append(p1[0])
                 p2_hist.append(p2[0])
 
-    for stack in (gains, thetas, res, bounds, *p1_hist, *p2_hist):
+    for stack in (gains, thetas, res, *p1_hist, *p2_hist):
         if stack is not None:
             _freeze(stack)
     values = (tuple(p1_hist[::-1]), tuple(p2_hist[::-1])) if keep_values else (None, None)
-    return _Batch(gains, thetas, *values, res, tuple(failures), bounds)
+    return _Batch(gains, thetas, *values, res, tuple(failures))
 
 
 def _solved(spec: GameSpec, known, tol: Tolerances | None = None, residuals: bool = False,
@@ -557,7 +554,7 @@ def _solved(spec: GameSpec, known, tol: Tolerances | None = None, residuals: boo
     batch = _backward(spec, known, tol, residuals)
     if held is None or len(known) >= len(held.failures):
         first = {k: g for g, k in reversed(list(enumerate(known)))}  # each game's first row
-        _hold(spec, ("pass", tol), (first, batch._replace(residuals=None, bounds=None,
+        _hold(spec, ("pass", tol), (first, batch._replace(residuals=None,
                                                           failures=tuple(map(_fresh, batch.failures)))))
     return batch
 

@@ -26,6 +26,7 @@ from .game import CostSchedule, DimensionMismatchError, GameSpec, ThetaNotPDErro
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
+    "ASSUMPTION_IDS",
     "AssumptionViolatedError",
     "ReductionMismatchError",
     "WrongStructureError",
@@ -142,8 +143,8 @@ def _a1_core(spec: GameSpec, tol: Tolerances) -> tuple:
     batch = game_mod._solved(spec, np.arange(1, spec.T), tol, residuals=True)
     ok = np.array([exc is None for exc in batch.failures])
     cross = _cross_gaps(batch.theta, spec.m)
-    cross_over, cross_res, cross_worst = _residual_maxima(cross, linalg._frobenius(cross), ok, tol)
-    value_over, value_res, value_worst = _residual_maxima(batch.residuals, batch.bounds, ok, tol)
+    cross_over, cross_res, cross_worst = _residual_maxima(cross, ok, tol)
+    value_over, value_res, value_worst = _residual_maxima(batch.residuals, ok, tol)
     failing = np.flatnonzero(~ok | ~(np.array(q_pivots) > tol.pd_pivot) | cross_over | value_over) + 1
     margins = [_failure_margin(exc) for exc in batch.failures if exc is not None]
 
@@ -182,11 +183,12 @@ def _rows(stack: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return stack.reshape(-1, *stack.shape[2:])
 
 
-def _residual_maxima(gaps: np.ndarray, bounds: np.ndarray, ok: np.ndarray, tol: Tolerances) -> tuple:
-    """Whether each game of a (G, S, k, l) stack of gaps with (G, S) bounds
-    (see `linalg._two_norms`) has a residual past mat_eq, the last game's
-    largest residual and the `ok` games' largest, as exact norms give them."""
-    norms = linalg._two_norms(gaps, tol.mat_eq, bounds)
+def _residual_maxima(gaps: np.ndarray, ok: np.ndarray, tol: Tolerances) -> tuple:
+    """Whether each game of a (G, S, k, l) stack of gaps has a residual past
+    mat_eq, the last game's largest residual and the `ok` games' largest, as
+    exact norms give them."""
+    # bounds a game at a time: the whole stack's would take stack-sized temporaries
+    norms = linalg._two_norms(gaps, tol.mat_eq, [linalg._frobenius(g) for g in gaps])
     last = np.fmax.reduce(linalg._max_two_norms(gaps[-1], norms[-1]), initial=0.0)
     worst = np.fmax.reduce(linalg._max_two_norms(_rows(gaps, ok), _rows(norms, ok)),
                            initial=0.0) if ok.any() else 0.0

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from previewnash import cli
+from previewnash import cli, potential
 from previewnash import game as game_mod
 from previewnash import (
     ExperimentConfig,
@@ -21,6 +21,7 @@ from previewnash import (
     verify_nash_by_deviation,
 )
 from previewnash.game import spec_from_dict
+from previewnash.linalg import DEFAULT_TOLERANCES
 
 from conftest import make_aligned_game, malformed_docs
 
@@ -509,6 +510,19 @@ def test_tolerance_overrides(scalar_spec_file, capsys):
         assert code == 1
         _, err = _stderr_json(capsys)
         assert err["code"] == "usage"
+
+
+def test_one_parser_serves_every_call_and_keeps_no_override(scalar_spec_file, monkeypatch, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    check = potential.check_assumptions
+    monkeypatch.setattr(potential, "check_assumptions",
+                        lambda spec, mode, tol: seen.append(tol) or check(spec, mode=mode, tol=tol))
+    argv = ["validate", "--spec", str(scalar_spec_file)]
+    assert cli.main(argv + ["--tol", "mat_eq=1e-6"]) == 0
+    assert cli.main(argv) == 0
+    assert [tol.mat_eq for tol in seen] == [1e-6, DEFAULT_TOLERANCES.mat_eq]
+    assert cli._build_parser().parse_args(argv).tol is None
 
 
 @pytest.mark.parametrize("override", ["pd_pivot=-1", "symmetry=-1", "pd_pivot=nan",

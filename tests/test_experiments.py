@@ -340,6 +340,39 @@ def test_import_leaves_the_process_pool_unimported():
     assert out.stdout.strip() == "[]"
 
 
+# every public name the package bound before its surface became the layers' __all__
+_PACKAGE_NAMES = """
+    ASSUMPTION_IDS AggregateRow AssumptionReport AssumptionViolatedError CostDifference
+    CostSchedule DEFAULT_TOLERANCES DimensionMismatchError EmptyAggregateError
+    ExperimentConfig GameSpec IndexOutOfRangeError InvalidConfigError NashSolution
+    NonFiniteCostError NotStabilizableError OcpReduction OnlineRun ReductionMismatchError
+    SweepResult SweepRow ThetaNotPDError Tolerances WrongStructureError ZeroNashCostError
+    build_r_potential check_assumptions check_sufficient_structure compute_pou
+    compute_tracking_gain cost_difference_check cost_schedule emit_csv emit_plot
+    evaluate_cost experiments gain_decay_diagnostic game game_spec generate_game linalg
+    log_rel_pou nash_from_dict nash_to_dict online pad_schedule potential predict_nash
+    reduce_to_ocp run_online simulate solve_feedback_nash spec_from_dict spec_to_dict
+    sweep verify_equivalence verify_nash_by_deviation with_costs
+""".split()
+
+
+def test_the_package_exports_each_layers_all():
+    import previewnash
+    from previewnash import potential
+
+    names = previewnash.__all__
+    layers = (game_mod, online, potential, experiments)
+    assert len(names) == len(set(names))
+    assert set(names) == {"__version__", "Tolerances", "DEFAULT_TOLERANCES",
+                          *(name for layer in layers for name in layer.__all__)}
+    star = {}
+    exec("from previewnash import *", star)
+    for name in names:
+        assert star[name] is getattr(previewnash, name)
+    for name in _PACKAGE_NAMES:
+        assert hasattr(previewnash, name), name
+
+
 # ------------------------------------------------------------------- sweeps
 
 def _tiny_config(**kwargs):
