@@ -395,8 +395,8 @@ def _error_tag(exc: Exception) -> str:
 
 
 def _row(T: int, W: int, seed: int, run) -> SweepRow:
-    """The row of one run of `online._play_previews`: its price, or the tag
-    of the error it carries (a zero or non-finite cost is one too)."""
+    """The row of one run of `online._play_previews`, or of the error its seed
+    raised: its price, or the error's tag (a zero or non-finite cost is one too)."""
     if not isinstance(run, Exception):
         try:
             lrp = online.log_rel_pou(*run.price)
@@ -404,10 +404,6 @@ def _row(T: int, W: int, seed: int, run) -> SweepRow:
         except (ZeroNashCostError, NonFiniteCostError) as exc:
             run = exc
     return SweepRow(T, W, seed, None, None, None, error=_error_tag(run))
-
-
-def _failed(T: int, Ws, seed: int, tag: str) -> list:
-    return [SweepRow(T, W, seed, None, None, None, error=tag) for W in Ws]
 
 
 # A block of S >= 2 seeds at horizon T keeps a gain stack of S (T-1)^2 2mn
@@ -425,28 +421,26 @@ def _blocks(config: ExperimentConfig, jobs: int) -> list:
     return blocks
 
 
-def _run_block(config: ExperimentConfig, T: int, seeds: list, k_bar, tol: Tolerances) -> list:
+def _run_block(config: ExperimentConfig, T: int, seeds: list, tol: Tolerances) -> list:
     """The rows of a block of seeds at horizon T, one per (seed, W).
 
-    The block's games are drawn by one `_draw_block` call, then solved,
-    played and priced by one `online._play_previews` call, the path
-    `run_online` takes for one run; a run that meets a game failing
-    certification gets that game's error as its tag.  k_bar is the sweep's
-    tracking gain, or the tag of the error computing it raised, which then
-    tags every row the draw left.  If drawing or playing raises, the block
-    is redone one seed at a time, so the failure stays in the rows of the
-    seed that raised it.
+    The block's games are drawn by one `_draw_block` call, and each block
+    computes the tracking gain from its first game: the gain depends only
+    on (A, B), which every game of a config shares.  One
+    `online._play_previews` call, the path `run_online` takes for one run,
+    then solves, plays and prices the games; a run that meets a game
+    failing certification gets that game's error as its tag.  If drawing,
+    the gain or playing raises, the block is redone one seed at a time, so
+    the failure stays in the rows of the seed that raised it.
     """
     try:
         games = _draw_block(config, T, seeds)
-        if not isinstance(k_bar, str):
-            runs, _, _ = online._play_previews(games, config.W_range, k_bar, tol)
+        k_bar = online.compute_tracking_gain(games[0], tol=tol)
+        runs, _, _ = online._play_previews(games, config.W_range, k_bar, tol)
     except _LOCAL_ERRORS as exc:
         if len(seeds) == 1:
-            return _failed(T, config.W_range, seeds[0], _error_tag(exc))
-        return [r for seed in seeds for r in _run_block(config, T, [seed], k_bar, tol)]
-    if isinstance(k_bar, str):
-        return [r for seed in seeds for r in _failed(T, config.W_range, seed, k_bar)]
+            return [_row(T, W, seeds[0], exc) for W in config.W_range]
+        return [r for seed in seeds for r in _run_block(config, T, [seed], tol)]
     return [_row(T, W, seed, run)
             for seed, seed_runs in zip(seeds, runs) for W, run in zip(config.W_range, seed_runs)]
 
@@ -479,28 +473,20 @@ def sweep(config: ExperimentConfig, jobs: int = 1, tol: Tolerances | None = None
     jobs > 1 each T's runs are split into `jobs` contiguous blocks spread
     over worker processes.  Each block's games are drawn together, solved
     in one stacked backward pass, and yield the rows of every W in W_range
-    (see `_run_block`).  A failure stays in the rows of the game that raised
-    it, tagged with a short code.  The tracking gain depends only on (A, B),
-    which the whole sweep shares, so it is computed once up front from a
-    probe game; if that fails, its error tags the rows of every game that
-    passes its own draw, rather than aborting the sweep.
+    (see `_run_block`); each block computes the tracking gain from its first game.
+    A failure stays in the rows of the game that raised it, tagged with a
+    short code, rather than aborting the sweep.
     The pool runs at most min(jobs, blocks, CPUs) workers.  Every game's
     arithmetic is the same whatever block it is in, and rows are sorted by
     (T, W, seed) before aggregation, so jobs > 1 changes wall time and
     nothing else.
     """
     tol = tol or DEFAULT_TOLERANCES
-    jobs = int(jobs)
+    jobs = _scalar("jobs", jobs, int)
     if jobs < 1:
         raise InvalidConfigError(f"jobs must be at least 1, got {jobs}")
 
-    try:
-        probe = generate_game(config, min(config.T_range), config.seed)
-        k_bar = online.compute_tracking_gain(probe, tol=tol)
-    except _LOCAL_ERRORS as exc:
-        k_bar = _error_tag(exc)  # a tag, not the error: some errors do not unpickle
-
-    blocks = [(config, T, [config.seed + k for k in runs], k_bar, tol) for T, runs in _blocks(config, jobs)]
+    blocks = [(config, T, [config.seed + k for k in runs], tol) for T, runs in _blocks(config, jobs)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
 

@@ -129,6 +129,19 @@ def _integral(value) -> int:
     return whole
 
 
+def _index(name: str, value, low: int, high: int | None = None) -> int:
+    """value as an int in low..high, or at least low if high is None; a value
+    that int() would round, or one out of range, is an IndexOutOfRangeError."""
+    try:
+        index = _integral(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise IndexOutOfRangeError(f"{name} must be an integer, got {value!r}") from exc
+    if index < low or high is not None and index > high:
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise IndexOutOfRangeError(f"{name} must be {bounds}, got {value}")
+    return index
+
+
 def _freeze(m: np.ndarray) -> np.ndarray:
     m.flags.writeable = False
     return m
@@ -661,8 +674,7 @@ def verify_nash_by_deviation(spec: GameSpec, nash: NashSolution, stage: int,
     a genuine equilibrium the deviated cost can only be higher.
     """
     T, m = spec.T, spec.m
-    if not 1 <= stage <= T - 1:
-        raise IndexOutOfRangeError(f"stage must be in 1..{T - 1}, got {stage}")
+    stage = _index("stage", stage, 1, T - 1)
     if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player}")
     dev = linalg.as_vector(deviation, length=m, name="deviation")

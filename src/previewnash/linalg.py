@@ -236,7 +236,7 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     tiny entries do not underflow: 0 for a zero matrix, NaN for a non-finite one."""
     peak = np.max(np.abs(stack), axis=(-2, -1), keepdims=True)
     scaled = stack / np.where(peak > 0.0, peak, 1.0)
-    return peak[..., 0, 0] * np.sqrt(np.sum(scaled * scaled, axis=(-2, -1)))
+    return peak[..., 0, 0] * np.sqrt(np.sum(np.square(scaled, out=scaled), axis=(-2, -1)))
 
 
 def _two_norms(stack: np.ndarray, ceiling, bounds: np.ndarray | None = None) -> np.ndarray:

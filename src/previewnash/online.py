@@ -26,7 +26,6 @@ from . import linalg
 from .game import (
     CostSchedule,
     GameSpec,
-    IndexOutOfRangeError,
     NashSolution,
     with_costs,  # noqa: F401 - kept importable here; benches/test_bench.py rebinds it
 )
@@ -78,10 +77,7 @@ class PaddedSchedule:
 
 def pad_schedule(costs: CostSchedule, t: int, W: int) -> PaddedSchedule:
     T = costs.horizon
-    if not 1 <= t <= T - 1:
-        raise IndexOutOfRangeError(f"t must be in 1..{T - 1}, got {t}")
-    if W < 0:
-        raise IndexOutOfRangeError(f"preview length must be >= 0, got {W}")
+    t, W = game_mod._index("t", t, 1, T - 1), game_mod._index("preview length", W, 0)
     known = t + W
     if known >= T - 1:  # nothing is hidden
         return PaddedSchedule(base=costs, t=t, W=W, costs=costs)
@@ -164,10 +160,7 @@ def predict_nash(spec: GameSpec, t: int, W: int, tol: Tolerances | None = None) 
     pass that `run_online` runs for all T-1 steps at once, here for one
     game.
     """
-    if not 1 <= t <= spec.T - 1:
-        raise IndexOutOfRangeError(f"t must be in 1..{spec.T - 1}, got {t}")
-    if W < 0:
-        raise IndexOutOfRangeError(f"preview length must be >= 0, got {W}")
+    t, W = game_mod._index("t", t, 1, spec.T - 1), game_mod._index("preview length", W, 0)
     known = min(t + W, spec.T - 1)  # a preview past the last stage reveals nothing more
     batch = game_mod._solved(spec, [known], tol, values=True)
     return game_mod._nash_solution(spec, batch.certified())
@@ -274,8 +267,7 @@ def run_online(spec: GameSpec, W: int, K_tracking: np.ndarray | None = None,
     one `predict_nash` raises at the lowest failing step t.
     """
     tol = tol or DEFAULT_TOLERANCES
-    if W < 0:
-        raise IndexOutOfRangeError(f"preview length must be >= 0, got {W}")
+    W = game_mod._index("preview length", W, 0)
     if K_tracking is None:
         k_bar = compute_tracking_gain(spec, tol=tol)
     else:
@@ -397,8 +389,7 @@ def gain_decay_diagnostic(spec: GameSpec, W: int,
     certificate raises the error of the full game first, then of the
     lowest failing step t.
     """
-    if W < 0:
-        raise IndexOutOfRangeError(f"preview length must be >= 0, got {W}")
+    W = game_mod._index("preview length", W, 0)
     T = spec.T
     known = np.minimum(np.arange(1, T) + min(W, T - 1), T - 1)
     gains = game_mod._solved(spec, np.r_[T - 1, known], tol).certified().K

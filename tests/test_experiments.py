@@ -514,6 +514,13 @@ def test_parallel_sweep_matches_serial():
         sweep(cfg, jobs=0)
 
 
+@pytest.mark.parametrize("jobs", [1.5, 0.5, float("nan"), None, "2.5"])
+def test_sweep_refuses_non_integral_jobs(jobs):
+    # int() would run 1.5 at jobs=1 and report 0.5 as "got 0"
+    with pytest.raises(InvalidConfigError, match="jobs must be an integer"):
+        sweep(_tiny_config(), jobs=jobs)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_overflowing_draw_fails_a1_without_a_warning(seed):
     # at a=1e60 the padded games' values overflow; check_assumptions reports
@@ -522,7 +529,7 @@ def test_overflowing_draw_fails_a1_without_a_warning(seed):
     assert not report.check("A1").passed
 
 
-def test_sweep_computes_the_tracking_gain_once(monkeypatch):
+def test_sweep_computes_the_tracking_gain_per_block(monkeypatch):
     calls = []
     gain = online.compute_tracking_gain
 
@@ -532,12 +539,13 @@ def test_sweep_computes_the_tracking_gain_once(monkeypatch):
 
     monkeypatch.setattr(online, "compute_tracking_gain", counted)
     assert all(r.error is None for r in sweep(ExperimentConfig(T_range=(5, 8), runs=3)).rows)
-    assert len(calls) == 1
-    # (A, B) at a=1e60 is not stabilizable: the one failed gain tags every row
+    assert len(calls) == 2  # one block per T
+    # (A, B) at a=1e60 is not stabilizable: each block's failed gain sends it
+    # through the seed-by-seed redo, where each seed's failed gain tags its rows
     calls.clear()
     config = ExperimentConfig(a=1e60, T_range=(5, 8), runs=3)
     res = sweep(config)
-    assert len(calls) == 1
+    assert len(calls) == 2 * (1 + 3)
     assert len(res.rows) == 2 * 7 * 3
     assert {r.error for r in res.rows} == {"not_stabilizable"}
     assert sweep(config, jobs=2) == res
@@ -551,8 +559,8 @@ def test_overflowing_gain_tags_rows_without_a_warning():
 
 
 def test_singular_gain_step_tags_every_row_not_stabilizable():
-    # at a=1e10 a step of the tracking-gain solve is singular; the probe's
-    # NotStabilizableError tags every row, none is linalg_error
+    # at a=1e10 a step of the tracking-gain solve is singular; each seed's
+    # NotStabilizableError tags its rows, none is linalg_error
     res = sweep(ExperimentConfig(a=1e10, T_range=(8, 20), W_range=(0, 1, 3), runs=20))
     assert [r.error for r in res.rows] == ["not_stabilizable"] * 120
 
@@ -586,6 +594,25 @@ def test_failed_gain_tags_rows_after_the_draw(monkeypatch):
     res = sweep(ExperimentConfig(a=1e60, T_range=(5,), W_range=(0, 1), runs=3))
     assert [(r.seed, r.error) for r in res.rows] == [
         (0, "not_stabilizable"), (1, "not_stabilizable"), (2, "dimension_mismatch")] * 2
+
+
+def test_failed_draw_of_the_first_seed_tags_only_its_rows(monkeypatch):
+    # the first seed's game is the one whose gain a block computes first; its
+    # failed draw stays in its own rows and the other seeds play as before
+    config = _tiny_config(T_range=(4, 6), runs=3)
+    clean = sweep(config)
+
+    first = config.seed
+
+    def failing(config, T, seed):
+        if seed == first:
+            raise DimensionMismatchError("schedule lengths must match")
+        return draw(config, T, seed)
+
+    draw = _draw_seed_by_seed(monkeypatch, failing)
+    res = sweep(config)
+    assert {r.error for r in res.rows if r.seed == first} == {"dimension_mismatch"}
+    assert [r for r in res.rows if r.seed != first] == [r for r in clean.rows if r.seed != first]
 
 
 def test_failing_sweep_flags_every_row_and_has_nothing_to_plot(tmp_path):
@@ -850,7 +877,7 @@ def test_block_whose_check_raises_is_redrawn_seed_by_seed(monkeypatch):
     monkeypatch.setattr(experiments, "_draws", faulty)
     monkeypatch.setattr(experiments, "_draw_block", counted)
     res = sweep(config)
-    assert blocks == [[1], [1, 2, 3, 4], [1], [2], [3], [4]]  # the probe, the block, its seeds
+    assert blocks == [[1, 2, 3, 4], [1], [2], [3], [4]]  # the block, then its seeds
     assert [r.error for r in res.rows if r.seed == 2] == ["dimension_mismatch"] * len(config.W_range)
     assert [r for r in res.rows if r.seed != 2] == [r for r in clean.rows if r.seed != 2]
 
@@ -874,9 +901,9 @@ def test_sweep_draws_and_checks_each_block_in_one_call(monkeypatch):
                         counted("checks", experiments.cost_schedule, lambda q, *_: len(q)))
     res = sweep(config)
     assert all(r.error is None for r in res.rows)
-    assert calls["draws"] == [1, 6, 6]  # the probe, then one call per block
-    assert calls["groups"] == [(1, 1), (3, 1), (3, 2), (3, 1), (3, 2)]
-    assert calls["checks"] == [3, 6 * 3, 6 * 5]
+    assert calls["draws"] == [6, 6]  # one call per block
+    assert calls["groups"] == [(3, 1), (3, 2), (3, 1), (3, 2)]
+    assert calls["checks"] == [6 * 3, 6 * 5]
 
 
 def test_solver_failure_is_tagged_in_its_own_rows(monkeypatch):
@@ -920,9 +947,7 @@ def test_sweep_solves_once_per_game_whatever_the_previews(monkeypatch, w_range):
     assert all(r.error is None for r in res.rows)
     assert len(passes) == len(config.T_range)
     assert all(known == list(range(1, T)) for T, known in passes)
-    # the probe's one-seed draw, then one draw per block, each (T, seed) in exactly one
-    probe, *blocks = draws
-    assert probe == (min(config.T_range), [config.seed])
-    assert len(blocks) == len(config.T_range)
-    assert sorted((T, seed) for T, seeds in blocks for seed in seeds) == [
+    # one draw per block, each (T, seed) in exactly one
+    assert len(draws) == len(config.T_range)
+    assert sorted((T, seed) for T, seeds in draws for seed in seeds) == [
         (T, config.seed + k) for T in config.T_range for k in range(config.runs)]

@@ -482,6 +482,13 @@ def test_deviation_argument_validation(scalar_spec):
         verify_nash_by_deviation(scalar_spec, nash, 1, 1, [0.1, 0.2])
 
 
+@pytest.mark.parametrize("stage", [0.5, 1.5, float("nan"), None, "2.5"])
+def test_deviation_refuses_non_integral_stages(scalar_spec_t3, stage):
+    nash = solve_feedback_nash(scalar_spec_t3)
+    with pytest.raises(IndexOutOfRangeError, match="stage must be an integer"):
+        verify_nash_by_deviation(scalar_spec_t3, nash, stage, 1, [0.1])
+
+
 def test_cost_difference_matches_direct_gap(scalar_spec):
     nash = solve_feedback_nash(scalar_spec)
     nash_gains = [nash.gain(1)]

@@ -402,6 +402,36 @@ def test_gain_decay_diagnostic_rejects_negative_preview():
         gain_decay_diagnostic(spec, -1)
 
 
+# values that int() would round, or cannot read: at W=0.5 or t=2.5 the
+# library would otherwise answer for W=0 or fail on a slice index
+_NON_INTEGRAL = [0.5, 1.5, float("nan"), None, "2.5"]
+_NON_INTEGRAL_STEPS = [(2, 0.5), (2.5, 0), (2, 1.5), (2.5, 1), (None, 0), (2, float("nan"))]
+
+
+@pytest.mark.parametrize("W", _NON_INTEGRAL)
+def test_run_online_refuses_non_integral_previews(W):
+    with pytest.raises(IndexOutOfRangeError, match="preview length must be an integer"):
+        run_online(_varied_spec(5), W)
+
+
+@pytest.mark.parametrize("t, W", _NON_INTEGRAL_STEPS)
+def test_predict_nash_refuses_non_integral_steps_and_previews(t, W):
+    with pytest.raises(IndexOutOfRangeError, match="must be an integer"):
+        predict_nash(_varied_spec(5), t, W)
+
+
+@pytest.mark.parametrize("t, W", _NON_INTEGRAL_STEPS)
+def test_padding_refuses_non_integral_steps_and_previews(t, W):
+    with pytest.raises(IndexOutOfRangeError, match="must be an integer"):
+        pad_schedule(_varied_spec(5).costs, t, W)
+
+
+@pytest.mark.parametrize("W", _NON_INTEGRAL)
+def test_gain_decay_diagnostic_refuses_non_integral_previews(W):
+    with pytest.raises(IndexOutOfRangeError, match="preview length must be an integer"):
+        gain_decay_diagnostic(_varied_spec(5), W)
+
+
 def test_gain_decay_diagnostic_constant_costs_all_zero():
     q = [[1.0]]
     r1 = np.diag([2.0, 0.0])
