@@ -67,10 +67,10 @@ _DEE = 2
 
 
 def _scalar(name: str, value, kind: type):
-    """value as an int or a float; a value that does not convert, or an int
-    that would have to be truncated, is an InvalidConfigError."""
+    """value as an int or a float; text, a boolean, a value that does not
+    convert, or an int that would have to be truncated, is an InvalidConfigError."""
     try:
-        return game_mod._integral(value) if kind is int else kind(value)
+        return game_mod._number(value, kind)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfigError(f"{name} must be {'an integer' if kind is int else 'a real'}, "
                                  f"got {value!r}") from exc
@@ -109,8 +109,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:
-            t_range = tuple(game_mod._integral(v) for v in self.T_range)
-            w_range = tuple(game_mod._integral(v) for v in self.W_range)
+            t_range = tuple(game_mod._number(v, int) for v in self.T_range)
+            w_range = tuple(game_mod._number(v, int) for v in self.W_range)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfigError("T_range and W_range must be integer sequences") from exc
         if not t_range or not w_range:
@@ -424,19 +424,21 @@ def _blocks(config: ExperimentConfig, jobs: int) -> list:
 def _run_block(config: ExperimentConfig, T: int, seeds: list, tol: Tolerances) -> list:
     """The rows of a block of seeds at horizon T, one per (seed, W).
 
-    The block's games are drawn by one `_draw_block` call, and each block
-    computes the tracking gain from its first game: the gain depends only
-    on (A, B), which every game of a config shares.  One
-    `online._play_previews` call, the path `run_online` takes for one run,
-    then solves, plays and prices the games; a run that meets a game
-    failing certification gets that game's error as its tag.  If drawing,
-    the gain or playing raises, the block is redone one seed at a time, so
-    the failure stays in the rows of the seed that raised it.
+    The block's games are drawn by one `_draw_block` call, and the tracking
+    gain is computed from its first game: it depends only on (A, B), which
+    every game of a config shares, so a failed gain tags every seed's rows.
+    One `online._play_previews` call, the path `run_online` takes for one
+    run, then solves, plays and prices the games; a run that meets a game
+    failing certification gets that game's error as its tag.  If drawing
+    or playing raises, the block is redone one seed at a time, so the
+    failure stays in the rows of the seed that raised it.
     """
     try:
         games = _draw_block(config, T, seeds)
         k_bar = online.compute_tracking_gain(games[0], tol=tol)
         runs, _, _ = online._play_previews(games, config.W_range, k_bar, tol)
+    except NotStabilizableError as exc:  # only the gain raises it, and it is every seed's
+        runs = [[exc] * len(config.W_range)] * len(seeds)
     except _LOCAL_ERRORS as exc:
         if len(seeds) == 1:
             return [_row(T, W, seeds[0], exc) for W in config.W_range]

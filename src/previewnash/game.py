@@ -9,14 +9,15 @@ equilibrium property (stage-wise deviations, and the policy cost-difference
 identity).  Every trajectory in the package, open loop, closed loop or
 tracking, is stepped by the one affine rollout `_rollout`, and every
 backward pass, the reduced control problem's too, is the one Riccati
-recursion `_backward`.
+recursion `_backward`.  A pass keeps gains, failures and what its caller
+names in `keep`; a spec holds only passes that keep curvatures.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple, Sequence
+from typing import AbstractSet, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,19 +122,24 @@ class CostSchedule:
         raise ValueError(f"player must be 1 or 2, got {player}")
 
 
-def _integral(value) -> int:
-    """int(value), refusing to truncate: a value that int() would round is a ValueError."""
-    whole = int(value)
-    if not isinstance(value, str) and whole != value:
+def _number(value, kind: type):
+    """kind(value) for kind int or float.  Text and booleans, which int()
+    and float() read as numbers but JSON does not, are a TypeError, and for
+    int a value that int() would round is a ValueError."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise TypeError(f"{value!r} is not a number")
+    number = kind(value)
+    if kind is int and number != value:
         raise ValueError(f"{value!r} is not an integer")
-    return whole
+    return number
 
 
 def _index(name: str, value, low: int, high: int | None = None) -> int:
-    """value as an int in low..high, or at least low if high is None; a value
-    that int() would round, or one out of range, is an IndexOutOfRangeError."""
+    """value as an int in low..high, or at least low if high is None; text, a
+    boolean, a value that int() would round, or one out of range, is an
+    IndexOutOfRangeError."""
     try:
-        index = _integral(value)
+        index = _number(value, int)
     except (TypeError, ValueError, OverflowError) as exc:
         raise IndexOutOfRangeError(f"{name} must be an integer, got {value!r}") from exc
     if index < low or high is not None and index > high:
@@ -400,29 +406,24 @@ def _stage_theta(r1, r2, b1p1, b2p2, B1, B2) -> np.ndarray:
 class _Batch(NamedTuple):
     """Solutions of G padded games from one stacked backward pass.
 
-    K is (G, T-1, 2m, n), the joint gains, and theta (G, T-1, 2m, 2m), the
-    stage curvatures it solved with (None from a pass over `costs=`).  P1, P2 are
-    per-stage (n, n) value matrices for stages 2..T, kept only when G == 1.
-    residuals is None unless the pass was asked to score them; then it is the
-    (G, T-1, 2m, n) stack of value-coupling gaps B'(P1_{t+1} - P2_{t+1}) A,
-    zero from a failed game's failing stage down.  Every array is read-only,
-    so a pass that a spec holds (see `_solved`) can be handed out again.
-    failures[g] is None or the ThetaNotPDError game g raises alone; its other
-    entries are then void, and its curvature is the identity from the failing
-    stage down.
+    Every pass keeps K, the (G, T-1, 2m, n) joint gains, and failures[g],
+    None or the ThetaNotPDError game g raises alone.  What `keep` names is
+    kept too, and None otherwise: "theta" the (G, T-1, 2m, 2m) stage
+    curvatures; "values" P1 and P2, (G, T-1, n, n), [g, k] game g's
+    stage-(k+2) values (P2 is P1 when both players pay the same weights);
+    "gaps" the (G, T-1, 2m, n) value-coupling gaps B'(P1_{t+1} - P2_{t+1}) A.
+    A failed game's entries are void from its failing stage down, where its
+    curvature is the identity and its gaps and values are zero.  Every
+    array is read-only, so a pass that a spec holds (see `_solved`) can be
+    handed out again.
     """
 
     K: np.ndarray
     theta: np.ndarray | None
-    P1: tuple | None
-    P2: tuple | None
-    residuals: np.ndarray | None
+    P1: np.ndarray | None
+    P2: np.ndarray | None
+    gaps: np.ndarray | None
     failures: tuple
-
-    @property
-    def theta_min(self) -> np.ndarray:
-        """(G, T-1) smallest eigenvalue of each stage curvature's symmetric part."""
-        return np.linalg.eigvalsh(linalg.symmetrize(self.theta))[..., 0]
 
     def certified(self) -> "_Batch":
         """The batch itself, or the first failed game's error, raised."""
@@ -440,8 +441,9 @@ _PIVOT_RATIO = 10.0
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite Theta fails its certificate
-def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: bool = False,
-              costs: Sequence[CostSchedule] | None = None, schedule=None) -> _Batch:
+def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
+              keep: AbstractSet[str] = frozenset(), costs: Sequence[CostSchedule] | None = None,
+              schedule=None) -> _Batch:
     """Coupled Riccati pass for the padded games whose last revealed stages are `known`.
 
     Game g plays spec's system under the schedule costs[schedule[g]]
@@ -450,12 +452,10 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     after that: stage tau uses R_min(tau, known[g]) and the state weight of
     stage s is Q_min(s, known[g]+1).  Every product is a stacked `@`, so
     each game's arithmetic is the same as if it were solved alone.  The
-    pass keeps every stage's gain, its curvature only over spec's own
-    schedule (the passes `_solved` holds and the curvatures' readers read),
-    and with `residuals` each game's gaps (see _Batch).
-    Weights are read by index from the schedules' stacks.  This is the raw
-    pass; a library caller that solves a spec's own schedule goes through
-    `_solved`.
+    pass keeps every game's gains and failures, and of "theta", "values"
+    and "gaps" what `keep` names (see _Batch).  Weights are read by index
+    from the schedules' stacks.  This is the raw pass; a library caller
+    that solves a spec's own schedule goes through `_solved`.
 
     A curvature is certified when every Cholesky pivot of its symmetric
     part exceeds tol.pd_pivot and _PIVOT_RATIO * 2m * eps times its largest
@@ -471,7 +471,6 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     G = known.shape[0]
     a, b1, b2 = spec.A, spec.B1, spec.B2
     b = spec.joint_b()
-    thetas = np.empty((G, T - 1, 2 * m, 2 * m)) if costs is None else None
     costs = (spec.costs,) if costs is None else costs
     # the schedules' stacks end to end; game g reads schedule[g]'s from row base[g]
     qs, r1s, r2s = (np.concatenate([getattr(c, f) for c in costs]) for f in ("Q", "R1", "R2"))
@@ -482,16 +481,19 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
     p1 = p2 = qs[rows[-1]]
     # both players pay the same weights (the reduced problem): P2 is P1 bit for bit
     same_values = all(np.array_equal(c.R1, c.R2) for c in costs)
-    keep_values = G == 1
-    p1_hist, p2_hist = [p1[0]], [p2[0]]
     gains = np.empty((G, T - 1, 2 * m, n))
-    res = np.empty((G, T - 1, 2 * m, n)) if residuals else None
+    thetas = np.empty((G, T - 1, 2 * m, 2 * m)) if "theta" in keep else None
+    gaps = np.empty((G, T - 1, 2 * m, n)) if "gaps" in keep else None
+    p1s = np.empty((G, T - 1, n, n)) if "values" in keep else None
+    p2s = p1s if same_values or p1s is None else np.empty_like(p1s)
     failures = [None] * G
     failed = np.zeros(G, dtype=bool)
     any_failed = False  # the masks below are void until a game fails
     ratio_floor = _PIVOT_RATIO * 2 * m * np.finfo(float).eps
 
     for t in range(T - 1, 0, -1):
+        if p1s is not None:  # stage t+1's values
+            p1s[:, t - 1], p2s[:, t - 1] = p1, p2
         r1t, r2t = r1s[rows[t - 1]], r2s[rows[t - 1]]
         b1p1 = b1.T @ p1
         b2p2 = b2.T @ p2
@@ -510,10 +512,10 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
             theta[failed] = np.eye(2 * m)
         if thetas is not None:
             thetas[:, t - 1] = theta
-        if residuals:
+        if gaps is not None:
             gap = b.T @ (p1 - p2) @ a  # stage t+1 values
             gap[failed] = 0.0  # void, and maybe not finite, which the norm's SVD refuses
-            res[:, t - 1] = gap
+            gaps[:, t - 1] = gap
         rhs = np.concatenate((b1p1, b2p2), axis=1) @ a
         kt = -np.linalg.solve(theta, rhs)
         gains[:, t - 1] = kt
@@ -531,43 +533,39 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None, residuals: b
                 p2 = (p2 + p2.transpose(0, 2, 1)) / 2.0
             if any_failed:
                 p1[failed] = p2[failed] = 0.0
-            if keep_values:
-                p1_hist.append(p1[0])
-                p2_hist.append(p2[0])
 
-    for stack in (gains, thetas, res, *p1_hist, *p2_hist):
+    for stack in (gains, thetas, gaps, p1s, p2s):
         if stack is not None:
             _freeze(stack)
-    values = (tuple(p1_hist[::-1]), tuple(p2_hist[::-1])) if keep_values else (None, None)
-    return _Batch(gains, thetas, *values, res, tuple(failures))
+    return _Batch(gains, thetas, p1s, p2s, gaps, tuple(failures))
 
 
-def _solved(spec: GameSpec, known, tol: Tolerances | None = None, residuals: bool = False,
-            values: bool = False) -> _Batch:
-    """`_backward(spec, known, tol, residuals)`, read off the pass spec holds where it can.
+def _solved(spec: GameSpec, known, tol: Tolerances | None = None,
+            keep: AbstractSet[str] = frozenset()) -> _Batch:
+    """`_backward(spec, known, tol, keep)`, read off the pass spec holds where it can.
 
-    A spec with read-only A, B1 and B2 holds, per tolerances, its largest
-    pass over its own schedule, without the gaps only `check_assumptions`
-    reads.  A request for games that pass holds and no residuals gets their
-    rows (bitwise a fresh pass, as each game is solved as if alone) with new
-    errors, so a raise never grows a held error's traceback.  A request for
-    values, which only one-game passes keep, always runs a pass.  A pass
-    that runs replaces a held one of no more games.
+    A spec with read-only A, B1 and B2 holds, per tolerances, one pass over
+    its own schedule that kept curvatures, without its values and gaps.  A
+    request keeping at most curvatures, for games that pass holds, gets
+    their rows (bitwise a fresh pass, as each game is solved as if alone)
+    with new errors, so a raise never grows a held error's traceback.  Any
+    other request runs a pass, which replaces the held one if it keeps
+    curvatures and has no fewer games.
     """
     tol = tol or DEFAULT_TOLERANCES
     known = np.asarray(known, dtype=np.intp).reshape(-1).tolist()
     first, held = (spec._kept_results or {}).get(("pass", tol), (None, None))
-    if held is not None and not (values or residuals):
+    if held is not None and keep <= {"theta"}:
         rows = [first.get(k) for k in known]
         if None not in rows:
             lo = rows[0]
             pick = slice(lo, lo + len(rows)) if rows == list(range(lo, lo + len(rows))) else rows
             return _Batch(_freeze(held.K[pick]), _freeze(held.theta[pick]), None, None, None,
                           tuple(_fresh(held.failures[g]) for g in rows))
-    batch = _backward(spec, known, tol, residuals)
-    if held is None or len(known) >= len(held.failures):
+    batch = _backward(spec, known, tol, keep=keep)
+    if "theta" in keep and (held is None or len(known) >= len(held.failures)):
         first = {k: g for g, k in reversed(list(enumerate(known)))}  # each game's first row
-        _hold(spec, ("pass", tol), (first, batch._replace(residuals=None,
+        _hold(spec, ("pass", tol), (first, batch._replace(P1=None, P2=None, gaps=None,
                                                           failures=tuple(map(_fresh, batch.failures)))))
     return batch
 
@@ -629,16 +627,17 @@ def _equilibrium_paths(spec: GameSpec, gains: np.ndarray) -> tuple[np.ndarray, n
     return _freeze(x), _freeze(u)
 
 
-def _nash_solution(spec: GameSpec, batch: _Batch) -> NashSolution:
-    """The single game of a G == 1 batch as a NashSolution."""
+def _nash_solution(spec: GameSpec, known: int, tol: Tolerances | None) -> NashSolution:
+    """The padded game revealed through stage `known`, certified, as a NashSolution."""
+    batch = _solved(spec, [known], tol, keep={"theta", "values"}).certified()
     x, u = _equilibrium_paths(spec, batch.K)
     return NashSolution(
         K=tuple(batch.K[0]),
-        P1=batch.P1,
-        P2=batch.P2,
+        P1=tuple(batch.P1[0]),
+        P2=tuple(batch.P2[0]),
         x_star=x[0],
         u_star=u[0],
-        theta_min_eig=tuple(batch.theta_min[0].tolist()),
+        theta_min_eig=tuple(np.linalg.eigvalsh(linalg.symmetrize(batch.theta))[0, :, 0].tolist()),
     )
 
 
@@ -651,7 +650,7 @@ def solve_feedback_nash(spec: GameSpec, tol: Tolerances | None = None) -> NashSo
     The terminal condition is P_T^1 = P_T^2 = Q_T.  Raises ThetaNotPDError
     if any stage's curvature matrix fails certification.
     """
-    return _nash_solution(spec, _solved(spec, [spec.T - 1], tol, values=True).certified())
+    return _nash_solution(spec, spec.T - 1, tol)
 
 
 class DeviationCheck(NamedTuple):
@@ -777,7 +776,7 @@ def spec_from_dict(data: dict, tol: Tolerances | None = None) -> GameSpec:
         raise DimensionMismatchError(str(exc)) from exc
     for field, value in declared.items():
         try:
-            value = _integral(value)
+            value = _number(value, int)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DimensionMismatchError(f"declared {field}={data[field]!r} is not an integer") from exc
         if value != getattr(spec, field):

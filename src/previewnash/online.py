@@ -161,9 +161,7 @@ def predict_nash(spec: GameSpec, t: int, W: int, tol: Tolerances | None = None) 
     game.
     """
     t, W = game_mod._index("t", t, 1, spec.T - 1), game_mod._index("preview length", W, 0)
-    known = min(t + W, spec.T - 1)  # a preview past the last stage reveals nothing more
-    batch = game_mod._solved(spec, [known], tol, values=True)
-    return game_mod._nash_solution(spec, batch.certified())
+    return game_mod._nash_solution(spec, min(t + W, spec.T - 1), tol)  # a longer preview reveals no more
 
 
 class PouResult(NamedTuple):
@@ -310,8 +308,8 @@ def _play_previews(specs, Ws, k_bar: np.ndarray, tol: Tolerances) -> tuple:
 
     Run (spec, W) tracks the padded games revealed through
     min(1+W, T-1)..T-1; one `game._backward` solves those of the smallest W
-    for every spec, keeping gains and failures only (`game._solved` for a
-    lone spec, which may hold them).
+    for every spec, keeping gains and failures only (through `game._solved`
+    for a lone spec, which reads a held pass but never holds this one).
     A run that tracks a failed game is not played and carries its first
     failed game's error, the one `predict_nash` raises at its lowest
     failing step.  The played runs are rolled out in one `_play`

@@ -140,11 +140,11 @@ def _a1_core(spec: GameSpec, tol: Tolerances) -> tuple:
     curvature certificate scores its failing pivot, less the ratio floor on
     a pivot-ratio failure, which is then negative."""
     q_pivots = list(itertools.accumulate(linalg._pivots(spec.costs.Q, tol.pd_pivot)[1].tolist(), min))
-    batch = game_mod._solved(spec, np.arange(1, spec.T), tol, residuals=True)
+    batch = game_mod._solved(spec, np.arange(1, spec.T), tol, keep={"theta", "gaps"})
     ok = np.array([exc is None for exc in batch.failures])
     cross = _cross_gaps(batch.theta, spec.m)
     cross_over, cross_res, cross_worst = _residual_maxima(cross, ok, tol)
-    value_over, value_res, value_worst = _residual_maxima(batch.residuals, ok, tol)
+    value_over, value_res, value_worst = _residual_maxima(batch.gaps, ok, tol)
     failing = np.flatnonzero(~ok | ~(np.array(q_pivots) > tol.pd_pivot) | cross_over | value_over) + 1
     margins = [_failure_margin(exc) for exc in batch.failures if exc is not None]
 
@@ -368,7 +368,7 @@ def reduce_to_ocp(spec: GameSpec, tol: Tolerances | None = None) -> OcpReduction
     """
     tol = tol or DEFAULT_TOLERANCES
     try:
-        batch = game_mod._solved(spec, [spec.T - 1], tol).certified()
+        batch = game_mod._solved(spec, [spec.T - 1], tol, keep={"theta"}).certified()
     except ThetaNotPDError as exc:
         raise AssumptionViolatedError("A1", str(exc)) from exc
     return game_mod._kept(spec, "reduction", tol, lambda: _reduce(spec, batch, tol))
@@ -408,11 +408,11 @@ def _reduce(spec: GameSpec, batch: game_mod._Batch, tol: Tolerances) -> OcpReduc
         linalg.symmetrize(costs.Q[:-1] + gains.transpose(0, 2, 1) @ (costs.R1[1:] - r_bar[1:]) @ gains),
         costs.Q[-1:]))
     reduced = game_mod._solved(with_costs(spec, CostSchedule(q_bar, r_bar, r_bar)), [spec.T - 1], tol,
-                               values=True)
+                               keep={"values"})
     failure = reduced.failures[0]
     floor = 0 if failure is None else failure.stage
     # resid[t - 1] is stage t's; a descent stops at a curvature failure, below which P_bar is void
-    resid = linalg._two_norms(r_bar - (thetas - b.T @ np.stack(reduced.P1) @ b), tol.mat_eq)
+    resid = linalg._two_norms(r_bar - (thetas - b.T @ reduced.P1[0] @ b), tol.mat_eq)
     off = np.flatnonzero(resid[floor:] > tol.mat_eq)
     if off.size:
         t = floor + off[-1] + 1
@@ -421,7 +421,7 @@ def _reduce(spec: GameSpec, batch: game_mod._Batch, tol: Tolerances) -> OcpReduc
         raise ReductionMismatchError(f"reduced curvature at stage {failure.stage} is not positive definite "
                                      f"(pivot {failure.min_pivot:.3e})")
     return OcpReduction(R_bar=tuple(game_mod._freeze(r_bar)), Q_bar=tuple(game_mod._freeze(q_bar)),
-                        P_bar=reduced.P1, K_bar_ocp=tuple(reduced.K[0]))
+                        P_bar=tuple(reduced.P1[0]), K_bar_ocp=tuple(reduced.K[0]))
 
 
 def verify_equivalence(spec: GameSpec, tol: Tolerances | None = None) -> float:
@@ -433,7 +433,7 @@ def verify_equivalence(spec: GameSpec, tol: Tolerances | None = None) -> float:
     raises.
     """
     tol = tol or DEFAULT_TOLERANCES
-    batch = game_mod._solved(spec, [spec.T - 1], tol).certified()
+    batch = game_mod._solved(spec, [spec.T - 1], tol, keep={"theta"}).certified()
     reduction = game_mod._kept(spec, "reduction", tol, lambda: _reduce(spec, batch, tol))
     gaps = batch.K[0] - np.stack(reduction.K_bar_ocp)
     return max(linalg._max_two_norms(gaps).tolist())  # Python's max of the stage gaps' norms
@@ -481,6 +481,6 @@ def check_sufficient_structure(spec: GameSpec, tol: Tolerances | None = None) ->
     rho2 = b2 * b2 / r2_val
     ratio_ok = not np.any(np.abs(rho1 - rho2) > 1e-10 * np.maximum(np.abs(rho1), np.abs(rho2)))
 
-    batch = game_mod._solved(spec, [spec.T - 1], tol, values=True).certified()
-    gap = max(linalg.two_norm(p1 - p2) for p1, p2 in zip(batch.P1, batch.P2))
+    batch = game_mod._solved(spec, [spec.T - 1], tol, keep={"values"}).certified()
+    gap = max(linalg.two_norm(p1 - p2) for p1, p2 in zip(batch.P1[0], batch.P2[0]))
     return StructureCheck(ratio_ok=ratio_ok, max_p_gap=float(gap))

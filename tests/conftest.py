@@ -22,7 +22,11 @@ certified while three of its padded games are not.
 
 `malformed_docs` is the `hypothesis` strategy that the input-contract
 property tests draw bad JSON documents from.
+
+The `passes` fixture records every `game._backward` pass a test runs.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from previewnash import (
     game_spec,
     solve_feedback_nash,
 )
+from previewnash import game as game_mod
 
 
 def spd(rng, k, floor):
@@ -184,3 +189,37 @@ def scalar_spec_t3():
     r2 = [[0.0, 0.0], [0.0, 1.0]]
     costs = cost_schedule(Q=[q, q], R1=[r1, r1], R2=[r2, r2])
     return game_spec([[1.0]], [[1.0]], [[1.0]], [1.0], costs)
+
+
+class Pass(NamedTuple):
+    """One `game._backward` call: its spec, the last revealed stage of each
+    game, each game's schedule (None for the spec's own), how many
+    schedules it solved under, what it kept, and the batch it returned."""
+
+    spec: object
+    known: np.ndarray
+    schedule: np.ndarray | None
+    schedules: int
+    keep: frozenset
+    batch: object
+
+    @property
+    def games(self) -> int:
+        return len(self.known)
+
+
+@pytest.fixture()
+def passes(monkeypatch) -> list:
+    """Every `game._backward` pass from here on, as a Pass, in call order."""
+    backward = game_mod._backward
+    recorded = []
+
+    def recording(spec, known, tol=None, keep=frozenset(), costs=None, schedule=None):
+        batch = backward(spec, known, tol, keep=keep, costs=costs, schedule=schedule)
+        recorded.append(Pass(spec, np.asarray(known).reshape(-1),
+                             None if schedule is None else np.asarray(schedule),
+                             len(costs or [spec.costs]), frozenset(keep), batch))
+        return batch
+
+    monkeypatch.setattr(game_mod, "_backward", recording)
+    return recorded

@@ -20,6 +20,7 @@ from previewnash import (
     DimensionMismatchError,
     EmptyAggregateError,
     ExperimentConfig,
+    IndexOutOfRangeError,
     InvalidConfigError,
     NonFiniteCostError,
     NotStabilizableError,
@@ -33,7 +34,10 @@ from previewnash import (
     emit_csv,
     emit_plot,
     generate_game,
+    predict_nash,
     run_online,
+    spec_from_dict,
+    spec_to_dict,
     sweep,
 )
 from previewnash import cli, experiments, online
@@ -99,6 +103,26 @@ def test_config_rejects_non_integral_integers(kwargs):
     # int() would truncate these silently
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda spec: run_online(spec, "2"), IndexOutOfRangeError),
+    (lambda spec: run_online(spec, True), IndexOutOfRangeError),
+    (lambda spec: predict_nash(spec, np.True_, 0), IndexOutOfRangeError),
+    (lambda spec: ExperimentConfig.from_dict({"runs": "3"}), InvalidConfigError),
+    (lambda spec: ExperimentConfig.from_dict({"runs": True}), InvalidConfigError),
+    (lambda spec: ExperimentConfig.from_dict({"a": "1.6"}), InvalidConfigError),
+    (lambda spec: ExperimentConfig(b1=b"0.85"), InvalidConfigError),
+    (lambda spec: ExperimentConfig(seed=np.True_), InvalidConfigError),
+    (lambda spec: ExperimentConfig.from_dict({"T_range": ["5"]}), InvalidConfigError),
+    (lambda spec: sweep(_tiny_config(), jobs="1"), InvalidConfigError),
+    (lambda spec: spec_from_dict({**spec_to_dict(spec), "T": "5"}), DimensionMismatchError),
+], ids=["W_text", "W_bool", "t_numpy_bool", "runs_text", "runs_bool", "a_text", "b1_bytes",
+        "seed_numpy_bool", "T_range_text", "jobs_text", "declared_T_text"])
+def test_text_and_booleans_are_not_numbers(call, error):
+    # int() and float() read "2" and True as numbers, but JSON does not
+    with pytest.raises(error, match="integer|real"):
+        call(generate_game(ExperimentConfig(), 5, 0))
 
 
 def test_config_accepts_integral_floats():
@@ -419,20 +443,14 @@ def test_two_jobs_equal_one_job():
     assert sweep(config, jobs=2) == sweep(config, jobs=1)
 
 
-def test_one_seed_blocks_equal_the_uncapped_sweep(monkeypatch):
+def test_one_seed_blocks_equal_the_uncapped_sweep(monkeypatch, passes):
     config = ExperimentConfig(T_range=(5, 10), W_range=(0, 1, 3, 12), runs=5)
     uncapped = sweep(config)
-    backward = game_mod._backward
-    passes = []
-
-    def counted_backward(spec, *args, costs=None, **kwargs):
-        passes.append(len(costs or [spec.costs]))  # a lone spec's pass plays its own schedule
-        return backward(spec, *args, costs=costs, **kwargs)
-
-    monkeypatch.setattr(game_mod, "_backward", counted_backward)
+    passes.clear()
     monkeypatch.setattr(experiments, "_BLOCK_FLOATS", 1)
     assert sweep(config) == uncapped
-    assert passes == [1] * (config.runs * len(config.T_range))
+    # a lone spec's pass plays its own schedule
+    assert [p.schedules for p in passes] == [1] * (config.runs * len(config.T_range))
 
 
 @pytest.mark.parametrize("cpus, workers", [(2, 2), (8, 3), (None, 1)])
@@ -473,38 +491,42 @@ def test_blocks_split_each_horizon_into_jobs_contiguous_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("seeds", [[4], [4, 5], [0, 1, 2]])
-def test_a_block_of_seeds_keeps_no_curvatures(monkeypatch, seeds):
-    # nothing reads the curvatures of a stacked pass over several seeds'
-    # schedules; a lone seed's pass is over its own schedule and keeps them
+def test_a_block_of_seeds_keeps_no_curvatures(passes, seeds):
+    # the play reads gains and failures only, so a block's pass keeps
+    # nothing else, a lone seed's too, and no game holds it
     config = ExperimentConfig(W_range=(0, 2))
     games = experiments._draw_block(config, 9, seeds)
-    backward = game_mod._backward
-    batches = []
-
-    def recorded(*args, **kwargs):
-        batches.append(backward(*args, **kwargs))
-        return batches[-1]
-
-    monkeypatch.setattr(game_mod, "_backward", recorded)
     k_bar = online.compute_tracking_gain(games[0])
     online._play_previews(games, config.W_range, k_bar, DEFAULT_TOLERANCES)
-    assert len(batches) == 1 and batches[0].K.shape[0] == 8 * len(seeds)  # revealed through 1..8
-    assert (batches[0].theta is None) == (len(seeds) > 1)
+    assert len(passes) == 1 and passes[0].games == 8 * len(seeds)  # revealed through 1..8
+    assert passes[0].keep == frozenset() and passes[0].batch.theta is None
+    assert all("pass" not in {name for name, _ in game._kept_results or {}} for game in games)
 
 
-def test_horizon_sweep_keeps_its_peak_memory():
-    # the heap a sweep of long horizons allocates at its peak (tracemalloc,
-    # which sees numpy's buffers): with one block per T at jobs=1 that is
-    # about 5.3 MB, and 8.0 MB with each block's curvature stack kept too
-    config = ExperimentConfig(T_range=(50, 100, 200), W_range=(1,), runs=2)
-    sweep(config)  # the first sweep fills the draw caches
+def _traced_peak(config) -> int:
+    """The heap bytes a sweep allocates at its peak (tracemalloc, which sees
+    numpy's buffers), after a first sweep has filled the draw caches."""
+    sweep(config)
     tracemalloc.start()
     try:
         sweep(config)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.9e6
+
+
+def test_horizon_sweep_keeps_its_peak_memory():
+    # with one block per T at jobs=1 the peak is about 5.3 MB, and 8.0 MB
+    # with each block's curvature stack kept too
+    assert _traced_peak(ExperimentConfig(T_range=(50, 100, 200), W_range=(1,), runs=2)) <= 5.9e6
+
+
+def test_one_seed_blocks_keep_and_hold_no_curvatures(monkeypatch):
+    # one-seed blocks peak at about 2.66 MB, pinned with 0.34 MB to spare;
+    # they peaked at 3.93 MB when each kept its curvatures and held its
+    # pass on a game the sweep drops
+    monkeypatch.setattr(experiments, "_BLOCK_FLOATS", 1)
+    assert _traced_peak(ExperimentConfig(T_range=(50, 100, 200), W_range=(1,), runs=2)) <= 3.0e6
 
 
 def test_parallel_sweep_matches_serial():
@@ -540,12 +562,12 @@ def test_sweep_computes_the_tracking_gain_per_block(monkeypatch):
     monkeypatch.setattr(online, "compute_tracking_gain", counted)
     assert all(r.error is None for r in sweep(ExperimentConfig(T_range=(5, 8), runs=3)).rows)
     assert len(calls) == 2  # one block per T
-    # (A, B) at a=1e60 is not stabilizable: each block's failed gain sends it
-    # through the seed-by-seed redo, where each seed's failed gain tags its rows
+    # (A, B) at a=1e60 is not stabilizable: each block's failed gain tags
+    # the rows of every seed of the block
     calls.clear()
     config = ExperimentConfig(a=1e60, T_range=(5, 8), runs=3)
     res = sweep(config)
-    assert len(calls) == 2 * (1 + 3)
+    assert len(calls) == 2
     assert len(res.rows) == 2 * 7 * 3
     assert {r.error for r in res.rows} == {"not_stabilizable"}
     assert sweep(config, jobs=2) == res
@@ -558,11 +580,23 @@ def test_overflowing_gain_tags_rows_without_a_warning():
     assert [r.error for r in res.rows] == ["not_stabilizable"] * 4
 
 
-def test_singular_gain_step_tags_every_row_not_stabilizable():
-    # at a=1e10 a step of the tracking-gain solve is singular; each seed's
-    # NotStabilizableError tags its rows, none is linalg_error
-    res = sweep(ExperimentConfig(a=1e10, T_range=(8, 20), W_range=(0, 1, 3), runs=20))
+def test_singular_gain_step_tags_every_row_not_stabilizable(monkeypatch):
+    # at a=1e10 a step of the tracking-gain solve is singular; each block's
+    # NotStabilizableError tags its seeds' rows, none is linalg_error, and
+    # the block's one doubling is the only one
+    doubling = online._doubling_gain
+    calls = []
+
+    def counted(spec, tol):
+        calls.append(spec.T)
+        return doubling(spec, tol)
+
+    monkeypatch.setattr(online, "_doubling_gain", counted)
+    config = ExperimentConfig(a=1e10, T_range=(8, 20), W_range=(0, 1, 3), runs=20)
+    res = sweep(config)
+    assert calls == [8, 20]
     assert [r.error for r in res.rows] == ["not_stabilizable"] * 120
+    assert list(res.rows) == _reference_sweep(config)
 
 
 def test_previews_past_the_horizon_play_the_full_information_run():
@@ -804,20 +838,12 @@ def test_every_row_with_a_non_finite_metric_is_tagged():
     ((2,), 1.0, ["theta_not_pd"]),
     ((0, 1, 2, 3, 4, 5), 0.0, ["theta_not_pd"] * 4 + ["zero_nash_cost"] * 2),
 ], ids=["all_W", "only_W0", "only_W2", "zero_start"])
-def test_failing_padded_game_fails_only_the_previews_that_meet_it(monkeypatch, w_range, x1, tags):
+def test_failing_padded_game_fails_only_the_previews_that_meet_it(monkeypatch, passes, w_range, x1, tags):
     # the zero-preview games of steps 2, 3 and 4 fail certification, so a
     # preview W fails iff some step t has min(t + W, 5) in {2, 3, 4}; the
     # others are played from the same single pass
     spec = dataclasses.replace(make_padded_failure_game(), x1=np.array([x1]))
-    backward = game_mod._backward
-    passes = []
-
-    def counted_backward(*args, **kwargs):
-        passes.append(args)
-        return backward(*args, **kwargs)
-
     _draw_seed_by_seed(monkeypatch, lambda config, T, seed: spec)
-    monkeypatch.setattr(game_mod, "_backward", counted_backward)
     config = ExperimentConfig(T_range=(6,), W_range=w_range, runs=2)
     res = sweep(config)
     assert len(passes) == len(config.T_range)
@@ -924,29 +950,22 @@ def test_solver_failure_is_tagged_in_its_own_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("w_range", [(0,), (0, 1, 2, 3, 4, 5, 6), (2, 9, 0, 2)])
-def test_sweep_solves_once_per_game_whatever_the_previews(monkeypatch, w_range):
-    backward = game_mod._backward
+def test_sweep_solves_once_per_game_whatever_the_previews(monkeypatch, passes, w_range):
     draw = experiments._draw_block
-    passes, draws = [], []
-
-    def counted_backward(spec, known, *args, costs=None, schedule=None, **kwargs):
-        # one pass per block of seeds; every seed of it solves the same padded games
-        per_seed = {tuple(np.asarray(known)[np.asarray(schedule) == s]) for s in range(len(costs))}
-        assert len(per_seed) == 1
-        passes.append((spec.T, list(*per_seed)))
-        return backward(spec, known, *args, costs=costs, schedule=schedule, **kwargs)
+    draws = []
 
     def counted_draw(config, T, seeds):
         draws.append((T, list(seeds)))
         return draw(config, T, seeds)
 
-    monkeypatch.setattr(game_mod, "_backward", counted_backward)
     monkeypatch.setattr(experiments, "_draw_block", counted_draw)
     config = ExperimentConfig(T_range=(5, 8), W_range=w_range, runs=3)
     res = sweep(config)
     assert all(r.error is None for r in res.rows)
+    # one pass per block of seeds; every seed of it solves the same padded games
     assert len(passes) == len(config.T_range)
-    assert all(known == list(range(1, T)) for T, known in passes)
+    for p in passes:
+        assert {tuple(p.known[p.schedule == s]) for s in range(p.schedules)} == {tuple(range(1, p.spec.T))}
     # one draw per block, each (T, seed) in exactly one
     assert len(draws) == len(config.T_range)
     assert sorted((T, seed) for T, seeds in draws for seed in seeds) == [

@@ -1,12 +1,13 @@
-"""A spec holds its largest backward pass over its own schedule, its
-tracking gain and its reduction, all in its one cache, keyed by name and
-tolerances.
+"""A spec holds its largest backward pass that kept curvatures over its own
+schedule, its tracking gain and its reduction, all in its one cache, keyed
+by name and tolerances.
 
 `game._solved` serves a later request from that pass when the tolerances
-match and the pass holds every requested game, and `game._kept` serves the
-gain and the reduction under the tolerances they were made with.  These
-tests pin what that saves on the certify journey, that no output depends
-on it, and that nothing held is part of the spec's value.
+match, the request keeps nothing but curvatures, and the pass holds every
+requested game; `game._kept` serves the gain and the reduction under the
+tolerances they were made with.  These tests pin what that saves on the
+certify journey, that no output depends on it, and that nothing held is
+part of the spec's value.
 """
 
 import copy
@@ -20,16 +21,20 @@ import pytest
 from previewnash import (
     DEFAULT_TOLERANCES,
     AssumptionViolatedError,
+    ExperimentConfig,
     GameSpec,
     NotStabilizableError,
     ReductionMismatchError,
     ThetaNotPDError,
     Tolerances,
     check_assumptions,
+    check_sufficient_structure,
     compute_tracking_gain,
     cost_schedule,
     gain_decay_diagnostic,
     game_spec,
+    generate_game,
+    predict_nash,
     reduce_to_ocp,
     run_online,
     solve_feedback_nash,
@@ -58,19 +63,6 @@ def _held_names(spec) -> set:
 def _dense_game(seed):
     """A cold aligned game of the benchmark's certify_dense size (n=16, m=4, T=40)."""
     return _cold(make_aligned_game(np.random.default_rng(seed), n=16, m=4, T=40, a_norm=1.05))
-
-
-def _counted(monkeypatch) -> list:
-    """The size of every `game._backward` pass from here on."""
-    backward = game_mod._backward
-    games = []
-
-    def counted(spec, known, *args, **kwargs):
-        games.append(np.size(known))
-        return backward(spec, known, *args, **kwargs)
-
-    monkeypatch.setattr(game_mod, "_backward", counted)
-    return games
 
 
 def _doublings(monkeypatch) -> list:
@@ -106,60 +98,82 @@ def _journey(spec_for) -> str:
     })
 
 
-def test_the_certify_journey_solves_each_padded_game_once(monkeypatch):
+def test_the_certify_journey_solves_each_padded_game_once(monkeypatch, passes):
     # without held results the journey solved 39 + 2 + 2 + 37 = 80 games and
     # ran the gain's doubling twice; with the pass alone, 39 + 1 + 1 games
     spec = _dense_game(101)
-    games = _counted(monkeypatch)
     doublings = _doublings(monkeypatch)
     solved = []
     for call in (lambda: check_assumptions(spec, "warn"), lambda: reduce_to_ocp(spec),
                  lambda: verify_equivalence(spec), lambda: run_online(spec, 2)):
-        games.clear()
+        passes.clear()
         call()
-        solved.append(sum(games))
+        solved.append(sum(p.games for p in passes))
     assert solved == [39, 1, 0, 0]
     assert len(doublings) == 1
 
 
-def test_a_run_first_journey_reuses_the_runs_pass(monkeypatch):
-    # run_online(W=2) solves and holds the 37 games revealed through 3..39,
-    # the true game among them; reduce_to_ocp reads that game off them and
-    # solves the reduced problem, verify_equivalence reads the reduction,
-    # and check_assumptions scores all 39 zero-preview games in a pass of its own
+def test_a_run_first_journey_holds_only_curvature_passes(monkeypatch, passes):
+    # run_online(W=2) solves the 37 games revealed through 3..39 keeping
+    # gains only, and holds none of them; reduce_to_ocp solves and holds the
+    # true game, then solves the reduced problem for its values;
+    # verify_equivalence reads both, check_assumptions scores all 39
+    # zero-preview games in a pass of its own, and a second run reads that
     spec = _dense_game(101)
-    games = _counted(monkeypatch)
     doublings = _doublings(monkeypatch)
     solved = []
     for call in (lambda: run_online(spec, 2), lambda: reduce_to_ocp(spec),
-                 lambda: verify_equivalence(spec), lambda: check_assumptions(spec, "warn")):
-        games.clear()
+                 lambda: verify_equivalence(spec), lambda: check_assumptions(spec, "warn"),
+                 lambda: run_online(spec, 2)):
+        passes.clear()
         call()
-        solved.append(list(games))
-    assert solved == [[37], [1], [], [39]]
+        solved.append([(p.games, set(p.keep)) for p in passes])
+    assert solved == [[(37, set())], [(1, {"theta"}), (1, {"values"})], [],
+                      [(39, {"theta", "gaps"})], []]
     assert len(doublings) == 1
 
 
-def test_a_warm_spec_reports_what_fresh_specs_report(monkeypatch):
+def test_a_warm_spec_reports_what_fresh_specs_report(passes):
     # drawn aligned and loose games arrive holding the pass of their draw's check or solve
     rng = np.random.default_rng(131)
     specs = ([make_aligned_game(rng) for _ in range(6)] + [make_loose_game(rng) for _ in range(6)]
              + [make_padded_failure_game()] + [_dense_game(seed) for seed in (102, 103, 104)])
-    games = _counted(monkeypatch)
     for spec in specs:
-        games.clear()
+        passes.clear()
         warm = _journey(lambda: spec)
-        served = sum(games)
-        games.clear()
+        served = sum(p.games for p in passes)
+        passes.clear()
         assert warm == _journey(lambda: _cold(spec))
-        assert served < sum(games)
+        assert served < sum(p.games for p in passes)
+
+
+def test_every_held_pass_keeps_curvatures_and_no_gaps_or_values():
+    # the calls that keep curvatures hold their pass stripped of the gaps and
+    # values they asked for; the calls that keep gains only hold nothing
+    rng = np.random.default_rng(163)
+    specs = ([make_aligned_game(rng) for _ in range(3)] + [make_loose_game(rng) for _ in range(3)]
+             + [generate_game(ExperimentConfig(), T, seed) for T in (5, 12) for seed in (0, 1)])
+    calls = [(solve_feedback_nash, True), (lambda s: predict_nash(s, 1, 0), True),
+             (lambda s: check_assumptions(s, "warn"), True), (reduce_to_ocp, True),
+             (verify_equivalence, True), (check_sufficient_structure, False),
+             (lambda s: run_online(s, 1), False), (lambda s: gain_decay_diagnostic(s, 1), False)]
+    for spec in specs:
+        for call, holds in calls:
+            cold = _cold(spec)
+            _guard(lambda: call(cold))
+            held = (cold._kept_results or {}).get(("pass", DEFAULT_TOLERANCES))
+            assert (held is not None) == holds
+            if held is not None:
+                batch = held[1]
+                assert batch.theta is not None and all(x is None for x in (batch.P1, batch.P2, batch.gaps))
 
 
 def test_a_held_failure_is_raised_as_a_new_error():
     spec = make_padded_failure_game()
     zero = np.zeros((2, 1))
+    check_assumptions(spec, "warn")  # solves and holds the five zero-preview games, three failed
     raised = []
-    for _ in range(3):  # the first run solves and holds the five zero-preview games, three failed
+    for _ in range(3):
         with pytest.raises(ThetaNotPDError) as info:
             run_online(spec, 0, K_tracking=zero)
         raised.append(info.value)
@@ -173,17 +187,19 @@ def test_a_held_failure_is_raised_as_a_new_error():
     assert all(exc is None or exc.__traceback__ is None for exc in held.failures)
 
 
-def test_a_pass_without_residuals_serves_no_scoring_request():
+def test_a_pass_without_residuals_serves_no_scoring_request(passes):
     spec = _cold(make_aligned_game(np.random.default_rng(137), T=7))
-    run_online(spec, 0)  # holds the six zero-preview games, without residuals
+    check_assumptions(spec, "warn")  # holds the six zero-preview games, without their gaps
+    passes.clear()
     assert check_assumptions(spec, "warn").to_dict() == check_assumptions(_cold(spec), "warn").to_dict()
+    assert [p.games for p in passes] == [6, 6]
 
 
 def test_a_pass_under_other_tolerances_is_not_served():
     spec = _cold(make_aligned_game(np.random.default_rng(107), T=6))
     assert check_assumptions(spec, "warn").overall  # holds its pass under the default tolerances
     weakest = min(linalg.cholesky_pd(theta).min_pivot
-                  for theta in game_mod._backward(spec, [spec.T - 1]).theta[0])
+                  for theta in game_mod._backward(spec, [spec.T - 1], keep={"theta"}).theta[0])
     strict = Tolerances(pd_pivot=2.0 * weakest)  # fails the true game at some stage
     assert not check_assumptions(spec, "warn", tol=strict).check("A1").passed
     with pytest.raises(ThetaNotPDError):
@@ -206,28 +222,29 @@ def test_a_held_pass_is_not_part_of_the_spec():
         assert other == spec and other._kept_results is None
 
 
-def test_copies_and_other_tolerances_solve_the_gain_and_the_reduction_afresh(monkeypatch):
+def test_copies_and_other_tolerances_solve_the_gain_and_the_reduction_afresh(monkeypatch, passes):
     spec = _cold(make_aligned_game(np.random.default_rng(139), T=6))
     gain, reduction = compute_tracking_gain(spec), reduce_to_ocp(spec)
     doublings = _doublings(monkeypatch)
-    games = _counted(monkeypatch)
+    passes.clear()
     assert compute_tracking_gain(spec) is gain and reduce_to_ocp(spec) is reduction
     assert verify_equivalence(spec) == verify_equivalence(_cold(spec))
-    assert (len(doublings), sum(games)) == (0, 2)  # the cold spec's two passes
+    assert (len(doublings), sum(p.games for p in passes)) == (0, 2)  # the cold spec's two passes
     others = [pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec),
               dataclasses.replace(spec), with_costs(spec, spec.costs)]
     for other in others:
         doublings.clear()
-        games.clear()
+        passes.clear()
         assert np.array_equal(compute_tracking_gain(other), gain)
         assert vars(reduce_to_ocp(other)).keys() == vars(reduction).keys()
-        assert (len(doublings), sum(games)) == (1, 2)  # the game's pass and the reduced one
+        # the game's pass and the reduced one
+        assert (len(doublings), sum(p.games for p in passes)) == (1, 2)
     looser = Tolerances(spectral_margin=1e-3, mat_eq=1e-7)
     doublings.clear()
-    games.clear()
+    passes.clear()
     assert compute_tracking_gain(spec, tol=looser) is not gain
     assert reduce_to_ocp(spec, tol=looser) is not reduction
-    assert (len(doublings), sum(games)) == (1, 2)
+    assert (len(doublings), sum(p.games for p in passes)) == (1, 2)
     assert compute_tracking_gain(spec) is gain and reduce_to_ocp(spec) is reduction
 
 
@@ -295,8 +312,8 @@ def test_solver_outputs_are_read_only():
     full = spec.T - 1  # every step of a full-preview run tracks the true game, the held one
     assert run_online(spec, full).to_dict() == run_online(_cold(spec), full).to_dict()
     check_assumptions(spec, "warn")  # the spec now holds the scoring pass
-    scored = game_mod._solved(spec, np.arange(1, spec.T), residuals=True)
-    for stack in (scored.K, scored.theta, scored.residuals):
+    scored = game_mod._solved(spec, np.arange(1, spec.T), keep={"theta", "gaps"})
+    for stack in (scored.K, scored.theta, scored.gaps):
         with pytest.raises(ValueError, match="read-only"):
             stack[...] = 0.0
     assert _journey(lambda: spec) == _journey(lambda: _cold(spec))

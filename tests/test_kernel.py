@@ -147,23 +147,24 @@ def test_failed_padded_game_raises_the_lowest_step_error():
     assert (exc.value.stage, exc.value.min_pivot) == failures[2]
 
 
-@pytest.mark.parametrize("residuals", [False, True])
-def test_one_pass_reports_each_failed_game(residuals):
+@pytest.mark.parametrize("gaps", [False, True])
+def test_one_pass_reports_each_failed_game(gaps):
     # a failed game is data, not a replay: its error is the one it raises
     # alone, and the certified games in the same pass are untouched
     spec = make_padded_failure_game()
     known = list(range(1, spec.T))
+    keep = {"theta", "gaps"} if gaps else {"theta"}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = game_mod._backward(spec, known, residuals=residuals)
+        batch = game_mod._backward(spec, known, keep=keep)
     assert [exc is None for exc in batch.failures] == [k in (1, 5) for k in known]
     for g, (k, exc) in enumerate(zip(known, batch.failures)):
         if exc is None:
-            alone = game_mod._backward(spec, [k], residuals=residuals)
+            alone = game_mod._backward(spec, [k], keep=keep)
             assert np.array_equal(batch.theta[g], alone.theta[0])
             assert np.array_equal(batch.K[g], alone.K[0])
-            if residuals:
-                assert np.array_equal(batch.residuals[g], alone.residuals[0])
+            if gaps:
+                assert np.array_equal(batch.gaps[g], alone.gaps[0])
         else:
             with pytest.raises(ThetaNotPDError) as ref:
                 _reference_predict(spec, k, 0)
@@ -173,38 +174,46 @@ def test_one_pass_reports_each_failed_game(residuals):
     assert first.value is batch.failures[1]
 
 
-def _assert_stack_is_lone_passes(spec, schedules, known, residuals, rng):
+_EVERY_STACK = {"theta", "values", "gaps"}
+_KEPT = {"theta": ("theta",), "values": ("P1", "P2"), "gaps": ("gaps",)}
+
+
+def _assert_stack_is_lone_passes(spec, schedules, known, keep, rng):
     # the games of every schedule, shuffled into one pass, against each
-    # schedule's pass alone
+    # schedule's pass alone; a pass keeps what `keep` names and nothing else
     S, G = len(schedules), len(known)
     order = rng.permutation(S * G)
     which = np.repeat(np.arange(S), G)[order]
-    stacked = game_mod._backward(spec, np.tile(known, S)[order], residuals=residuals,
+    stacked = game_mod._backward(spec, np.tile(known, S)[order], keep=keep,
                                  costs=schedules, schedule=which)
     for s, costs in enumerate(schedules):
-        alone = game_mod._backward(with_costs(spec, costs), known, residuals=residuals)
+        alone = game_mod._backward(with_costs(spec, costs), known, keep=keep)
         games = np.argsort(order)[s * G:(s + 1) * G]
-        assert stacked.theta is None  # a pass over several schedules keeps no curvatures
         assert np.array_equal(stacked.K[games], alone.K)
-        if residuals:
-            assert np.array_equal(stacked.residuals[games], alone.residuals)
+        for name, fields in _KEPT.items():
+            for field in fields:
+                if name in keep:
+                    assert np.array_equal(getattr(stacked, field)[games], getattr(alone, field))
+                else:
+                    assert getattr(stacked, field) is None
         assert [repr(stacked.failures[g]) for g in games] == [repr(exc) for exc in alone.failures]
 
 
-@pytest.mark.parametrize("residuals", [False, True])
+@pytest.mark.parametrize("kept", [False, True])
 @pytest.mark.parametrize("family", [make_aligned_game, make_loose_game])
-def test_stacked_schedules_are_their_lone_passes(family, residuals):
+def test_stacked_schedules_are_their_lone_passes(family, kept):
     rng = np.random.default_rng(83)
     for _ in range(8):
         spec = family(rng)
         # other draws of the same sizes lend their schedules to spec's system
         schedules = [spec.costs] + [family(rng, n=spec.n, m=spec.m, T=spec.T).costs
                                     for _ in range(3)]
-        _assert_stack_is_lone_passes(spec, schedules, np.arange(1, spec.T), residuals, rng)
+        _assert_stack_is_lone_passes(spec, schedules, np.arange(1, spec.T),
+                                     _EVERY_STACK if kept else frozenset(), rng)
 
 
-@pytest.mark.parametrize("residuals", [False, True])
-def test_stacked_failing_and_clean_schedules_are_their_lone_passes(residuals):
+@pytest.mark.parametrize("kept", [False, True])
+def test_stacked_failing_and_clean_schedules_are_their_lone_passes(kept):
     spec = make_padded_failure_game()
     r = [0.7, 1.9, 1.0, 2.0, 1.8]
     clean = cost_schedule([[[v]] for v in (1.9, 0.4, 0.3, 1.0, 2.0)],
@@ -212,8 +221,8 @@ def test_stacked_failing_and_clean_schedules_are_their_lone_passes(residuals):
     schedules = [spec.costs, clean, spec.costs, clean]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _assert_stack_is_lone_passes(spec, schedules, np.arange(1, spec.T), residuals,
-                                     np.random.default_rng(89))
+        _assert_stack_is_lone_passes(spec, schedules, np.arange(1, spec.T),
+                                     _EVERY_STACK if kept else frozenset(), np.random.default_rng(89))
     stacked = game_mod._backward(spec, np.tile(np.arange(1, spec.T), 4), costs=schedules,
                                  schedule=np.repeat(np.arange(4), spec.T - 1))
     failing = [k in (2, 3, 4) for k in range(1, spec.T)]
@@ -243,11 +252,11 @@ def test_scoring_pass_keeps_the_plain_pass_gains(seed):
     # the report itself is pinned to the per-step reference in test_potential.py
     spec = make_aligned_game(np.random.default_rng(seed), T_max=9)
     known = np.arange(1, spec.T)
-    scored = game_mod._backward(spec, known, residuals=True)
-    plain = game_mod._backward(spec, known)
-    assert scored.K.tobytes() == plain.K.tobytes() and plain.residuals is None
+    scored = game_mod._backward(spec, known, keep={"theta", "gaps"})
+    plain = game_mod._backward(spec, known, keep={"theta"})
+    assert scored.K.tobytes() == plain.K.tobytes() and plain.gaps is None
     # the value-coupling gap of every game and stage
-    assert scored.residuals.shape == (spec.T - 1, spec.T - 1, 2 * spec.m, spec.n)
+    assert scored.gaps.shape == (spec.T - 1, spec.T - 1, 2 * spec.m, spec.n)
     assert np.array_equal(scored.theta, plain.theta)
 
 
@@ -263,8 +272,8 @@ def test_curvature_eigenvalues_cost_one_stacked_call_per_solve(monkeypatch):
 
     spec = make_aligned_game(np.random.default_rng(37), T_max=8)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    game_mod._backward(spec, np.arange(1, spec.T))
-    game_mod._backward(spec, np.arange(1, spec.T), residuals=True)
+    game_mod._backward(spec, np.arange(1, spec.T), keep={"theta"})
+    game_mod._backward(spec, np.arange(1, spec.T), keep={"theta", "gaps"})
     run_online(with_costs(spec, spec.costs), 1)  # a spec that holds no pass: the run solves
     assert calls == []
     nash = solve_feedback_nash(spec)
@@ -336,27 +345,26 @@ def test_all_previews_play_from_the_zero_preview_pass(family):
     assert played >= 15
 
 
-@pytest.mark.parametrize("residuals", [False, True])
-def test_shared_weights_reuse_the_first_value_recursion(residuals):
+@pytest.mark.parametrize("gaps", [False, True])
+def test_shared_weights_reuse_the_first_value_recursion(gaps):
     # when every schedule of a pass has R1 == R2, as the reduced problem's
     # does, P2 is P1 bit for bit, so the pass updates P1 alone and reads P2
     # off it; with another schedule in the pass it updates both
     rng = np.random.default_rng(97)
+    keep = {"values", "gaps"} if gaps else {"values"}
     for _ in range(6):
         spec = make_aligned_game(rng)
         joint = np.stack([build_r_potential(r1, r2) for r1, r2 in zip(spec.costs.R1, spec.costs.R2)])
         shared = cost_schedule(spec.costs.Q, joint, joint)
-        _assert_stack_is_lone_passes(spec, [shared, spec.costs], np.arange(1, spec.T), residuals, rng)
+        _assert_stack_is_lone_passes(spec, [shared, spec.costs], np.arange(1, spec.T), keep, rng)
         known = [spec.T - 1]
-        alone = game_mod._backward(spec, known, residuals=residuals, costs=[shared])
-        both = game_mod._backward(spec, known, residuals=residuals, costs=[shared, spec.costs],
-                                  schedule=[0])
-        assert all(np.shares_memory(p1, p2) for p1, p2 in zip(alone.P1, alone.P2))
-        # P_T is Q_T in both
-        assert not any(np.shares_memory(p1, p2) for p1, p2 in zip(both.P1[:-1], both.P2[:-1]))
-        assert alone.theta is None and both.theta is None  # passes over `costs=` keep no curvatures
-        for field in ("P1", "P2", "K") + (("residuals",) if residuals else ()):
-            assert np.array_equal(np.stack(getattr(alone, field)), np.stack(getattr(both, field)))
+        alone = game_mod._backward(spec, known, keep=keep, costs=[shared])
+        both = game_mod._backward(spec, known, keep=keep, costs=[shared, spec.costs], schedule=[0])
+        assert alone.P2 is alone.P1
+        assert not np.shares_memory(both.P1, both.P2)
+        assert alone.theta is None and both.theta is None  # neither pass names curvatures
+        for field in ("P1", "P2", "K") + (("gaps",) if gaps else ()):
+            assert np.array_equal(getattr(alone, field), getattr(both, field))
 
 
 def _reference_all_pd(sym, tol, ratio=0.0):
@@ -382,11 +390,11 @@ def _reference_not_pd(sym, tol, ratio=0.0):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _reference_backward(spec, known, tol=linalg.DEFAULT_TOLERANCES, residuals=False, costs=None,
-                        schedule=None):
+def _reference_backward(spec, known, tol=linalg.DEFAULT_TOLERANCES, costs=None, schedule=None):
     """`game._backward`'s stage loop as it was before its fixed cost per
     stage was trimmed: weight rows indexed stage by stage, and the failure
-    masks applied at every stage."""
+    masks applied at every stage.  It keeps every game's curvatures and
+    values, and in place of the gaps each game's largest gap norm."""
     known = np.asarray(known, dtype=np.intp).reshape(-1)
     T, n, m = spec.T, spec.n, spec.m
     G = known.shape[0]
@@ -398,11 +406,10 @@ def _reference_backward(spec, known, tol=linalg.DEFAULT_TOLERANCES, residuals=Fa
 
     p1 = p2 = qs[base + np.minimum(T, known + 1) - 2]
     same_values = all(np.array_equal(c.R1, c.R2) for c in costs)
-    keep_values = G == 1
-    p1_hist, p2_hist = [p1[0]], [p2[0]]
+    p1_hist, p2_hist = [p1], [p2]
     gains = np.empty((G, T - 1, 2 * m, n))
     thetas = np.empty((G, T - 1, 2 * m, 2 * m))
-    res = np.zeros(G) if residuals else None
+    res = np.zeros(G)
     failures = [None] * G
     failed = np.zeros(G, dtype=bool)
     ratio_floor = game_mod._PIVOT_RATIO * 2 * m * np.finfo(float).eps
@@ -422,10 +429,9 @@ def _reference_backward(spec, known, tol=linalg.DEFAULT_TOLERANCES, residuals=Fa
             failed[bad] = True
             theta[failed] = np.eye(2 * m)
         thetas[:, t - 1] = theta
-        if residuals:
-            gap = b.T @ (p1 - p2) @ a
-            gap[failed] = 0.0
-            res = np.fmax(res, linalg._two_norms(gap, res))
+        gap = b.T @ (p1 - p2) @ a
+        gap[failed] = 0.0
+        res = np.fmax(res, linalg._two_norms(gap, res))
         rhs = np.concatenate((b1p1, b2p2), axis=1) @ a
         kt = -np.linalg.solve(theta, rhs)
         gains[:, t - 1] = kt
@@ -442,10 +448,9 @@ def _reference_backward(spec, known, tol=linalg.DEFAULT_TOLERANCES, residuals=Fa
                 p2 = qt + kt_t @ r2t @ kt + closed_t @ p2 @ closed
                 p2 = (p2 + p2.transpose(0, 2, 1)) / 2.0
             p1[failed] = p2[failed] = 0.0
-            if keep_values:
-                p1_hist.append(p1[0])
-                p2_hist.append(p2[0])
-    values = (tuple(p1_hist[::-1]), tuple(p2_hist[::-1])) if keep_values else (None, None)
+            p1_hist.append(p1)
+            p2_hist.append(p2)
+    values = (np.stack(p1_hist[::-1], axis=1), np.stack(p2_hist[::-1], axis=1))
     return game_mod._Batch(gains, thetas, *values, res, tuple(failures))
 
 
@@ -456,7 +461,7 @@ def _trimmed_loop_cases():
         for _ in range(6):
             spec = family(rng)
             yield spec, np.arange(1, spec.T), None, None
-            yield spec, [spec.T - 1], None, None  # G=1 keeps values
+            yield spec, [spec.T - 1], None, None  # the true game alone
     yield make_padded_failure_game(), np.arange(1, 6), None, None
     # the drawn family at its default a and at two that fail certificates,
     # absolutely and by the pivot ratio, first at high stages
@@ -475,27 +480,28 @@ def _trimmed_loop_cases():
         yield spec, [39], None, None
 
 
-@pytest.mark.parametrize("residuals", [False, True])
-def test_trimmed_stage_loop_is_the_reference_loop_bit_for_bit(residuals):
+@pytest.mark.parametrize("gaps", [False, True])
+def test_trimmed_stage_loop_is_the_reference_loop_bit_for_bit(gaps):
     failing = 0
     for spec, known, costs, schedule in _trimmed_loop_cases():
-        got = game_mod._backward(spec, known, residuals=residuals, costs=costs, schedule=schedule)
-        want = _reference_backward(spec, known, residuals=residuals, costs=costs, schedule=schedule)
+        keep = _EVERY_STACK if gaps else {"theta", "values"}
+        got = game_mod._backward(spec, known, keep=keep, costs=costs, schedule=schedule)
+        want = _reference_backward(spec, known, costs=costs, schedule=schedule)
         assert got.K.tobytes() == want.K.tobytes()
-        if costs is None:
-            assert got.theta.tobytes() == want.theta.tobytes()
-        else:  # a sweep's stack keeps no curvatures
-            assert got.theta is None
-        assert (got.residuals is None) == (want.residuals is None)
-        if residuals:
+        assert got.theta.tobytes() == want.theta.tobytes()
+        # every game's values, (G, T-1, n, n), whatever the game count
+        assert got.P1.tobytes() == want.P1.tobytes() and got.P2.tobytes() == want.P2.tobytes()
+        if gaps:
             # the pass keeps the gap stack; each game's exact largest norm
             # over it is the reference loop's running maximum
-            assert got.residuals.shape == got.K.shape
-            exact = np.fmax.reduce(np.linalg.norm(got.residuals, 2, axis=(-2, -1)), axis=1, initial=0.0)
-            assert exact.tobytes() == want.residuals.tobytes()
-        assert (got.P1 is None) == (want.P1 is None) == (len(known) > 1)
-        if got.P1 is not None:
-            assert np.stack(got.P1 + got.P2).tobytes() == np.stack(want.P1 + want.P2).tobytes()
+            assert got.gaps.shape == got.K.shape
+            exact = np.fmax.reduce(np.linalg.norm(got.gaps, 2, axis=(-2, -1)), axis=1, initial=0.0)
+            assert exact.tobytes() == want.gaps.tobytes()
+        else:  # a pass that keeps nothing keeps the same gains, and gains and failures only
+            bare = game_mod._backward(spec, known, costs=costs, schedule=schedule)
+            assert got.gaps is None and bare[1:5] == (None,) * 4
+            assert bare.K.tobytes() == got.K.tobytes()
+            assert [repr(e) for e in bare.failures] == [repr(e) for e in got.failures]
         assert [(type(e), e.stage, e.min_pivot, str(e)) if e else None for e in got.failures] == \
             [(type(e), e.stage, e.min_pivot, str(e)) if e else None for e in want.failures]
         failing += any(got.failures)

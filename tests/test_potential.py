@@ -186,8 +186,8 @@ def test_a_curvature_solve_cannot_invert_fails_a1_in_the_report(a, T, seed, stag
 
 def _true_curvature(spec, stage):
     """The true game's curvature at `stage`, from the values the pass kept above it."""
-    batch = game_mod._backward(spec, [spec.T - 1])
-    p1, p2 = batch.P1[stage - 1], batch.P2[stage - 1]  # stage + 1's values
+    batch = game_mod._backward(spec, [spec.T - 1], keep={"values"})
+    p1, p2 = batch.P1[0, stage - 1], batch.P2[0, stage - 1]  # stage + 1's values
     return game_mod._stage_theta(spec.costs.R1[stage - 1], spec.costs.R2[stage - 1],
                                  spec.B1.T @ p1, spec.B2.T @ p2, spec.B1, spec.B2)
 
@@ -419,17 +419,9 @@ def test_uncertified_padded_games_score_their_failing_pivot():
     assert a6["margin"] == min(pivots + scored)
 
 
-def test_uncertified_padded_games_are_scored_from_one_pass(monkeypatch):
-    backward = game_mod._backward
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return backward(*args, **kwargs)
-
-    monkeypatch.setattr(game_mod, "_backward", counted)
+def test_uncertified_padded_games_are_scored_from_one_pass(passes):
     assert not check_assumptions(make_padded_failure_game(), "warn").overall
-    assert len(calls) == 1
+    assert len(passes) == 1
 
 
 def _late_failure_game():
@@ -445,10 +437,10 @@ def test_a_game_that_fails_below_the_largest_gap_does_not_score_it():
     # A6's residual terms are the worst case over the certified games only:
     # the gap a failed game holds above its failing stage is not scored
     spec = _late_failure_game()
-    batch = game_mod._backward(spec, np.arange(1, spec.T), residuals=True)
+    batch = game_mod._backward(spec, np.arange(1, spec.T), keep={"gaps"})
     assert [exc is not None for exc in batch.failures] == [False, True, False, False]
     assert batch.failures[1].stage == 1
-    norms = np.linalg.norm(batch.residuals, 2, axis=(-2, -1))  # [g, t - 1] is stage t's gap
+    norms = np.linalg.norm(batch.gaps, 2, axis=(-2, -1))  # [g, t - 1] is stage t's gap
     assert np.unravel_index(np.argmax(norms), norms.shape) == (1, 1)  # game 2, stage 2
     a6 = _assert_report_matches_reference(spec)["assumptions"][5]
     assert a6["margin"] > linalg.DEFAULT_TOLERANCES.mat_eq - norms.max()
@@ -539,7 +531,8 @@ def _batch_of(spec, nash):
     b1, b2, costs = spec.B1, spec.B2, spec.costs
     thetas = game_mod._stage_theta(costs.R1, costs.R2, b1.T @ np.stack(nash.P1),
                                    b2.T @ np.stack(nash.P2), b1, b2)
-    return game_mod._Batch(np.stack(nash.K)[None], thetas[None], nash.P1, nash.P2, None, (None,))
+    return game_mod._Batch(np.stack(nash.K)[None], thetas[None], np.stack(nash.P1)[None],
+                           np.stack(nash.P2)[None], None, (None,))
 
 
 def _forged_solutions():
@@ -632,20 +625,13 @@ def test_equivalence_on_aligned_family():
 
 
 
-def test_verify_equivalence_solves_the_game_once(monkeypatch):
+def test_verify_equivalence_solves_the_game_once(passes):
     drawn = make_aligned_game(np.random.default_rng(8), T_max=6)
     spec = with_costs(drawn, drawn.costs)  # the draw's check left it holding a pass
-    backward = game_mod._backward
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return backward(*args, **kwargs)
-
-    monkeypatch.setattr(game_mod, "_backward", counted)
+    passes.clear()
     assert verify_equivalence(spec) <= 1e-9
     # one pass on the game itself, then one on the reduced problem
-    assert [args[0] is spec for args in calls] == [True, False]
+    assert [p.spec is spec for p in passes] == [True, False]
 
 
 def test_verify_equivalence_rejects_an_uncertified_game():
@@ -777,7 +763,7 @@ def _certify_outputs(spec):
     def residual_maxima():
         # each game's exact largest value-coupling gap: the stack depends on
         # neither screen, and its maxima are what the report reduces it to
-        stack = game_mod._backward(spec, np.arange(1, spec.T), residuals=True).residuals
+        stack = game_mod._backward(spec, np.arange(1, spec.T), keep={"gaps"}).gaps
         return np.fmax.reduce(np.linalg.norm(stack, 2, axis=(-2, -1)), axis=1, initial=0.0).tolist()
 
     return json.dumps({
@@ -818,7 +804,7 @@ def test_screened_eigenvalues_give_what_exact_eigenvalues_give(monkeypatch):
              + [make_padded_failure_game(), _identical_players_game(), _late_failure_game()]
              + _dense_aligned_games(3, 74))
     for spec in specs:
-        batch = game_mod._backward(spec, np.arange(1, spec.T))
+        batch = game_mod._backward(spec, np.arange(1, spec.T), keep={"theta"})
         thetas = potential._rows(batch.theta, np.array([exc is None for exc in batch.failures]))
         least = _exact_least_eig(thetas, math.inf)
         # the screen at, just below and just above the least eigenvalue, and at the true game's
