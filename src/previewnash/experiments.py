@@ -78,7 +78,7 @@ def _scalar(name: str, value, kind: type):
 
 def _check_dist(name: str, dist) -> tuple:
     try:
-        lo, hi = (float(v) for v in dist)
+        lo, hi = (game_mod._number(v, float) for v in dist)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfigError(f"{name} must be a (low, high) pair") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
@@ -155,7 +155,7 @@ class ExperimentConfig:
             raise InvalidConfigError(f"d_convention must be 'literal' or 'magnitude', got {self.d_convention!r}")
 
         try:
-            x1 = tuple(float(v) for v in self.x1)
+            x1 = tuple(game_mod._number(v, float) for v in self.x1)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfigError("x1 must be a pair of reals") from exc
         if len(x1) != 2 or not all(math.isfinite(v) for v in x1):
@@ -478,10 +478,10 @@ def sweep(config: ExperimentConfig, jobs: int = 1, tol: Tolerances | None = None
     (see `_run_block`); each block computes the tracking gain from its first game.
     A failure stays in the rows of the game that raised it, tagged with a
     short code, rather than aborting the sweep.
-    The pool runs at most min(jobs, blocks, CPUs) workers.  Every game's
-    arithmetic is the same whatever block it is in, and rows are sorted by
-    (T, W, seed) before aggregation, so jobs > 1 changes wall time and
-    nothing else.
+    The pool runs at most min(jobs, blocks, CPUs) workers, counting the CPUs
+    this process may run on.  Every game's arithmetic is the same whatever
+    block it is in, and rows are sorted by (T, W, seed) before aggregation,
+    so jobs > 1 changes wall time and nothing else.
     """
     tol = tol or DEFAULT_TOLERANCES
     jobs = _scalar("jobs", jobs, int)
@@ -492,7 +492,8 @@ def sweep(config: ExperimentConfig, jobs: int = 1, tol: Tolerances | None = None
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
 
-        workers = min(jobs, len(blocks), os.cpu_count() or 1)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(jobs, len(blocks), cpus)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [r for block in pool.map(_run_block, *zip(*blocks)) for r in block]
     else:

@@ -409,8 +409,9 @@ class _Batch(NamedTuple):
     Every pass keeps K, the (G, T-1, 2m, n) joint gains, and failures[g],
     None or the ThetaNotPDError game g raises alone.  What `keep` names is
     kept too, and None otherwise: "theta" the (G, T-1, 2m, 2m) stage
-    curvatures; "values" P1 and P2, (G, T-1, n, n), [g, k] game g's
-    stage-(k+2) values (P2 is P1 when both players pay the same weights);
+    curvatures; "values" P1 and P2, (G, T-1, n, n), the two halves of one
+    buffer, [g, k] game g's stage-(k+2) values (bitwise equal when both
+    players pay the same weights, as in the reduced problem);
     "gaps" the (G, T-1, 2m, n) value-coupling gaps B'(P1_{t+1} - P2_{t+1}) A.
     A failed game's entries are void from its failing stage down, where its
     curvature is the identity and its gaps and values are zero.  Every
@@ -451,11 +452,13 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
     schedule through stage known[g] and its last revealed weights repeated
     after that: stage tau uses R_min(tau, known[g]) and the state weight of
     stage s is Q_min(s, known[g]+1).  Every product is a stacked `@`, so
-    each game's arithmetic is the same as if it were solved alone.  The
-    pass keeps every game's gains and failures, and of "theta", "values"
-    and "gaps" what `keep` names (see _Batch).  Weights are read by index
-    from the schedules' stacks.  This is the raw pass; a library caller
-    that solves a spec's own schedule goes through `_solved`.
+    each game's arithmetic is the same as if it were solved alone, and the
+    two players' values are one pair updated by one expression,
+    P^i_t = Q_t + K_t' R^i_t K_t + (A + B K_t)' P^i_{t+1} (A + B K_t),
+    symmetrized.  The pass keeps every game's gains and failures, and of
+    "theta", "values" and "gaps" what `keep` names (see _Batch).  Weights
+    are read by index from the schedules' stacks.  This is the raw pass; a
+    library caller that solves a spec's own schedule goes through `_solved`.
 
     A curvature is certified when every Cholesky pivot of its symmetric
     part exceeds tol.pd_pivot and _PIVOT_RATIO * 2m * eps times its largest
@@ -478,26 +481,22 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
     # each game's stage-t weights: R at rows[t - 1], Q_min(t, k+1) at rows[t - 2]
     rows = base + np.minimum(np.arange(1, T)[:, None], known) - 1
 
-    p1 = p2 = qs[rows[-1]]
-    # both players pay the same weights (the reduced problem): P2 is P1 bit for bit
-    same_values = all(np.array_equal(c.R1, c.R2) for c in costs)
+    p = [qs[rows[-1]]] * 2  # the players' stage-(t+1) values, P1 and P2
     gains = np.empty((G, T - 1, 2 * m, n))
     thetas = np.empty((G, T - 1, 2 * m, 2 * m)) if "theta" in keep else None
     gaps = np.empty((G, T - 1, 2 * m, n)) if "gaps" in keep else None
-    p1s = np.empty((G, T - 1, n, n)) if "values" in keep else None
-    p2s = p1s if same_values or p1s is None else np.empty_like(p1s)
+    values = np.empty((2, G, T - 1, n, n)) if "values" in keep else None
     failures = [None] * G
     failed = np.zeros(G, dtype=bool)
     any_failed = False  # the masks below are void until a game fails
     ratio_floor = _PIVOT_RATIO * 2 * m * np.finfo(float).eps
 
     for t in range(T - 1, 0, -1):
-        if p1s is not None:  # stage t+1's values
-            p1s[:, t - 1], p2s[:, t - 1] = p1, p2
-        r1t, r2t = r1s[rows[t - 1]], r2s[rows[t - 1]]
-        b1p1 = b1.T @ p1
-        b2p2 = b2.T @ p2
-        theta = _stage_theta(r1t, r2t, b1p1, b2p2, b1, b2)
+        if values is not None:
+            values[:, :, t - 1] = p
+        r = r1s[rows[t - 1]], r2s[rows[t - 1]]
+        bp = [bi.T @ pi for bi, pi in zip((b1, b2), p)]  # B1' P1 and B2' P2
+        theta = _stage_theta(*r, *bp, b1, b2)
         if any_failed:
             theta[failed] = np.eye(2 * m)
         sym = (theta + theta.transpose(0, 2, 1)) / 2.0
@@ -513,31 +512,26 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
         if thetas is not None:
             thetas[:, t - 1] = theta
         if gaps is not None:
-            gap = b.T @ (p1 - p2) @ a  # stage t+1 values
+            gap = b.T @ (p[0] - p[1]) @ a
             gap[failed] = 0.0  # void, and maybe not finite, which the norm's SVD refuses
             gaps[:, t - 1] = gap
-        rhs = np.concatenate((b1p1, b2p2), axis=1) @ a
-        kt = -np.linalg.solve(theta, rhs)
+        kt = -np.linalg.solve(theta, np.concatenate(bp, axis=1) @ a)
         gains[:, t - 1] = kt
         if t >= 2:
             closed = a + b @ kt
             closed_t = closed.transpose(0, 2, 1)
             kt_t = kt.transpose(0, 2, 1)
             qt = qs[rows[t - 2]]
-            p1 = qt + kt_t @ r1t @ kt + closed_t @ p1 @ closed
-            p1 = (p1 + p1.transpose(0, 2, 1)) / 2.0
-            if same_values:
-                p2 = p1
-            else:
-                p2 = qt + kt_t @ r2t @ kt + closed_t @ p2 @ closed
-                p2 = (p2 + p2.transpose(0, 2, 1)) / 2.0
+            p = [qt + kt_t @ ri @ kt + closed_t @ pi @ closed for ri, pi in zip(r, p)]
+            p = [(pi + pi.transpose(0, 2, 1)) / 2.0 for pi in p]
             if any_failed:
-                p1[failed] = p2[failed] = 0.0
+                for pi in p:
+                    pi[failed] = 0.0
 
-    for stack in (gains, thetas, gaps, p1s, p2s):
+    for stack in (gains, thetas, gaps, values):
         if stack is not None:
             _freeze(stack)
-    return _Batch(gains, thetas, p1s, p2s, gaps, tuple(failures))
+    return _Batch(gains, thetas, *(values if values is not None else (None, None)), gaps, tuple(failures))
 
 
 def _solved(spec: GameSpec, known, tol: Tolerances | None = None,

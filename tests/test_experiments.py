@@ -3,9 +3,11 @@
 import concurrent.futures
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -40,7 +42,7 @@ from previewnash import (
     spec_to_dict,
     sweep,
 )
-from previewnash import cli, experiments, online
+from previewnash import cli, experiments, linalg, online
 from previewnash import game as game_mod
 
 from conftest import make_padded_failure_game, malformed_docs, scalar_draw
@@ -123,6 +125,21 @@ def test_text_and_booleans_are_not_numbers(call, error):
     # int() and float() read "2" and True as numbers, but JSON does not
     with pytest.raises(error, match="integer|real"):
         call(generate_game(ExperimentConfig(), 5, 0))
+
+
+@pytest.mark.parametrize("bad", ["1", b"1", True, np.True_], ids=["str", "bytes", "bool", "numpy_bool"])
+@pytest.mark.parametrize("field, pair, message", [
+    ("x1", (1.0, 1.0), "x1 must be a pair of reals"),
+    ("beta_dist", (10.0, 110.0), r"beta_dist must be a \(low, high\) pair"),
+    ("l_dist", (10.0, 110.0), r"l_dist must be a \(low, high\) pair"),
+    ("d_dist", (-110.0, -10.0), r"d_dist must be a \(low, high\) pair"),
+], ids=["x1", "beta_dist", "l_dist", "d_dist"])
+def test_float_pairs_refuse_text_and_booleans(field, pair, message, bad):
+    # float() reads "1", b"1" and True as 1.0, but JSON does not
+    for k in range(2):
+        entries = [*pair[:k], bad, *pair[k + 1:]]
+        with pytest.raises(InvalidConfigError, match=message):
+            ExperimentConfig(**{field: entries})
 
 
 def test_config_accepts_integral_floats():
@@ -395,6 +412,21 @@ def test_the_package_exports_each_layers_all():
         assert star[name] is getattr(previewnash, name)
     for name in _PACKAGE_NAMES:
         assert hasattr(previewnash, name), name
+    # the benchmark's spans look these functions up by name, among those
+    # it wraps from each layer's __all__, and it rebinds the ones that
+    # layers import from game, so a deletion fails here first
+    traced = {linalg: ("cholesky_pd", "sym_eig", "solve_linear"),
+              game_mod: ("solve_feedback_nash", "cost_schedule", "evaluate_cost"),
+              online: ("predict_nash", "pad_schedule", "run_online", "compute_tracking_gain"),
+              potential: ("check_assumptions", "reduce_to_ocp", "verify_equivalence"),
+              experiments: ("generate_game", "sweep", "emit_csv"),
+              cli: ("main",)}
+    for layer, functions in traced.items():
+        for name in functions:
+            assert name in layer.__all__ and inspect.isfunction(getattr(layer, name)), name
+    for layer, name in ((online, "with_costs"), (potential, "with_costs"),
+                        (experiments, "cost_schedule"), (experiments, "game_spec")):
+        assert getattr(layer, name) is getattr(game_mod, name), name
 
 
 # ------------------------------------------------------------------- sweeps
@@ -453,9 +485,11 @@ def test_one_seed_blocks_equal_the_uncapped_sweep(monkeypatch, passes):
     assert [p.schedules for p in passes] == [1] * (config.runs * len(config.T_range))
 
 
-@pytest.mark.parametrize("cpus, workers", [(2, 2), (8, 3), (None, 1)])
-def test_worker_count_is_capped_by_blocks_and_cpus(monkeypatch, cpus, workers):
-    # jobs=64 over 3 runs makes 3 one-seed blocks; no real pool is started
+def _workers_started(monkeypatch, affinity, cpus) -> list:
+    """The worker counts `sweep(config, jobs=64)` starts pools with, for a
+    config of 3 one-seed blocks, when this process may run on the CPUs in
+    `affinity` (None: a platform without os.sched_getaffinity) and
+    os.cpu_count() is `cpus`; no real pool is started."""
     started = []
 
     class RecordingPool:
@@ -474,9 +508,27 @@ def test_worker_count_is_capped_by_blocks_and_cpus(monkeypatch, cpus, workers):
     config = ExperimentConfig(T_range=(5,), W_range=(0, 2), runs=3)
     serial = sweep(config)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    if affinity is None:
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(affinity))
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     assert sweep(config, jobs=64) == serial
-    assert started == [workers]
+    return started
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (8, 3), (None, 1)])
+def test_worker_count_is_capped_by_blocks_and_cpus(monkeypatch, cpus, workers):
+    # None: a platform that reports neither its CPU affinity nor its CPU count
+    affinity = None if cpus is None else range(cpus)
+    assert _workers_started(monkeypatch, affinity, cpus) == [workers]
+
+
+def test_worker_count_is_capped_by_the_cpus_this_process_may_run_on(monkeypatch):
+    # pinned to one CPU of eight (taskset -c 0), a second worker would only share it
+    assert _workers_started(monkeypatch, {0}, 8) == [1]
+    # where the platform has no affinity call, the CPU count caps the workers
+    assert _workers_started(monkeypatch, None, 8) == [3]
 
 
 def test_blocks_split_each_horizon_into_jobs_contiguous_runs(monkeypatch):
@@ -752,6 +804,16 @@ def test_emit_plot_skips_empty_log_values(tmp_path):
                                         mean_nash_cost=2.0, log_rel_pou_of_means=None)]
     text = emit_plot(aggs, "W", tmp_path / "skip.svg").read_text()
     assert text.count("<circle") == 4
+
+
+def test_emit_plot_thins_past_twelve_x_values_to_twelve_ticks(tmp_path):
+    aggs = [AggregateRow(T=20, W=w, mean_pou=1.0, mean_nash_cost=2.0, log_rel_pou_of_means=-1.0 * w)
+            for w in range(20)]
+    text = emit_plot(aggs, "W", tmp_path / "many.svg").read_text()
+    ticks = re.findall(r'<text [^>]*text-anchor="middle">([^<]*)</text>', text)[:-1]  # less the axis name
+    # evenly spaced over the sorted values, both ends kept; every point is still drawn
+    assert ticks == ["0", "2", "3", "5", "7", "9", "10", "12", "14", "16", "17", "19"]
+    assert text.count("<circle") == 20
 
 
 def test_emit_plot_validates_axis(tmp_path):

@@ -270,6 +270,14 @@ def test_game_spec_validation(scalar_spec):
     wide = cost_schedule([np.eye(2)], [np.eye(2)], [np.eye(2)])
     with pytest.raises(DimensionMismatchError):
         game_spec([[1.0]], [[1.0]], [[1.0]], [1.0], wide)
+    four = cost_schedule([[[1.0]]], [np.eye(4)], [np.eye(4)])
+    with pytest.raises(DimensionMismatchError, match="^control weights are 4-dimensional but 2m = 2$"):
+        game_spec([[1.0]], [[1.0]], [[1.0]], [1.0], four)
+    # cost_schedule never makes a one-stage horizon, but a schedule built directly can
+    empty = np.empty((0, 2, 2))
+    short = CostSchedule(Q=np.empty((0, 1, 1)), R1=empty, R2=empty)
+    with pytest.raises(DimensionMismatchError, match="^horizon must be at least 2$"):
+        game_spec([[1.0]], [[1.0]], [[1.0]], [1.0], short)
 
 
 def test_with_costs_keeps_horizon(scalar_spec, scalar_spec_t3):
@@ -548,6 +556,14 @@ def test_spec_from_dict_rejects_non_integral_declared_sizes(scalar_spec, field, 
         spec_from_dict({**spec_to_dict(scalar_spec), field: value})
 
 
+@pytest.mark.parametrize("field, value, actual", [("n", 2, 1), ("m", 2, 1), ("T", 4, 3)])
+def test_spec_from_dict_rejects_declared_sizes_that_disagree(scalar_spec_t3, field, value, actual):
+    doc = {**spec_to_dict(scalar_spec_t3), field: value}
+    with pytest.raises(DimensionMismatchError,
+                       match=rf"^declared {field}={value} disagrees with matrix shapes \({actual}\)$"):
+        spec_from_dict(doc)
+
+
 def test_spec_from_dict_accepts_integral_float_sizes(scalar_spec):
     assert spec_from_dict({**spec_to_dict(scalar_spec), "n": 1.0, "m": 1.0, "T": 2.0}) == scalar_spec
 
@@ -593,6 +609,14 @@ def test_serialization_round_trips_through_json(family):
         back = nash_from_dict(json.loads(json.dumps(nash_to_dict(nash))))
         for field in ("K", "P1", "P2", "x_star", "u_star", "theta_min_eig"):
             assert np.array_equal(getattr(back, field), getattr(nash, field))
+
+
+def test_nash_from_dict_names_a_missing_field_and_a_short_curvature_list(scalar_spec_t3):
+    data = nash_to_dict(solve_feedback_nash(scalar_spec_t3))
+    with pytest.raises(DimensionMismatchError, match="^solution is missing field 'P2'$"):
+        nash_from_dict({k: v for k, v in data.items() if k != "P2"})
+    with pytest.raises(DimensionMismatchError, match="^theta_min_eig must hold 2 entries, got 1$"):
+        nash_from_dict({**data, "theta_min_eig": data["theta_min_eig"][:1]})
 
 
 def test_nash_from_dict_rejects_truncated_gains(scalar_spec_t3):

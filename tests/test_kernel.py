@@ -348,8 +348,8 @@ def test_all_previews_play_from_the_zero_preview_pass(family):
 @pytest.mark.parametrize("gaps", [False, True])
 def test_shared_weights_reuse_the_first_value_recursion(gaps):
     # when every schedule of a pass has R1 == R2, as the reduced problem's
-    # does, P2 is P1 bit for bit, so the pass updates P1 alone and reads P2
-    # off it; with another schedule in the pass it updates both
+    # does, the one value update gives P2 equal to P1 bit for bit, in their
+    # own halves of the values buffer, alone or beside another schedule
     rng = np.random.default_rng(97)
     keep = {"values", "gaps"} if gaps else {"values"}
     for _ in range(6):
@@ -360,7 +360,7 @@ def test_shared_weights_reuse_the_first_value_recursion(gaps):
         known = [spec.T - 1]
         alone = game_mod._backward(spec, known, keep=keep, costs=[shared])
         both = game_mod._backward(spec, known, keep=keep, costs=[shared, spec.costs], schedule=[0])
-        assert alone.P2 is alone.P1
+        assert alone.P2.tobytes() == alone.P1.tobytes()
         assert not np.shares_memory(both.P1, both.P2)
         assert alone.theta is None and both.theta is None  # neither pass names curvatures
         for field in ("P1", "P2", "K") + (("gaps",) if gaps else ()):

@@ -156,6 +156,20 @@ def _relative_gap(k, want):
     return np.abs(k - want).max() / np.abs(want).max()
 
 
+@pytest.mark.parametrize("a, message", [
+    (1.0, r"^value iteration did not settle; \(A, B\) may not be stabilizable$"),
+    (1.0 - 1e-7, r"^closed-loop radius estimate 1\.000000 is not safely below 1$"),
+], ids=["unsettled", "radius"])
+def test_doubling_gain_refusals_name_their_cause(a, message):
+    # with no input, H doubles at every step for a = 1, so 64 doublings do
+    # not settle it; just below 1 it settles, but leaves the open loop,
+    # which is not safely stable
+    costs = cost_schedule([[[1.0]]], [np.eye(2)], [np.eye(2)])
+    spec = game_spec([[a]], [[0.0]], [[0.0]], [1.0], costs)
+    with pytest.raises(NotStabilizableError, match=message):
+        compute_tracking_gain(spec)
+
+
 def test_doubling_gain_is_bitwise_value_iteration_on_the_default_family():
     spec = generate_game(ExperimentConfig(), 5, 0)
     assert np.array_equal(compute_tracking_gain(spec), _value_iteration_gain(spec))
