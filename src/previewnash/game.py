@@ -126,7 +126,7 @@ def _number(value, kind: type):
     """kind(value) for kind int or float.  Text and booleans, which int()
     and float() read as numbers but JSON does not, are a TypeError, and for
     int a value that int() would round is a ValueError."""
-    if isinstance(value, (str, bytes, bool, np.bool_)):
+    if isinstance(value, linalg._NOT_NUMBERS):
         raise TypeError(f"{value!r} is not a number")
     number = kind(value)
     if kind is int and number != value:
@@ -202,8 +202,8 @@ def _checked_stack(entries: Sequence, size: int, name: str, first: int, tol: Tol
     entry by entry only when that fails, to find the first faulty entry.
     """
     try:
-        stack = np.array(entries, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        stack = linalg._floats(entries, name)
+    except (TypeError, ValueError):
         stack = None
     shape_error = None
     if stack is None or stack.shape != (len(entries), size, size) or not np.all(np.isfinite(stack)):
@@ -801,15 +801,14 @@ def nash_from_dict(data: dict) -> NashSolution:
     if not isinstance(data, dict):
         raise DimensionMismatchError(f"solution must be a JSON object, got {type(data).__name__}")
     try:
-        x = np.asarray(data["x_star"], dtype=float)
-        u = np.asarray(data["u_star"], dtype=float)
-        gains = tuple(np.asarray(k, dtype=float) for k in data["K"])
-        p1 = tuple(np.asarray(p, dtype=float) for p in data["P1"])
-        p2 = tuple(np.asarray(p, dtype=float) for p in data["P2"])
-        theta_min = tuple(float(v) for v in data["theta_min_eig"])
+        x, u = (linalg._floats(data[field], field) for field in ("x_star", "u_star"))
+        gains, p1, p2 = (tuple(linalg._floats(v, field) for v in data[field]) for field in ("K", "P1", "P2"))
+        theta_min = linalg._floats(data["theta_min_eig"], "theta_min_eig")
+        if theta_min.ndim != 1:
+            raise ValueError(f"theta_min_eig: expected a list of numbers, got ndim={theta_min.ndim}")
     except KeyError as exc:
         raise DimensionMismatchError(f"solution is missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"solution has a mistyped or ragged field: {exc}") from exc
     if x.ndim != 2 or x.shape[0] < 2:
         raise DimensionMismatchError(f"x_star must be (T, n) with T >= 2, got shape {x.shape}")
@@ -829,4 +828,4 @@ def nash_from_dict(data: dict) -> NashSolution:
         )
     if not all(np.all(np.isfinite(v)) for v in (x, u, *gains, *p1, *p2, theta_min)):
         raise DimensionMismatchError("solution holds a non-finite entry")
-    return NashSolution(K=gains, P1=p1, P2=p2, x_star=x, u_star=u, theta_min_eig=theta_min)
+    return NashSolution(K=gains, P1=p1, P2=p2, x_star=x, u_star=u, theta_min_eig=tuple(theta_min.tolist()))

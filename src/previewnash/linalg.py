@@ -85,8 +85,26 @@ class SingularExtremes(NamedTuple):
     sigma_min_pos: float
 
 
+# what int(), float() and numpy read as numbers though JSON does not
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+
 def _floats(a, name: str) -> np.ndarray:
-    """np.array(a, dtype=float); an integer too large for a float is a ValueError."""
+    """np.array(a, dtype=float) of numbers.  Text and booleans, which numpy
+    reads as numbers but JSON does not, are a ValueError, as is an integer
+    too large for a float.  An array is judged by its dtype, and only lists
+    and tuples (or an object array) are walked entry by entry."""
+    pending = [a]
+    while pending:
+        x = pending.pop()
+        if isinstance(x, (list, tuple)):
+            pending.extend(reversed(x))
+        elif isinstance(x, np.ndarray) and x.dtype.kind == "O":
+            pending.extend(reversed(x.ravel().tolist()))
+        elif isinstance(x, np.ndarray) and x.dtype.kind not in "fiu":
+            raise ValueError(f"{name}: entries must be numbers, got an array of dtype {x.dtype}")
+        elif isinstance(x, _NOT_NUMBERS):
+            raise ValueError(f"{name}: entries must be numbers, got {x!r}")
     try:
         return np.array(a, dtype=float)
     except OverflowError as exc:
@@ -161,21 +179,21 @@ def _pivots(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     and skips a NaN pivot in its running min, as Python's `min` does.  Each
     dot product is the `@` one matrix alone takes, so results are bitwise its."""
     mt = np.swapaxes(stack, -1, -2)
-    exact = np.all(stack == mt, axis=(-2, -1))[:, None, None]
-    s = np.where(exact, stack, (stack + mt) / 2.0)
+    s = stack + mt
+    s /= 2.0
+    np.copyto(s, stack, where=np.all(stack == mt, axis=(-2, -1))[:, None, None])
     G, n = s.shape[:2]
-    lower = np.zeros(s.shape)
     min_pivot = np.full(G, np.inf)
     live = np.ones(G, dtype=bool)
-    for i in range(n):
-        row = lower[:, i, :i, None]  # row i of each factor, as a column
+    for i in range(n):  # each factor overwrites its matrix's lower triangle, a column a step
+        row = s[:, i, :i, None]  # row i of each factor, as a column
         pivot = s[:, i, i] - (np.swapaxes(row, -1, -2) @ row)[:, 0, 0]
         min_pivot = np.where(live & (pivot < min_pivot), pivot, min_pivot)
         live &= pivot > tol
         if not live.any():
             break
-        lower[:, i, i] = diag = np.sqrt(np.where(live, pivot, 1.0))  # a failed row is void
-        lower[:, i + 1:, i] = (s[:, i + 1:, i] - (lower[:, i + 1:, :i] @ row)[..., 0]) / diag[:, None]
+        s[:, i, i] = diag = np.sqrt(np.where(live, pivot, 1.0))  # a failed row is void
+        s[:, i + 1:, i] = (s[:, i + 1:, i] - (s[:, i + 1:, :i] @ row)[..., 0]) / diag[:, None]
     return live, min_pivot
 
 
@@ -295,9 +313,10 @@ def spectral_radius_est(m) -> float:
     """Spectral radius estimate ||M^128||^(1/128).
 
     Powers are formed by 7 repeated squarings with per-step norm scaling, so
-    the estimate never overflows; the scale is tracked in log space.  Good to
-    about a percent on well-conditioned eigenbases, which is all the
-    stability verdicts here need.
+    the powers never overflow; the scale is tracked in log space, and a
+    radius past the float range is inf.  Good to about a percent on
+    well-conditioned eigenbases, which is all the stability verdicts here
+    need.
     """
     a = _require_square(m, "spectral_radius_est")
     if a.shape[0] == 0:
@@ -305,7 +324,12 @@ def spectral_radius_est(m) -> float:
     norm = float(np.linalg.norm(a, 2))
     if norm == 0.0:
         return 0.0
-    log_scale = math.log(norm)
+    log_scale = 0.0
+    if norm == math.inf:  # a finite matrix whose norm passes the float range: scale by max|M| first
+        peak = float(np.max(np.abs(a)))
+        a = a / peak
+        log_scale, norm = math.log(peak), float(np.linalg.norm(a, 2))
+    log_scale += math.log(norm)
     b = a / norm
     for _ in range(7):
         b = b @ b
@@ -316,7 +340,10 @@ def spectral_radius_est(m) -> float:
             return 0.0
         log_scale = 2.0 * log_scale + math.log(norm)
         b = b / norm
-    return math.exp(log_scale / 128.0)
+    try:
+        return math.exp(log_scale / 128.0)
+    except OverflowError:  # the radius passes the float range
+        return math.inf
 
 
 def solve_linear(a, b) -> np.ndarray:

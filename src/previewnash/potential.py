@@ -198,27 +198,19 @@ def _residual_maxima(gaps: np.ndarray, ok: np.ndarray, tol: Tolerances) -> tuple
 def _least_eig(thetas: np.ndarray, floor: float) -> float:
     """min(floor, each certified curvature's least eigenvalue), bitwise.
 
-    S's symmetric part is not eigensolved when a Cholesky factorization of
-    S - (floor + delta) I succeeds, delta = 4 k^3 eps (max|diag S| + |floor|):
-    that is exact for a perturbation of about k^2 eps max|diag S| (Demmel,
-    LAPACK Working Note 14; Higham, "Accuracy and Stability of Numerical
-    Algorithms", 2nd ed., ch. 10), an eigensolve for one of about
-    k eps ||S||_2, so S's computed least eigenvalue is at least floor."""
+    S's symmetric part is not eigensolved when every `linalg._pivots` pivot
+    of S - (floor + delta) I is positive, delta = 4 k^3 eps (max|diag S| +
+    |floor|): that factorization is exact for a perturbation of about
+    k^2 eps max|diag S| (Demmel, LAPACK Working Note 14; Higham, "Accuracy
+    and Stability of Numerical Algorithms", 2nd ed., ch. 10), an eigensolve
+    for one of about k eps ||S||_2, so S's computed least eigenvalue is at
+    least floor."""
     if math.isfinite(floor):
-        sym = thetas + np.swapaxes(thetas, -1, -2)
-        sym /= 2.0  # formed, shifted and factored in one buffer
-        k, diag = sym.shape[-1], np.arange(sym.shape[-1])
-        scale = np.max(np.abs(sym[:, diag, diag]), axis=-1, initial=0.0) + abs(floor)
-        sym[:, diag, diag] -= (floor + 4 * k**3 * np.finfo(float).eps * scale)[:, None]
-        factors = np.ones(len(sym), dtype=bool)
-        for i in range(k):  # every matrix at once, L over its own lower triangle
-            row = sym[:, i, :i]
-            pivot = sym[:, i, i] - np.einsum("gj,gj->g", row, row)
-            factors &= pivot > 0.0
-            sym[:, i, i] = root = np.sqrt(np.where(factors, pivot, 1.0))
-            sym[:, i + 1:, i] -= np.einsum("gij,gj->gi", sym[:, i + 1:, :i], row)
-            sym[:, i + 1:, i] /= root[:, None]
-        thetas = thetas[~factors]
+        shifted = np.array(thetas)  # _pivots symmetrizes, and sym(S) has S's diagonal
+        k, diag = shifted.shape[-1], np.arange(shifted.shape[-1])
+        scale = np.max(np.abs(shifted[:, diag, diag]), axis=-1, initial=0.0) + abs(floor)
+        shifted[:, diag, diag] -= (floor + 4 * k**3 * np.finfo(float).eps * scale)[:, None]
+        thetas = thetas[~linalg._pivots(shifted, 0.0)[0]]
     return min([floor] + np.linalg.eigvalsh(linalg.symmetrize(thetas))[:, 0].tolist())
 
 
@@ -384,8 +376,8 @@ def _reduce(spec: GameSpec, batch: game_mod._Batch, tol: Tolerances) -> OcpReduc
     first, a stage's curvature before its shortcut.
     """
     costs = spec.costs
-    bad = linalg._not_pd(linalg.symmetrize(costs.Q), tol.pd_pivot)
-    if bad:
+    bad = np.flatnonzero(~(linalg._pivots(costs.Q, tol.pd_pivot)[1] > tol.pd_pivot))  # A1's pivots
+    if bad.size:
         raise AssumptionViolatedError("A1", f"state weight at stage {bad[0] + 2} is not positive definite")
 
     b = spec.joint_b()
@@ -397,10 +389,10 @@ def _reduce(spec: GameSpec, batch: game_mod._Batch, tol: Tolerances) -> OcpReduc
     rps = _joint_weights(costs.R1, costs.R2)
     r_bar = linalg.symmetrize(rps)
     asym = linalg._asymmetry(rps) > tol.symmetry
-    bad = min(np.flatnonzero(asym).tolist() + linalg._not_pd(r_bar, tol.pd_pivot), default=None)
-    if bad is not None:
-        fault = "symmetric" if asym[bad] else "positive definite"
-        raise AssumptionViolatedError("A4", f"joint control weight at stage {bad + 1} is not {fault}")
+    bad = np.flatnonzero(asym | ~(linalg._pivots(rps, tol.pd_pivot)[1] > tol.pd_pivot))  # A4's pivots
+    if bad.size:
+        fault = "symmetric" if asym[bad[0]] else "positive definite"
+        raise AssumptionViolatedError("A4", f"joint control weight at stage {bad[0] + 1} is not {fault}")
 
     # stages 2..T-1 absorb K_t' (R1_t - R_bar_t) K_t through the game's gains
     gains = batch.K[0, 1:]

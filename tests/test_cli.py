@@ -437,6 +437,15 @@ def test_mistyped_spec_is_input_error(scalar_spec, doc, tmp_path, capsys):
     assert err["code"] == "input"
 
 
+@pytest.mark.parametrize("field, value", [("A", [["1.0"]]), ("Q", [[[True]]]), ("x1", ["1"])])
+def test_numeric_text_and_booleans_in_a_spec_are_input_errors(scalar_spec, field, value, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec_to_dict(scalar_spec), field: value}))
+    assert cli.main(["validate", "--spec", str(path)]) == 1
+    _, err = _stderr_json(capsys)
+    assert err["code"] == "input" and "entries must be numbers" in err["detail"]
+
+
 @pytest.mark.parametrize("doc", [{"runs": None}, {"a": None}, {"seed": [1]}, {"beta_dist": [1, 10 ** 400]},
                                  {"x1": [1, 10 ** 400]}])
 def test_mistyped_config_is_input_error(doc, tmp_path, capsys):

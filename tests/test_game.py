@@ -453,6 +453,14 @@ def test_evaluate_cost_hand_value(scalar_spec):
         evaluate_cost(scalar_spec, 1, [[1.0]], u)
 
 
+def test_evaluate_cost_names_a_bad_player_and_misshapen_controls(scalar_spec):
+    x = [[1.0], [2.0]]
+    with pytest.raises(ValueError, match="^player must be 1 or 2, got 3$"):
+        evaluate_cost(scalar_spec, 3, x, [[3.0, 4.0]])
+    with pytest.raises(DimensionMismatchError, match=re.escape("controls must be (1, 2), got (1, 1)")):
+        evaluate_cost(scalar_spec, 1, x, [[3.0]])
+
+
 def test_deviation_increases_cost_quadratically(scalar_spec):
     nash = solve_feedback_nash(scalar_spec)
     check = verify_nash_by_deviation(scalar_spec, nash, stage=1, player=1,
@@ -523,6 +531,12 @@ def test_cost_difference_identity_on_random_policies():
 def test_cost_difference_validates_gain_count(scalar_spec):
     with pytest.raises(DimensionMismatchError):
         cost_difference_check(scalar_spec, [], [np.zeros((2, 1))], 1)
+
+
+def test_cost_difference_names_a_bad_player(scalar_spec):
+    gains = [np.zeros((2, 1))]
+    with pytest.raises(ValueError, match="^player must be 1 or 2, got 0$"):
+        cost_difference_check(scalar_spec, gains, gains, 0)
 
 
 # ------------------------------------------------------------ serialization
@@ -597,6 +611,46 @@ def test_nash_from_dict_raises_typed_errors(scalar_spec_t3, field, value):
     data = nash_to_dict(solve_feedback_nash(scalar_spec_t3))
     with pytest.raises(DimensionMismatchError):
         nash_from_dict([data] if field is None else {**data, field: value})
+
+
+def _with_entry(doc, field, path, value):
+    """doc, whose entry path of field (its own nested lists) is set to value."""
+    entry = doc[field]
+    for k in path[:-1]:
+        entry = entry[k]
+    entry[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("field, path, value, name", [
+    ("A", (0, 0), "1.6", "A"),
+    ("B1", (0, 0), True, "B1"),
+    ("x1", (0,), "1", "x1"),
+    ("Q", (0, 0, 0), "10", "Q_2"),
+    ("Q", (1, 0, 0), "10", "Q_3"),  # past the first entry, where the group is coerced at once
+    ("R2", (1, 1, 1), True, "R_2^2"),
+])
+def test_spec_from_dict_refuses_numeric_text_and_booleans(scalar_spec_t3, field, path, value, name):
+    doc = _with_entry(spec_to_dict(scalar_spec_t3), field, path, value)
+    with pytest.raises(DimensionMismatchError,
+                       match=f"^{re.escape(name)}: entries must be numbers, got {re.escape(repr(value))}$"):
+        spec_from_dict(doc)
+
+
+@pytest.mark.parametrize("field, path, value", [
+    ("x_star", (0, 0), "1.0"),
+    ("u_star", (0, 1), False),
+    ("K", (1, 0, 0), "0.5"),
+    ("P2", (0, 0, 0), True),
+    ("theta_min_eig", (0,), True),
+    ("theta_min_eig", (1,), "1.0"),
+])
+def test_nash_from_dict_refuses_numeric_text_and_booleans(scalar_spec_t3, field, path, value):
+    doc = _with_entry(nash_to_dict(solve_feedback_nash(scalar_spec_t3)), field, path, value)
+    with pytest.raises(DimensionMismatchError, match=(
+            f"^solution has a mistyped or ragged field: {field}: entries must be numbers, "
+            f"got {re.escape(repr(value))}$")):
+        nash_from_dict(doc)
 
 
 @pytest.mark.parametrize("family", [make_aligned_game, make_loose_game])

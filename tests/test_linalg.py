@@ -57,6 +57,32 @@ def test_as_vector_flattens_and_pins_length():
         as_vector([np.nan])
 
 
+@pytest.mark.parametrize("value", [
+    np.array([["1", "2"]]),
+    np.array([[True, False]]),
+    np.array([[1.0, "2"]], dtype=object),
+    [[1.0, "2"]],
+    [[1.0, b"2"]],
+    [(1.0, True)],
+    [[1.0, np.bool_(False)]],
+    [np.array([1.0, 2.0]), np.array([True, False])],
+], ids=["str_array", "bool_array", "object_array", "text", "bytes", "bool_in_tuple", "numpy_bool",
+        "list_of_arrays"])
+def test_matrix_readers_refuse_numeric_text_and_booleans(value):
+    # numpy reads all of these as numbers; JSON has no such numbers
+    with pytest.raises(ValueError, match="^m: entries must be numbers, got "):
+        as_matrix(value, name="m")
+    with pytest.raises(ValueError, match="^v: entries must be numbers, got "):
+        as_vector(value, name="v")
+
+
+def test_matrix_readers_take_integer_arrays_and_lists_of_arrays():
+    assert as_matrix(np.array([[1, 2]], dtype=np.int64)).tolist() == [[1.0, 2.0]]
+    assert as_matrix(np.array([[1, 2]], dtype=np.uint8)).tolist() == [[1.0, 2.0]]
+    assert as_matrix([np.array([1.0, 2.0]), [3, np.float32(4.0)]]).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert as_matrix(np.array([[1, 2.5]], dtype=object)).tolist() == [[1.0, 2.5]]
+
+
 def test_symmetrize():
     s = symmetrize([[1.0, 4.0], [2.0, 1.0]])
     assert np.array_equal(s, [[1.0, 3.0], [3.0, 1.0]])
@@ -164,6 +190,13 @@ def test_spectral_radius_est_handles_large_and_degenerate_input():
     assert spectral_radius_est(np.zeros((0, 0))) == 0.0
     with pytest.raises(NonSquareError):
         spectral_radius_est(np.zeros((2, 3)))
+
+
+def test_spectral_radius_est_scales_a_matrix_whose_norm_overflows():
+    # ||M||_2 passes the float range, so dividing by it gave the zero matrix and radius 0
+    assert spectral_radius_est(np.full((2, 2), 1e308)) == math.inf  # radius 2e308
+    assert spectral_radius_est([[1.5e308, 1.5e308], [0.0, 0.0]]) == pytest.approx(1.5e308, rel=0.01)
+    assert spectral_radius_est([[1e308, 1e308], [-1e308, -1e308]]) == 0.0  # nilpotent
 
 
 def test_spectral_radius_est_accuracy_on_random_matrices():

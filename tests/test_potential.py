@@ -739,6 +739,56 @@ def test_reduction_certifies_without_cholesky_pd(monkeypatch):
         assert verify_equivalence(spec) <= 1e-9
 
 
+def _threshold_weight(rng, k, lapack_passes):
+    """A k x k weight L L' whose exact last pivot is pd_pivot, redrawn until
+    `linalg._pivots` and LAPACK's Cholesky disagree on it by rounding, with
+    LAPACK passing it if lapack_passes."""
+    tol = linalg.DEFAULT_TOLERANCES.pd_pivot
+    while True:
+        low = np.tril(rng.uniform(-1.0, 1.0, (k, k)), -1) + np.diag(rng.uniform(0.5, 1.5, k))
+        low[-1, -1] = math.sqrt(tol)
+        weight = low @ low.T
+        weight = (weight + weight.T) / 2.0
+        pivots_pass = bool(linalg._pivots(weight[None], tol)[1][0] > tol)
+        if linalg._all_pd(weight[None], tol) == lapack_passes != pivots_pass:
+            return weight
+
+
+def _refuses(spec, weight) -> bool:
+    """Whether reduce_to_ocp refuses spec for its `weight`, "state weight" or "joint control weight"."""
+    try:
+        reduce_to_ocp(spec)
+    except AssumptionViolatedError as exc:
+        return f"{weight} at stage" in str(exc)
+    return False
+
+
+@pytest.mark.parametrize("lapack_passes", [True, False])
+def test_a_threshold_state_weight_gets_one_verdict(lapack_passes):
+    # the report and the reduction read one factorization, so they agree
+    # where two factorizations split by rounding
+    spec = make_aligned_game(np.random.default_rng(0), n=6, m=2, T=8)
+    q = spec.costs.Q.copy()
+    q[3] = _threshold_weight(np.random.default_rng(1), 6, lapack_passes)  # Q_5
+    spec = with_costs(spec, cost_schedule(q, spec.costs.R1, spec.costs.R2))
+    passed = check_assumptions(spec, "warn").check("A1").passed
+    assert passed != lapack_passes
+    assert passed != _refuses(spec, "state weight")
+
+
+@pytest.mark.parametrize("lapack_passes", [True, False])
+def test_a_threshold_joint_weight_gets_one_verdict(lapack_passes):
+    # both players pay R_3 = R_bar_3
+    spec = make_aligned_game(np.random.default_rng(0), n=6, m=2, T=8)
+    r1, r2 = spec.costs.R1.copy(), spec.costs.R2.copy()
+    r1[2] = r2[2] = _threshold_weight(np.random.default_rng(2), 4, lapack_passes)
+    spec = with_costs(spec, cost_schedule(spec.costs.Q, r1, r2))
+    report = check_assumptions(spec, "warn")
+    assert report.check("A1").passed  # so the reduction reaches the joint weight
+    assert report.check("A4").passed != lapack_passes
+    assert report.check("A4").passed != _refuses(spec, "joint control weight")
+
+
 # ------------------------------------------------------------ screened norms
 
 def _exact_two_norms(stack, ceiling=None, bounds=None):
