@@ -56,6 +56,12 @@ class IndexOutOfRangeError(IndexError):
     pass
 
 
+class NonFiniteCostError(ArithmeticError):
+    """An equilibrium path, a cost or the price of uncertainty is not finite (something overflowed).
+
+    Public as `previewnash.online.NonFiniteCostError`."""
+
+
 class ThetaNotPDError(RuntimeError):
     """The stage curvature matrix failed its positive-definiteness check.
 
@@ -584,6 +590,7 @@ def _fresh(exc: ThetaNotPDError | None) -> ThetaNotPDError | None:
     return None if exc is None else copy.copy(exc)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing path is judged where it is read
 def _rollout(spec: GameSpec, gains: np.ndarray, x_start, x_ref: np.ndarray | None = None,
              u_ref: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The one forward rollout: G affine feedback laws, all from the state x_start.
@@ -614,10 +621,8 @@ def _rollout(spec: GameSpec, gains: np.ndarray, x_start, x_ref: np.ndarray | Non
 
 
 def _equilibrium_paths(spec: GameSpec, gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen equilibrium trajectories of solved games, from x1."""
+    """Frozen equilibrium trajectories of solved games, from x1, where an overflow reads inf or NaN."""
     x, u = _rollout(spec, gains, spec.x1)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):  # pragma: no cover - defensive
-        raise ThetaNotPDError(0, float("nan"))
     return _freeze(x), _freeze(u)
 
 
@@ -625,6 +630,8 @@ def _nash_solution(spec: GameSpec, known: int, tol: Tolerances | None) -> NashSo
     """The padded game revealed through stage `known`, certified, as a NashSolution."""
     batch = _solved(spec, [known], tol, keep={"theta", "values"}).certified()
     x, u = _equilibrium_paths(spec, batch.K)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+        raise NonFiniteCostError("the equilibrium path from x1 is not finite")
     return NashSolution(
         K=tuple(batch.K[0]),
         P1=tuple(batch.P1[0]),
@@ -642,7 +649,8 @@ def solve_feedback_nash(spec: GameSpec, tol: Tolerances | None = None) -> NashSo
     with Theta_t assembled from the control weights and next-stage value
     matrices; value matrices update through the closed loop A + B K_t.
     The terminal condition is P_T^1 = P_T^2 = Q_T.  Raises ThetaNotPDError
-    if any stage's curvature matrix fails certification.
+    if any stage's curvature matrix fails certification, and
+    NonFiniteCostError if the equilibrium path from x1 overflows.
     """
     return _nash_solution(spec, spec.T - 1, tol)
 

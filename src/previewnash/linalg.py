@@ -172,17 +172,24 @@ def cholesky_pd(m, tol: float | None = None) -> CholeskyCheck:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a pivot past the float range fails
-def _pivots(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """`cholesky_pd`'s (is_pd, min_pivot) of each matrix of a (G, k, k) stack.
+def _pivots(stack: np.ndarray, tol: float, shift=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """`cholesky_pd`'s (is_pd, min_pivot) of each matrix of a (G, k, k) stack,
+    less `shift` (a scalar or one per matrix) times the identity.
 
     Each matrix is symmetrized alone, stops at its own first failing pivot,
     and skips a NaN pivot in its running min, as Python's `min` does.  Each
-    dot product is the `@` one matrix alone takes, so results are bitwise its."""
+    dot product is the `@` one matrix alone takes, so results are bitwise its.
+    The shift comes off the diagonal of the symmetrized copy, with the
+    overflow a shifted copy's (d - c + d - c) / 2 would meet, so results are
+    bitwise the unshifted call's on stack - shift I (where that has no new NaN)."""
     mt = np.swapaxes(stack, -1, -2)
     s = stack + mt
     s /= 2.0
-    np.copyto(s, stack, where=np.all(stack == mt, axis=(-2, -1))[:, None, None])
+    sym = np.all(stack == mt, axis=(-2, -1))
+    np.copyto(s, stack, where=sym[:, None, None])
     G, n = s.shape[:2]
+    diag = np.diagonal(stack, axis1=-2, axis2=-1) - np.asarray(shift)[..., None]
+    s[:, np.arange(n), np.arange(n)] = np.where(sym[:, None], diag, (diag + diag) / 2.0)
     min_pivot = np.full(G, np.inf)
     live = np.ones(G, dtype=bool)
     for i in range(n):  # each factor overwrites its matrix's lower triangle, a column a step

@@ -27,6 +27,7 @@ from .game import (
     CostSchedule,
     GameSpec,
     NashSolution,
+    NonFiniteCostError,
     with_costs,  # noqa: F401 - kept importable here; benches/test_bench.py rebinds it
 )
 from .linalg import DEFAULT_TOLERANCES, Tolerances
@@ -54,10 +55,6 @@ class NotStabilizableError(RuntimeError):
 
 class ZeroNashCostError(ValueError):
     """Relative price of uncertainty is undefined at zero equilibrium cost."""
-
-
-class NonFiniteCostError(ArithmeticError):
-    """The price of uncertainty or the equilibrium cost is not finite (a cost overflowed)."""
 
 
 @dataclass(frozen=True)

@@ -142,9 +142,9 @@ def _a1_core(spec: GameSpec, tol: Tolerances) -> tuple:
     q_pivots = list(itertools.accumulate(linalg._pivots(spec.costs.Q, tol.pd_pivot)[1].tolist(), min))
     batch = game_mod._solved(spec, np.arange(1, spec.T), tol, keep={"theta", "gaps"})
     ok = np.array([exc is None for exc in batch.failures])
-    cross = _cross_gaps(batch.theta, spec.m)
-    cross_over, cross_res, cross_worst = _residual_maxima(cross, ok, tol)
     value_over, value_res, value_worst = _residual_maxima(batch.gaps, ok, tol)
+    batch = batch._replace(gaps=None)  # the pass's largest stack, not held: freed here
+    cross_over, cross_res, cross_worst = _residual_maxima(_cross_gaps(batch.theta, spec.m), ok, tol)
     failing = np.flatnonzero(~ok | ~(np.array(q_pivots) > tol.pd_pivot) | cross_over | value_over) + 1
     margins = [_failure_margin(exc) for exc in batch.failures if exc is not None]
 
@@ -205,12 +205,10 @@ def _least_eig(thetas: np.ndarray, floor: float) -> float:
     and Stability of Numerical Algorithms", 2nd ed., ch. 10), an eigensolve
     for one of about k eps ||S||_2, so S's computed least eigenvalue is at
     least floor."""
-    if math.isfinite(floor):
-        shifted = np.array(thetas)  # _pivots symmetrizes, and sym(S) has S's diagonal
-        k, diag = shifted.shape[-1], np.arange(shifted.shape[-1])
-        scale = np.max(np.abs(shifted[:, diag, diag]), axis=-1, initial=0.0) + abs(floor)
-        shifted[:, diag, diag] -= (floor + 4 * k**3 * np.finfo(float).eps * scale)[:, None]
-        thetas = thetas[~linalg._pivots(shifted, 0.0)[0]]
+    if math.isfinite(floor):  # sym(S) has S's diagonal
+        k = thetas.shape[-1]
+        scale = np.max(np.abs(np.diagonal(thetas, axis1=-2, axis2=-1)), axis=-1, initial=0.0) + abs(floor)
+        thetas = thetas[~linalg._pivots(thetas, 0.0, floor + 4 * k**3 * np.finfo(float).eps * scale)[0]]
     return min([floor] + np.linalg.eigvalsh(linalg.symmetrize(thetas))[:, 0].tolist())
 
 

@@ -23,9 +23,11 @@ certified while three of its padded games are not.
 `malformed_docs` is the `hypothesis` strategy that the input-contract
 property tests draw bad JSON documents from.
 
-The `passes` fixture records every `game._backward` pass a test runs.
+The `passes` fixture records every `game._backward` pass a test runs, and
+`traced_peak` measures the heap a call allocates at its peak.
 """
 
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -189,6 +191,18 @@ def scalar_spec_t3():
     r2 = [[0.0, 0.0], [0.0, 1.0]]
     costs = cost_schedule(Q=[q, q], R1=[r1, r1], R2=[r2, r2])
     return game_spec([[1.0]], [[1.0]], [[1.0]], [1.0], costs)
+
+
+def traced_peak(call) -> int:
+    """The heap bytes the second of two `call()`s allocates at its peak
+    (tracemalloc, which sees numpy's buffers); the first fills any caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class Pass(NamedTuple):

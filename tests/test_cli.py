@@ -574,6 +574,18 @@ def test_run_with_an_overflowing_price_exits_3_without_a_warning(tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_an_overflowing_equilibrium_path_is_a_non_finite_cost_without_a_warning(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"x1": [1e308, 1e308], "T_range": [5], "W_range": [0, 1], "runs": 1}))
+    run = _run_module("sweep", "--config", str(config), "--out-dir", str(tmp_path / "out"))
+    assert (run.returncode, run.stderr) == (0, "")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_to_dict(generate_game(ExperimentConfig(x1=(1.5e308, 0.0)), 5, 0))))
+    solve = _run_module("solve", "--spec", str(spec), "--out", str(tmp_path / "s.json"))
+    assert (solve.returncode, solve.stdout) == (3, "")
+    assert _strict_json(solve.stderr)["code"] == "non_finite_cost"
+
+
 def test_validate_writes_a_non_finite_margin_as_null(tmp_path):
     # the joint weight 1e308 [[1, 1], [1, -1]] is asymmetric past the float
     # range, so A4's margin is -inf; strict JSON has no token for it

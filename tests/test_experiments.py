@@ -10,7 +10,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +44,7 @@ from previewnash import (
 from previewnash import cli, experiments, linalg, online
 from previewnash import game as game_mod
 
-from conftest import make_padded_failure_game, malformed_docs, scalar_draw
+from conftest import make_padded_failure_game, malformed_docs, scalar_draw, traced_peak
 
 ROWS_HEADER = ["T", "W", "seed", "pou", "nash_social_cost", "log_rel_pou"]
 AGG_HEADER = ["T", "W", "mean_pou", "mean_nash_cost", "log_rel_pou"]
@@ -555,22 +554,11 @@ def test_a_block_of_seeds_keeps_no_curvatures(passes, seeds):
     assert all("pass" not in {name for name, _ in game._kept_results or {}} for game in games)
 
 
-def _traced_peak(config) -> int:
-    """The heap bytes a sweep allocates at its peak (tracemalloc, which sees
-    numpy's buffers), after a first sweep has filled the draw caches."""
-    sweep(config)
-    tracemalloc.start()
-    try:
-        sweep(config)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_horizon_sweep_keeps_its_peak_memory():
     # with one block per T at jobs=1 the peak is about 5.3 MB, and 8.0 MB
     # with each block's curvature stack kept too
-    assert _traced_peak(ExperimentConfig(T_range=(50, 100, 200), W_range=(1,), runs=2)) <= 5.9e6
+    config = ExperimentConfig(T_range=(50, 100, 200), W_range=(1,), runs=2)
+    assert traced_peak(lambda: sweep(config)) <= 5.9e6
 
 
 def test_one_seed_blocks_keep_and_hold_no_curvatures(monkeypatch):
@@ -578,7 +566,8 @@ def test_one_seed_blocks_keep_and_hold_no_curvatures(monkeypatch):
     # they peaked at 3.93 MB when each kept its curvatures and held its
     # pass on a game the sweep drops
     monkeypatch.setattr(experiments, "_BLOCK_FLOATS", 1)
-    assert _traced_peak(ExperimentConfig(T_range=(50, 100, 200), W_range=(1,), runs=2)) <= 3.0e6
+    config = ExperimentConfig(T_range=(50, 100, 200), W_range=(1,), runs=2)
+    assert traced_peak(lambda: sweep(config)) <= 3.0e6
 
 
 def test_parallel_sweep_matches_serial():
@@ -872,6 +861,13 @@ def test_grouped_sweep_equals_per_cell_runs(kwargs, jobs):
     ref = _reference_sweep(config)
     assert list(res.rows) == ref
     assert list(res.aggregates) == experiments._aggregate(ref)
+
+
+def test_an_overflowing_equilibrium_path_tags_its_rows_as_a_non_finite_cost():
+    # every curvature certifies; the paths overflow, which is a cost failure,
+    # not a curvature one, and raises no warning
+    rows = sweep(ExperimentConfig(x1=(1e308, 1e308), T_range=(5,), W_range=(0, 1), runs=1)).rows
+    assert [row.error for row in rows] == ["non_finite_cost"] * 2
 
 
 def test_every_row_with_a_non_finite_metric_is_tagged():

@@ -335,6 +335,50 @@ def test_stacked_pivots_are_cholesky_pd_bit_for_bit():
     check()
 
 
+def _shifted_copy_pivots(stack, tol, shift):
+    """`_pivots` of an explicitly shifted copy, stack - shift I: the reference for its `shift`."""
+    shifted = np.array(stack)
+    diag = np.arange(stack.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted[:, diag, diag] -= np.asarray(shift)[..., None]
+    return linalg._pivots(shifted, tol)
+
+
+def _verdicts(pivots):
+    is_pd, min_pivot = pivots
+    return repr(list(zip(is_pd.tolist(), min_pivot.tolist())))
+
+
+def test_shifted_pivots_are_the_pivots_of_a_shifted_copy_bit_for_bit():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    shifts = st.sampled_from([0.0, -0.0, 1e-9, -2.0, 3.0, 1e300, -1.5e308, 1.7e308])
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(stack=_stacks(st, square=True), tol=st.sampled_from([0.0, 1e-10]), data=st.data())
+    def check(stack, tol, data):
+        scalar = data.draw(shifts)
+        per_matrix = np.array(data.draw(st.lists(shifts, min_size=len(stack), max_size=len(stack))))
+        for shift in (scalar, per_matrix):
+            assert _verdicts(linalg._pivots(stack, tol, shift)) == _verdicts(_shifted_copy_pivots(stack, tol, shift))
+
+    check()
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5, -1.7e308, 1.7e308, np.array([0.5, -1e308, 1.7e308])],
+                         ids=["zero", "half", "big_negative", "big_positive", "per_matrix"])
+def test_shifted_pivots_hold_where_symmetrizing_overflows(shift):
+    rng = np.random.default_rng(15)
+    g = rng.uniform(-1.0, 1.0, size=(3, 4, 4))
+    symmetric = 1.5e308 * ((g + g.transpose(0, 2, 1)) / 2.0)  # x + x overflows, x itself does not
+    asymmetric = 1.5e308 * g
+    for stack in (symmetric, asymmetric, np.concatenate((symmetric[:1], asymmetric[1:]))):
+        assert _verdicts(linalg._pivots(stack, 1e-10, shift)) == _verdicts(_shifted_copy_pivots(stack, 1e-10, shift))
+    empty = np.empty((0, 3, 3))
+    is_pd, min_pivot = linalg._pivots(empty, 1e-10, shift if np.ndim(shift) == 0 else np.empty(0))
+    assert is_pd.shape == min_pivot.shape == (0,)
+
+
 def test_stacked_pivots_match_on_random_definite_and_indefinite_matrices():
     rng = np.random.default_rng(14)
     for k in range(2, 17):

@@ -368,6 +368,17 @@ def test_log_rel_pou_edge_cases():
         log_rel_pou(math.nan, 0.0)
 
 
+def test_an_overflowing_equilibrium_path_is_a_non_finite_cost():
+    # every curvature certifies, but the paths from a start near the float
+    # range overflow; that was reported as a curvature failure at "stage 0"
+    spec = generate_game(ExperimentConfig(x1=(1e308, 1e308)), 5, 0)
+    for W in (0, 1):
+        with pytest.raises(NonFiniteCostError):
+            run_online(spec, W)
+    with pytest.raises(NonFiniteCostError, match="equilibrium path from x1 is not finite"):
+        solve_feedback_nash(generate_game(ExperimentConfig(x1=(1.5e308, 0.0)), 5, 0))
+
+
 def test_zero_start_has_no_relative_scale():
     costs = cost_schedule([[[1.0]]], [np.diag([1.0, 0.0])], [np.diag([0.0, 1.0])])
     spec = game_spec([[1.0]], [[1.0]], [[1.0]], [0.0], costs)

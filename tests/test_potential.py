@@ -34,7 +34,7 @@ from previewnash import (
 from previewnash import game as game_mod
 from previewnash import linalg, potential
 
-from conftest import make_aligned_game, make_loose_game, make_padded_failure_game
+from conftest import make_aligned_game, make_loose_game, make_padded_failure_game, traced_peak
 
 
 def _single_input_game(b1=0.7, b2=-0.9, beta=2.0, T=3, r2_scale=1.0):
@@ -907,3 +907,16 @@ def test_check_assumptions_svds_a_third_of_its_matrices_on_a_dense_game(monkeypa
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert check_assumptions(spec, "warn").overall
     assert 0 < count[0] <= 3072 // 3
+
+
+def test_check_assumptions_peaks_at_its_own_scoring_pass():
+    # A1 and A6 drop each residual stack once its maxima are taken, and the
+    # curvature screen shifts inside the copy `_pivots` makes, so the peak is
+    # the pass's own, about 4.87 MB; with the gap stacks alive under two more
+    # curvature-sized copies it was about 5.89 MB
+    fresh = [with_costs(spec, spec.costs) for spec in _dense_aligned_games(4, 76)]  # holding no pass
+    checked, solved = iter(fresh[:2]), iter(fresh[2:])
+    peak = traced_peak(lambda: check_assumptions(next(checked), "warn"))
+    pass_peak = traced_peak(lambda: game_mod._backward(next(solved), np.arange(1, 40), keep={"theta", "gaps"}))
+    assert peak <= 5.4e6
+    assert peak <= pass_peak + 0.3e6
