@@ -447,6 +447,16 @@ def _run_block(config: ExperimentConfig, T: int, seeds: list, tol: Tolerances) -
             for seed, seed_runs in zip(seeds, runs) for W, run in zip(config.W_range, seed_runs)]
 
 
+def _mean(values: list) -> float:
+    """fsum(values) / len(values) of finite values, whose mean is finite even
+    where their sum is not: then they are summed scaled by 2^-k, 2^k > len."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        k = len(values).bit_length()
+        return math.fsum(math.ldexp(v, -k) for v in values) / len(values) * 2.0 ** k
+
+
 def _aggregate(rows) -> list:
     groups: dict = {}
     for r in rows:
@@ -457,8 +467,8 @@ def _aggregate(rows) -> list:
         if not ok:
             out.append(AggregateRow(T, W, None, None, None))
             continue
-        mean_pou = math.fsum(r.pou for r in ok) / len(ok)
-        mean_nc = math.fsum(r.nash_social_cost for r in ok) / len(ok)
+        mean_pou = _mean([r.pou for r in ok])
+        mean_nc = _mean([r.nash_social_cost for r in ok])
         if mean_nc == 0.0 or mean_pou == 0.0:
             lrp = None
         else:

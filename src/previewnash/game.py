@@ -66,8 +66,9 @@ class ThetaNotPDError(RuntimeError):
     """The stage curvature matrix failed its positive-definiteness check.
 
     Without it the stage solve is not certified to have a unique answer, so
-    this is a hard error rather than a warning.  `_ratio_floor` is the
-    pivot-ratio floor when every pivot cleared pd_pivot but not it, else None.
+    this is a hard error rather than a warning.  min_pivot and `_ratio_floor`
+    (the pivot-ratio floor when every pivot was finite and cleared pd_pivot
+    but not it, else None) are read off the `linalg._pivots` that failed it.
     """
 
     _ratio_floor = None
@@ -468,11 +469,13 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
 
     A curvature is certified when every Cholesky pivot of its symmetric
     part exceeds tol.pd_pivot and _PIVOT_RATIO * 2m * eps times its largest
-    pivot.  A failed certificate is reported, not raised: failures[g] is
-    the error game g raises alone (its highest failing stage, with the
-    pivot `linalg.cholesky_pd` reports there), and the game goes on with
-    identity curvature and zero values, which leaves the other games
-    untouched.
+    pivot.  A stage that one LAPACK factorization of its stack passes is
+    certified; in one it rejects, a game fails where its pivots from one
+    `linalg._pivots` call, which its error reports, and its own screen both
+    fail it.  A failed certificate is reported, not raised: failures[g] is
+    the error game g raises alone (its highest failing stage), and the game
+    goes on with identity curvature and zero values, which leaves the other
+    games untouched.
     """
     tol = tol or DEFAULT_TOLERANCES
     known = np.asarray(known, dtype=np.intp).reshape(-1)
@@ -494,7 +497,7 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
     values = np.empty((2, G, T - 1, n, n)) if "values" in keep else None
     failures = [None] * G
     failed = np.zeros(G, dtype=bool)
-    any_failed = False  # the masks below are void until a game fails
+    any_failed = False  # the masks below are void until a stage fails its screen
     ratio_floor = _PIVOT_RATIO * 2 * m * np.finfo(float).eps
 
     for t in range(T - 1, 0, -1):
@@ -506,13 +509,14 @@ def _backward(spec: GameSpec, known, tol: Tolerances | None = None,
         if any_failed:
             theta[failed] = np.eye(2 * m)
         sym = (theta + theta.transpose(0, 2, 1)) / 2.0
-        bad = linalg._not_pd(sym, tol.pd_pivot, ratio_floor)
-        if bad:
+        if not linalg._all_pd(sym, tol.pd_pivot, ratio_floor):  # a rejected stage is judged game by game
+            is_pd, min_pivot, max_pivot = linalg._pivots(sym, tol.pd_pivot)
+            bad = [g for g in np.flatnonzero(~(is_pd & (min_pivot > ratio_floor * max_pivot))).tolist()
+                   if not linalg._all_pd(sym[g:g + 1], tol.pd_pivot, ratio_floor)]  # as if alone
             for g in bad:
-                check = linalg.cholesky_pd(sym[g], tol.pd_pivot)
-                failures[g] = exc = ThetaNotPDError(t, check.min_pivot)
-                if check.is_pd and linalg._all_pd(sym[g], tol.pd_pivot):  # only the ratio failed
-                    exc._ratio_floor = ratio_floor * float(max(np.linalg.cholesky(sym[g]).diagonal() ** 2))
+                failures[g] = exc = ThetaNotPDError(t, float(min_pivot[g]))
+                if is_pd[g] and max_pivot[g] < np.inf:  # only the ratio failed
+                    exc._ratio_floor = ratio_floor * float(max_pivot[g])
             failed[bad] = any_failed = True
             theta[failed] = np.eye(2 * m)
         if thetas is not None:

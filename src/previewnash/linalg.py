@@ -167,21 +167,23 @@ def cholesky_pd(m, tol: float | None = None) -> CholeskyCheck:
     m = _require_square(m, "cholesky_pd")
     if tol is None:
         tol = DEFAULT_TOLERANCES.pd_pivot
-    is_pd, min_pivot = _pivots(m[None], tol)
+    is_pd, min_pivot, _ = _pivots(m[None], tol)
     return CholeskyCheck(bool(is_pd[0]), float(min_pivot[0]))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a pivot past the float range fails
-def _pivots(stack: np.ndarray, tol: float, shift=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """`cholesky_pd`'s (is_pd, min_pivot) of each matrix of a (G, k, k) stack,
-    less `shift` (a scalar or one per matrix) times the identity.
+def _pivots(stack: np.ndarray, tol: float, shift=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`cholesky_pd`'s (is_pd, min_pivot) and the largest pivot (-inf if none)
+    of each matrix of a (G, k, k) stack, less `shift` (a scalar or one per
+    matrix) times the identity.
 
     Each matrix is symmetrized alone, stops at its own first failing pivot,
-    and skips a NaN pivot in its running min, as Python's `min` does.  Each
-    dot product is the `@` one matrix alone takes, so results are bitwise its.
-    The shift comes off the diagonal of the symmetrized copy, with the
-    overflow a shifted copy's (d - c + d - c) / 2 would meet, so results are
-    bitwise the unshifted call's on stack - shift I (where that has no new NaN)."""
+    and skips a NaN pivot in its running min and max, as Python's `min` and
+    `max` do.  Each dot product is the `@` one matrix alone takes, so results
+    are bitwise its.  The shift comes off the diagonal of the symmetrized
+    copy, with the overflow a shifted copy's (d - c + d - c) / 2 would meet,
+    so results are bitwise the unshifted call's on stack - shift I (where
+    that has no new NaN)."""
     mt = np.swapaxes(stack, -1, -2)
     s = stack + mt
     s /= 2.0
@@ -191,53 +193,34 @@ def _pivots(stack: np.ndarray, tol: float, shift=0.0) -> tuple[np.ndarray, np.nd
     diag = np.diagonal(stack, axis1=-2, axis2=-1) - np.asarray(shift)[..., None]
     s[:, np.arange(n), np.arange(n)] = np.where(sym[:, None], diag, (diag + diag) / 2.0)
     min_pivot = np.full(G, np.inf)
+    max_pivot = np.full(G, -np.inf)
     live = np.ones(G, dtype=bool)
     for i in range(n):  # each factor overwrites its matrix's lower triangle, a column a step
         row = s[:, i, :i, None]  # row i of each factor, as a column
         pivot = s[:, i, i] - (np.swapaxes(row, -1, -2) @ row)[:, 0, 0]
         min_pivot = np.where(live & (pivot < min_pivot), pivot, min_pivot)
+        max_pivot = np.where(live & (pivot > max_pivot), pivot, max_pivot)
         live &= pivot > tol
         if not live.any():
             break
         s[:, i, i] = diag = np.sqrt(np.where(live, pivot, 1.0))  # a failed row is void
         s[:, i + 1:, i] = (s[:, i + 1:, i] - (s[:, i + 1:, :i] @ row)[..., 0]) / diag[:, None]
-    return live, min_pivot
+    return live, min_pivot, max_pivot
 
 
 def _all_pd(sym: np.ndarray, tol: float, ratio: float = 0.0) -> bool:
-    """Whether every matrix of a symmetric (..., k, k) stack has all Cholesky
-    pivots above tol, and above `ratio` times its own largest pivot.
+    """Whether every pivot diag(L)^2 of one LAPACK factorization of a symmetric
+    (..., k, k) stack is finite and above tol and `ratio` times the largest.
 
-    One LAPACK factorization of the whole stack, with pivots diag(L)^2; a
-    non-finite one fails (LAPACK factors a matrix of infinities).  The
-    stack's smallest and largest pivots settle a pass at once.  A pivot
-    that cancels to noise, about eps ||M||, can differ in sign from
-    `cholesky_pd`'s, which callers ask for the failing matrix and pivot."""
+    A screen: a pass certifies every matrix, but a failure names none (a
+    stack of different scales fails the ratio as a whole, and a pivot that
+    cancels to noise, about eps ||M||, can differ in sign from `_pivots`')."""
     try:
         pivots = np.diagonal(np.linalg.cholesky(sym), axis1=-2, axis2=-1) ** 2
     except np.linalg.LinAlgError:
         return False
-    lo, hi = pivots.min(), pivots.max()
-    if hi < np.inf and lo > max(tol, ratio * hi):  # every pivot clears both floors
-        return True
-    ok = (tol < pivots) & (pivots < np.inf)
-    if ratio:
-        ok &= pivots > ratio * np.max(pivots, axis=-1, keepdims=True)
-    return bool(np.all(ok))
-
-
-def _not_pd(sym: np.ndarray, tol: float, ratio: float = 0.0) -> list:
-    """Indices of the matrices of a symmetric (G, k, k) stack that `_all_pd` rejects.
-
-    The stack is halved until each half passes or is one matrix, so a pass
-    costs one factorization and a few failures cost O(log G) more each.
-    """
-    if _all_pd(sym, tol, ratio):
-        return []
-    if len(sym) == 1:
-        return [0]
-    half = len(sym) // 2
-    return _not_pd(sym[:half], tol, ratio) + [half + g for g in _not_pd(sym[half:], tol, ratio)]
+    hi = pivots.max()
+    return bool(hi < np.inf and pivots.min() > max(tol, ratio * hi))
 
 
 def _asymmetry(stack: np.ndarray) -> np.ndarray:

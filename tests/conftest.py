@@ -19,6 +19,8 @@ certified while three of its padded games are not.
 
 `scalar_draw` is the one-generator-per-scalar draw that
 `experiments._draws` ports to array arithmetic, kept as its reference.
+`reference_pivots` is the one-matrix Cholesky that `linalg._pivots` is
+pinned to bit for bit.
 
 `malformed_docs` is the `hypothesis` strategy that the input-contract
 property tests draw bad JSON documents from.
@@ -27,6 +29,7 @@ The `passes` fixture records every `game._backward` pass a test runs, and
 `traced_peak` measures the heap a call allocates at its peak.
 """
 
+import math
 import tracemalloc
 from typing import NamedTuple
 
@@ -41,6 +44,7 @@ from previewnash import (
     solve_feedback_nash,
 )
 from previewnash import game as game_mod
+from previewnash.linalg import symmetrize
 
 
 def spd(rng, k, floor):
@@ -128,6 +132,26 @@ def scalar_draw(seed, t, tag, dist):
     """The random family's draw for key (seed, t, tag), from its own generator."""
     rng = np.random.default_rng((seed, t, tag))
     return float(rng.uniform(dist[0], dist[1]))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_pivots(m, tol=1e-10):
+    """(is_pd, min_pivot, max_pivot) of one matrix: the pure-Python
+    factorization `cholesky_pd` ran before its stacked scan, which stops at
+    the first pivot not above tol and skips a NaN pivot in its min and max."""
+    s = symmetrize(m)
+    n = s.shape[0]
+    lower = np.zeros((n, n))
+    min_pivot, max_pivot = math.inf, -math.inf
+    for i in range(n):
+        pivot = s[i, i] - lower[i, :i] @ lower[i, :i]
+        min_pivot, max_pivot = min(min_pivot, float(pivot)), max(max_pivot, float(pivot))
+        if not pivot > tol:
+            return False, min_pivot, max_pivot
+        lower[i, i] = math.sqrt(pivot)
+        if i + 1 < n:
+            lower[i + 1:, i] = (s[i + 1:, i] - lower[i + 1:, :i] @ lower[i, :i]) / lower[i, i]
+    return True, min_pivot, max_pivot
 
 
 def _json_trees(st):

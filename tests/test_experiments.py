@@ -461,6 +461,29 @@ def test_sweep_rows_and_aggregates():
         math.log(abs(a0.mean_pou / a0.mean_nash_cost)))
 
 
+def test_aggregate_means_stay_finite_where_the_rows_sum_past_the_float_range(tmp_path):
+    # each row is finite, but thirty equilibrium costs near 1e307 sum past
+    # the float range; their mean does not
+    res = sweep(ExperimentConfig(W_range=(0,), runs=30, x1=(4e152, 4e152)))
+    costs = [r.nash_social_cost for r in res.rows]
+    assert all(r.error is None for r in res.rows) and all(map(math.isfinite, costs))
+    assert not math.isfinite(sum(costs))
+    (agg,) = res.aggregates
+    assert math.isfinite(agg.mean_pou) and math.isfinite(agg.mean_nash_cost)
+    assert agg.mean_nash_cost == pytest.approx(math.fsum(c / 30 for c in costs), rel=1e-15)
+    assert min(costs) <= agg.mean_nash_cost <= max(costs)
+    assert agg.log_rel_pou_of_means == math.log(abs(agg.mean_pou / agg.mean_nash_cost))
+    emit_csv(res, tmp_path)  # the sweep's work is written, not lost
+    with open(tmp_path / "agg.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1][3] == repr(agg.mean_nash_cost)
+    assert experiments._mean([1.7976931348623157e308] * 3) == 1.7976931348623157e308
+
+
+def test_aggregate_means_are_fsum_over_the_count_where_the_sum_fits():
+    values = [0.1, 0.2, 0.3, 1e16, -1e16]
+    assert experiments._mean(values) == math.fsum(values) / 5
+
+
 def test_sweep_is_deterministic():
     a = sweep(_tiny_config())
     b = sweep(_tiny_config())

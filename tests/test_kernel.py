@@ -18,6 +18,7 @@ from previewnash import (
     check_assumptions,
     cost_schedule,
     gain_decay_diagnostic,
+    game_spec,
     generate_game,
     pad_schedule,
     predict_nash,
@@ -26,9 +27,9 @@ from previewnash import (
     with_costs,
 )
 from previewnash import game as game_mod
-from previewnash import linalg, online
+from previewnash import experiments, linalg, online
 
-from conftest import make_aligned_game, make_loose_game, make_padded_failure_game
+from conftest import make_aligned_game, make_loose_game, make_padded_failure_game, reference_pivots
 
 
 def _reference_theta(r1, r2, B1, B2, p1_next, p2_next):
@@ -367,26 +368,14 @@ def test_shared_weights_reuse_the_first_value_recursion(gaps):
             assert np.array_equal(getattr(alone, field), getattr(both, field))
 
 
-def _reference_all_pd(sym, tol, ratio=0.0):
-    """`linalg._all_pd` before its whole-stack fast path."""
+def _reference_screen(sym, tol, ratio):
+    """Whether one LAPACK factorization of a symmetric stack has every pivot
+    finite and above tol and ratio times the stack's largest pivot."""
     try:
         pivots = np.diagonal(np.linalg.cholesky(sym), axis1=-2, axis2=-1) ** 2
     except np.linalg.LinAlgError:
         return False
-    ok = (tol < pivots) & (pivots < np.inf)
-    if ratio and not pivots.min() > ratio * pivots.max():
-        ok &= pivots > ratio * np.max(pivots, axis=-1, keepdims=True)
-    return bool(np.all(ok))
-
-
-def _reference_not_pd(sym, tol, ratio=0.0):
-    if _reference_all_pd(sym, tol, ratio):
-        return []
-    if len(sym) == 1:
-        return [0]
-    half = len(sym) // 2
-    upper = _reference_not_pd(sym[half:], tol, ratio)
-    return _reference_not_pd(sym[:half], tol, ratio) + [half + g for g in upper]
+    return bool(pivots.max() < np.inf and pivots.min() > max(tol, ratio * pivots.max()))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -422,11 +411,15 @@ def _reference_backward(spec, known, tol=linalg.DEFAULT_TOLERANCES, costs=None, 
         theta = game_mod._stage_theta(r1t, r2t, b1p1, b2p2, b1, b2)
         theta[failed] = np.eye(2 * m)
         sym = (theta + theta.transpose(0, 2, 1)) / 2.0
-        bad = _reference_not_pd(sym, tol.pd_pivot, ratio_floor)
-        if bad:
-            for g in bad:
-                failures[g] = ThetaNotPDError(t, linalg.cholesky_pd(sym[g], tol.pd_pivot).min_pivot)
-            failed[bad] = True
+        if not _reference_screen(sym, tol.pd_pivot, ratio_floor):  # each game on its own pivots
+            for g in range(G):
+                is_pd, min_pivot, max_pivot = reference_pivots(sym[g], tol.pd_pivot)
+                floor = ratio_floor * max_pivot
+                if not (is_pd and min_pivot > floor or _reference_screen(sym[g:g + 1], tol.pd_pivot, ratio_floor)):
+                    failures[g] = ThetaNotPDError(t, min_pivot)
+                    if is_pd and max_pivot < np.inf:
+                        failures[g]._ratio_floor = floor
+                    failed[g] = True
             theta[failed] = np.eye(2 * m)
         thetas[:, t - 1] = theta
         gap = b.T @ (p1 - p2) @ a
@@ -474,6 +467,10 @@ def _trimmed_loop_cases():
             specs = [generate_game(ExperimentConfig(a=a), T, seed + s) for s in range(3)]
             yield (spec, np.tile(np.arange(2, T), 3), [s.costs for s in specs],
                    np.repeat(np.arange(3), T - 2))
+    for seed in (6, 9):  # a pivot-ratio failure that LAPACK's pivots alone call absolute
+        spec = generate_game(ExperimentConfig(a=1e10), 12, seed)
+        yield spec, np.arange(1, 12), None, None
+        yield spec, [11], None, None
     for seed in (0, 1, 2):  # certify_dense's size
         spec = make_aligned_game(np.random.default_rng(160 + seed), n=16, m=4, T=40, a_norm=1.05)
         yield spec, np.arange(1, 40), None, None
@@ -502,7 +499,88 @@ def test_trimmed_stage_loop_is_the_reference_loop_bit_for_bit(gaps):
             assert got.gaps is None and bare[1:5] == (None,) * 4
             assert bare.K.tobytes() == got.K.tobytes()
             assert [repr(e) for e in bare.failures] == [repr(e) for e in got.failures]
-        assert [(type(e), e.stage, e.min_pivot, str(e)) if e else None for e in got.failures] == \
-            [(type(e), e.stage, e.min_pivot, str(e)) if e else None for e in want.failures]
+        assert [(type(e), e.stage, e.min_pivot, e._ratio_floor, str(e)) if e else None for e in got.failures] == \
+            [(type(e), e.stage, e.min_pivot, e._ratio_floor, str(e)) if e else None for e in want.failures]
         failing += any(got.failures)
     assert failing >= 10
+
+
+def _threshold_games():
+    """600 one-stage games whose curvature is a weight L L' with exact last
+    pivot pd_pivot: B1 = B2 = 0 and R1 = R2 = L L', 150 for each m = 1..4."""
+    rng = np.random.default_rng(1)
+    for m in (1, 2, 3, 4):
+        for _ in range(150):
+            low = np.tril(rng.uniform(-1.0, 1.0, (2 * m, 2 * m)), -1) + np.diag(rng.uniform(0.5, 1.5, 2 * m))
+            low[-1, -1] = np.sqrt(linalg.DEFAULT_TOLERANCES.pd_pivot)
+            weight = low @ low.T
+            yield game_spec([[1.0]], np.zeros((1, m)), np.zeros((1, m)), [1.0],
+                            cost_schedule([[[1.0]]], [weight], [weight]))
+
+
+def _threshold_failures():
+    """Each threshold game that fails its certificate, with its error."""
+    failures = []
+    for spec in _threshold_games():
+        try:
+            solve_feedback_nash(spec)
+        except ThetaNotPDError as exc:
+            failures.append((spec, exc))
+    return failures
+
+
+def test_a_threshold_curvature_fails_only_on_the_pivot_it_reports():
+    # LAPACK and the per-matrix pivots split such curvatures by rounding; the
+    # pivots that report a failure decide it, so no error reports a pivot
+    # that clears pd_pivot unless a ratio floor at least that pivot failed it
+    failures = _threshold_failures()
+    assert 0 < len(failures) < 600
+    tol = linalg.DEFAULT_TOLERANCES.pd_pivot
+    assert [exc for _, exc in failures
+            if not (exc.min_pivot <= tol or (exc._ratio_floor or -np.inf) >= exc.min_pivot)] == []
+
+
+def test_a_threshold_verdict_does_not_depend_on_the_games_stacked_with_it():
+    # a curvature that LAPACK passes and the pivots fail is certified alone,
+    # and stays certified in a stage whose screen a failing game rejects
+    zero = np.zeros((4, 4))
+    failing = cost_schedule([[[1.0]]], [zero], [zero])
+    split = 0
+    for spec in _threshold_games():
+        if spec.m != 2:
+            continue
+        sym = linalg.symmetrize(spec.costs.R1[:1])  # the curvature
+        ratio_floor = game_mod._PIVOT_RATIO * 4 * np.finfo(float).eps
+        if not (linalg._all_pd(sym, 1e-10, ratio_floor) and not linalg._pivots(sym, 1e-10)[0][0]):
+            continue
+        split += 1
+        alone = game_mod._backward(spec, [1])
+        stacked = game_mod._backward(spec, [1, 1], costs=[spec.costs, failing], schedule=[0, 1])
+        assert alone.failures[0] is None and stacked.failures[0] is None and stacked.failures[1] is not None
+        assert stacked.K[0].tobytes() == alone.K[0].tobytes()
+    assert split > 0
+
+
+def test_a1_scores_a_failing_pivot_below_pd_pivot_as_a_positive_margin():
+    # a pivot in (0, pd_pivot] fails the certificate yet reads as a positive
+    # margin, as a weight's pivot does in A2 and A4
+    tol = linalg.DEFAULT_TOLERANCES.pd_pivot
+    spec, exc = next((spec, exc) for spec, exc in _threshold_failures() if 0.0 < exc.min_pivot <= tol)
+    a1 = check_assumptions(spec, "warn").check("A1")
+    assert (a1.passed, a1.margin, a1.detail) == (False, exc.min_pivot, str(exc))
+
+
+def test_the_benchmark_passes_make_no_per_matrix_pivot_call(monkeypatch):
+    # the LAPACK screen certifies every stage of these passes, so the
+    # per-matrix factorization stays off their path
+    spec = make_aligned_game(np.random.default_rng(160), n=16, m=4, T=40, a_norm=1.05)
+    calls = []
+    pivots = linalg._pivots
+    monkeypatch.setattr(linalg, "_pivots", lambda *args, **kw: calls.append(args) or pivots(*args, **kw))
+    # a sweep runs no check but the stage certificate
+    preview = experiments.sweep(ExperimentConfig(runs=10))
+    horizon = experiments._run_block(ExperimentConfig(T_range=(50,), W_range=(1,), runs=2), 50, [0, 1],
+                                     linalg.DEFAULT_TOLERANCES)
+    assert all(row.error is None for row in preview.rows + tuple(horizon))
+    assert not any(game_mod._backward(spec, np.arange(1, 40), keep={"theta", "gaps"}).failures)
+    assert len(calls) == 0

@@ -21,7 +21,7 @@ from previewnash.linalg import (
     two_norm,
 )
 
-from conftest import make_aligned_game
+from conftest import make_aligned_game, reference_pivots
 
 
 def test_default_tolerances_are_frozen_constants():
@@ -100,15 +100,28 @@ def test_non_finite_pivots_fail_the_stacked_certificate():
     # LAPACK factors a matrix of infinities to an infinite diagonal
     stack = np.stack([np.eye(2), np.full((2, 2), np.inf), np.diag([np.inf, 1.0])])
     assert not linalg._all_pd(stack, 1e-10)
-    assert linalg._not_pd(stack, 1e-10) == [1, 2]
+    assert linalg._all_pd(stack[:1], 1e-10)
+    is_pd, min_pivot, max_pivot = linalg._pivots(stack, 1e-10)
+    # the all-infinite matrix fails on a NaN pivot; the diagonal one passes
+    # pd_pivot, and its infinite largest pivot is what fails any ratio floor
+    assert is_pd.tolist() == [True, False, True]
+    assert min_pivot.tolist() == [1.0, np.inf, 1.0]
+    assert max_pivot.tolist() == [1.0, np.inf, np.inf]
+    assert (min_pivot > 1e-15 * max_pivot).tolist() == [True, False, False]
 
 
 def test_pivot_ratio_floor_fails_only_the_nearly_singular_matrix():
     # pivots 1e20 and 16384 both pass pd_pivot, but their ratio is 1.6e-16
     near = np.array([[1e20, 1e20], [1e20, 1e20 + 16384.0]])
     stack = np.stack([np.eye(2), near, np.diag([1.0, 1e-3])])
-    assert linalg._not_pd(stack, 1e-10) == []
-    assert linalg._not_pd(stack, 1e-10, 1e-15) == [1]
+    assert linalg._all_pd(stack, 1e-10)
+    # the screen compares the stack's smallest pivot with its largest, so it
+    # rejects the whole stack; each matrix's own pivots name the one that fails
+    assert not linalg._all_pd(stack, 1e-10, 1e-15)
+    assert linalg._all_pd(stack[[0, 2]], 1e-10, 1e-15)
+    is_pd, min_pivot, max_pivot = linalg._pivots(stack, 1e-10)
+    assert is_pd.all() and max_pivot.tolist() == [1.0, 1e20, 1.0]
+    assert (min_pivot > 1e-15 * max_pivot).tolist() == [True, False, True]
     assert cholesky_pd(near) == (True, 16384.0)  # the public check is unchanged
 
 
@@ -256,38 +269,7 @@ def test_stacked_pd_verdict_matches_cholesky_pd():
         assert not linalg._all_pd(passing, 1e3)
 
 
-@pytest.mark.parametrize("failing", [0, 1, 7, 40])
-def test_halving_finds_every_matrix_the_stacked_verdict_rejects(failing):
-    rng = np.random.default_rng(13)
-    basis = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(40)]
-    bad = rng.permutation(40)[:failing]
-    low = np.where(np.isin(np.arange(40), bad), -0.3, 0.2)
-    mats = np.stack([q @ np.diag([lo, 1.0, 2.0]) @ q.T for q, lo in zip(basis, low)])
-    sym = (mats + mats.transpose(0, 2, 1)) / 2.0
-    assert linalg._not_pd(sym, 1e-10) == [g for g in range(40) if not linalg._all_pd(sym[g], 1e-10)]
-    assert sorted(linalg._not_pd(sym, 1e-10)) == sorted(bad.tolist())
-
-
 # ------------------------------------------- stacked pivots and screened norms
-
-@np.errstate(over="ignore", invalid="ignore")
-def _reference_cholesky_pd(m, tol=1e-10):
-    """The one-matrix pure-Python factorization `cholesky_pd` ran before its
-    stacked scan: the reference it is pinned to bit for bit."""
-    s = symmetrize(m)
-    n = s.shape[0]
-    lower = np.zeros((n, n))
-    min_pivot = math.inf
-    for i in range(n):
-        pivot = s[i, i] - lower[i, :i] @ lower[i, :i]
-        min_pivot = min(min_pivot, float(pivot))
-        if not pivot > tol:
-            return False, min_pivot
-        lower[i, i] = math.sqrt(pivot)
-        if i + 1 < n:
-            lower[i + 1:, i] = (s[i + 1:, i] - lower[i + 1:, :i] @ lower[i, :i]) / lower[i, i]
-    return True, min_pivot
-
 
 def _special_matrix(kind, scale, seed, k, l):
     """One matrix of a kind the screens and the pivot scan must get exactly right."""
@@ -327,10 +309,9 @@ def test_stacked_pivots_are_cholesky_pd_bit_for_bit():
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(stack=_stacks(st, square=True), tol=st.sampled_from([0.0, 1e-10, 1.0]))
     def check(stack, tol):
-        want = [_reference_cholesky_pd(m, tol) for m in stack]
-        is_pd, min_pivot = linalg._pivots(stack, tol)
-        assert _same(list(zip(is_pd.tolist(), min_pivot.tolist())), want)
-        assert _same([tuple(cholesky_pd(m, tol)) for m in stack], want)
+        want = [reference_pivots(m, tol) for m in stack]
+        assert _same(list(zip(*(v.tolist() for v in linalg._pivots(stack, tol)))), want)
+        assert _same([tuple(cholesky_pd(m, tol)) for m in stack], [w[:2] for w in want])
 
     check()
 
@@ -345,8 +326,7 @@ def _shifted_copy_pivots(stack, tol, shift):
 
 
 def _verdicts(pivots):
-    is_pd, min_pivot = pivots
-    return repr(list(zip(is_pd.tolist(), min_pivot.tolist())))
+    return repr(list(zip(*(v.tolist() for v in pivots))))
 
 
 def test_shifted_pivots_are_the_pivots_of_a_shifted_copy_bit_for_bit():
@@ -375,8 +355,8 @@ def test_shifted_pivots_hold_where_symmetrizing_overflows(shift):
     for stack in (symmetric, asymmetric, np.concatenate((symmetric[:1], asymmetric[1:]))):
         assert _verdicts(linalg._pivots(stack, 1e-10, shift)) == _verdicts(_shifted_copy_pivots(stack, 1e-10, shift))
     empty = np.empty((0, 3, 3))
-    is_pd, min_pivot = linalg._pivots(empty, 1e-10, shift if np.ndim(shift) == 0 else np.empty(0))
-    assert is_pd.shape == min_pivot.shape == (0,)
+    is_pd, min_pivot, max_pivot = linalg._pivots(empty, 1e-10, shift if np.ndim(shift) == 0 else np.empty(0))
+    assert is_pd.shape == min_pivot.shape == max_pivot.shape == (0,)
 
 
 def test_stacked_pivots_match_on_random_definite_and_indefinite_matrices():
@@ -385,15 +365,14 @@ def test_stacked_pivots_match_on_random_definite_and_indefinite_matrices():
         g = rng.uniform(-1.0, 1.0, size=(60, k, k))
         mats = g @ g.transpose(0, 2, 1) + rng.uniform(-0.5, 0.5, size=(60, 1, 1)) * np.eye(k)
         mats[::3] += rng.uniform(-1e-3, 1e-3, size=(20, k, k))  # asymmetric ones too
-        want = [_reference_cholesky_pd(m) for m in mats]
-        assert 0 < sum(ok for ok, _ in want) < len(want)
-        is_pd, min_pivot = linalg._pivots(mats, 1e-10)
-        assert list(zip(is_pd.tolist(), min_pivot.tolist())) == want
+        want = [reference_pivots(m) for m in mats]
+        assert 0 < sum(ok for ok, _, _ in want) < len(want)
+        assert list(zip(*(v.tolist() for v in linalg._pivots(mats, 1e-10)))) == want
     # the stacks A1 and A4 scan on a game of the benchmark's dense size
     spec = make_aligned_game(rng, n=16, m=4, T=40, a_norm=1.05)
     for stack in (spec.costs.Q, potential._joint_weights(spec.costs.R1, spec.costs.R2)):
-        is_pd, min_pivot = linalg._pivots(stack, 1e-10)
-        assert list(zip(is_pd.tolist(), min_pivot.tolist())) == [_reference_cholesky_pd(m) for m in stack]
+        assert list(zip(*(v.tolist() for v in linalg._pivots(stack, 1e-10)))) == \
+            [reference_pivots(m) for m in stack]
 
 
 def _exact_norms(stack):

@@ -200,8 +200,8 @@ def test_a1_margin_on_a_pivot_ratio_failure_is_the_pivot_less_the_floor():
     sym = linalg.symmetrize(_true_curvature(spec, 4))
     check = linalg.cholesky_pd(sym)
     assert check.is_pd and check.min_pivot > 1e5
-    floor = game_mod._PIVOT_RATIO * 2 * spec.m * np.finfo(float).eps \
-        * float(max(np.diagonal(np.linalg.cholesky(sym)) ** 2))
+    largest = float(linalg._pivots(sym[None], linalg.DEFAULT_TOLERANCES.pd_pivot)[2][0])
+    floor = game_mod._PIVOT_RATIO * 2 * spec.m * np.finfo(float).eps * largest
     assert not a1.passed
     assert a1.margin == check.min_pivot - floor and a1.margin < 0.0
     assert a1.detail == (f"stage 4: joint curvature matrix fails the pivot-ratio floor "
@@ -215,6 +215,23 @@ def test_a1_margin_on_a_pivot_ratio_failure_is_the_pivot_less_the_floor():
     back = pickle.loads(pickle.dumps(exc.value))
     assert (back.stage, back.min_pivot, back._ratio_floor, str(back)) == \
         (4, check.min_pivot, floor, str(exc.value))
+
+
+@pytest.mark.parametrize("seed", [6, 9])
+def test_a1_reads_a_pivot_ratio_failure_that_lapack_calls_absolute(seed):
+    # LAPACK's last pivot at stage 10 fails pd_pivot, while the pivots the
+    # error reports all clear it: those pivots decide the failure too, so it
+    # is a pivot-ratio failure with a negative margin
+    spec = generate_game(ExperimentConfig(a=1e10), 12, seed)
+    with pytest.raises(ThetaNotPDError) as exc:
+        solve_feedback_nash(spec)
+    report = check_assumptions(spec, "warn")
+    a1, a6 = report.check("A1"), report.check("A6")
+    assert exc.value.stage == 10 and exc.value.min_pivot > 1e5 and exc.value._ratio_floor > exc.value.min_pivot
+    assert (a1.passed, a1.margin) == (False, exc.value.min_pivot - exc.value._ratio_floor)
+    assert a1.detail == (f"stage 10: joint curvature matrix fails the pivot-ratio floor (min pivot "
+                         f"{exc.value.min_pivot:.3e} is not above {exc.value._ratio_floor:.3e})")
+    assert not a6.passed and a6.margin <= a1.margin < 0.0
 
 
 def test_a1_margin_on_an_absolute_pivot_failure_is_the_pivot():
